@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .graphopt import ComputeGraph, GraphBuilder, MemoryPlan, execute
+from .graphopt import ComputeGraph, GraphBuilder, GraphRunner, MemoryPlan
 from .tensor import Tensor, nonlocal_raw
 
 
@@ -252,8 +252,13 @@ def extract_features(
     batches: Iterable,
     plan: Optional[MemoryPlan] = None,
 ) -> SnippetFeatures:
-    """Run every clip batch through the graph; rows stack to [crops, T, D]."""
+    """Run every clip batch through the graph; rows stack to [crops, T, D].
+
+    One GraphRunner serves every batch, so the arena and conv workspace are
+    allocated once per call, not once per snippet.
+    """
     declared = graph.meta[graph.inputs[0]].shape
+    runner = GraphRunner(graph, plan)
     rows = []
     for i, batch in enumerate(batches):
         data = batch.data if isinstance(batch.data, Tensor) else Tensor(batch.data)
@@ -262,7 +267,7 @@ def extract_features(
                 f"snippet {getattr(batch, 'snippet_index', i)}: clip shape {tuple(data.shape)} "
                 f"does not match graph input {tuple(declared)}"
             )
-        rows.append(execute(graph, data, plan=plan)[0].data)
+        rows.append(runner.run(data)[0].data)
     if not rows:
         raise ValueError("no clip batches supplied")
     return SnippetFeatures(Tensor(np.stack(rows, axis=1)))  # [crops, T, D]

@@ -543,7 +543,10 @@ def plan_memory(graph: ComputeGraph) -> MemoryPlan:
 class GraphRunner:
     """Reusable executor: with a plan, the arena and conv workspace are
     allocated once and reused across calls (ahead-of-time static memory).
-    One runner serves one execution context; calls are not thread-safe."""
+    Conv and non-local nodes write straight into their arena slots; the
+    workspace holds one padded batch item and one column buffer of the
+    largest conv. One runner serves one execution context; calls are not
+    thread-safe."""
 
     def __init__(self, graph: ComputeGraph, plan: Optional[MemoryPlan] = None):
         self.graph = graph
@@ -708,17 +711,9 @@ def _run_node(graph: ComputeGraph, n: Node, env: Dict[str, np.ndarray], dst, wor
             return dst
         return res
     if k == "nonlocal3d":
-        res = nonlocal_raw(x, p["wt"], p["wp"], p["wg"], p["wo"])
-        if dst is not None:
-            dst[...] = res
-            return dst
-        return res
+        return nonlocal_raw(x, p["wt"], p["wp"], p["wg"], p["wo"], out=dst)
     if k == "nonlocal1d":
-        res = nonlocal_raw(x[None], p["wt"], p["wp"], p["wg"], p["wo"])[0]
-        if dst is not None:
-            dst[...] = res
-            return dst
-        return res
+        return nonlocal_raw(x[None], p["wt"], p["wp"], p["wg"], p["wo"], out=None if dst is None else dst[None])[0]
     if k == "transpose2d":
         res = np.ascontiguousarray(x.T)
         if dst is not None:

@@ -90,12 +90,16 @@ def _triple(v: Triple, name: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 def conv3d_workspace_elems(in_shape: tuple, out_shape: tuple, c: int, kernel: tuple, pad: tuple) -> int:
-    """Scratch floats conv3d_raw wants: padded-input buffer + one im2col buffer."""
-    n, _, d, h, w = in_shape
-    _, o, od, oh, ow = out_shape
+    """Scratch floats conv3d_raw wants: one padded batch item + one column buffer.
+
+    The padded item is [C, D+2pd, H+2ph, W+2pw] and is absent when `pad` is all
+    zero; the column buffer is [C*kd*kh*kw, od*oh*ow]. Neither grows with N.
+    """
+    _, _, d, h, w = in_shape
+    _, _, od, oh, ow = out_shape
     pd, ph, pw = pad
-    padded = n * c * (d + 2 * pd) * (h + 2 * ph) * (w + 2 * pw) if any(pad) else 0
-    return padded + od * oh * ow * c * int(np.prod(kernel))
+    padded = c * (d + 2 * pd) * (h + 2 * ph) * (w + 2 * pw) if any(pad) else 0
+    return padded + c * int(np.prod(kernel)) * od * oh * ow
 
 
 def conv3d_raw(
@@ -111,9 +115,19 @@ def conv3d_raw(
 ) -> np.ndarray:
     """Direct 3-D cross-correlation with zero padding on [N,C,D,H,W] input.
 
-    `workspace` (flat float32, sized per conv3d_workspace_elems) makes the
-    im2col buffer and matmul output reusable across calls instead of allocating
-    fresh arrays; values are bitwise identical either way.
+    Lowered to one GEMM per batch item over a tap-major column buffer
+    [C,kd,kh,kw, od,oh,ow], filled with one strided copy per kernel tap from
+    the item zero-padded in scratch. The GEMM writes [O, od*oh*ow] straight
+    into `out[i]`, and bias and ReLU are applied there in place. On the desk
+    convs this equals a row-major im2col times the transposed weight bit for
+    bit; BLAS may sum a small GEMM's products in an order that depends on
+    which operand is on the left, so on small shapes the two agree to float32
+    rounding.
+
+    `workspace` (flat float32, at least conv3d_workspace_elems) holds the
+    padded item and the column buffer, so repeated calls allocate nothing; one
+    is allocated when it is not given. `out`, when given, must be a
+    C-contiguous [N,O,od,oh,ow] float32 array. Values do not depend on either.
     """
     if x.ndim != 5:
         raise ShapeError(f"conv3d input must be 5-D [N,C,D,H,W], got {x.ndim}-D")
@@ -136,49 +150,39 @@ def conv3d_raw(
         if extent < 1:
             raise ShapeError(f"conv3d output {axis} axis collapses to {extent} (< 1)")
     rows, cols = od * oh * ow, c * kd * kh * kw
-    pad_shape = (n, c, d + 2 * pd, h + 2 * ph, wid + 2 * pw)
-    pad_elems = int(np.prod(pad_shape)) if (pd or ph or pw) else 0
-    ws_ok = workspace is not None and workspace.size >= pad_elems + rows * cols
-    if not (pd or ph or pw):
-        xp = x  # zero padding is a no-op; skip the copy entirely
-    elif ws_ok:
-        xp = workspace[:pad_elems].reshape(pad_shape)
-        # zero only the border slabs, then paste the interior
-        if pd:
-            xp[:, :, :pd] = 0.0
-            xp[:, :, d + pd:] = 0.0
-        if ph:
-            xp[:, :, :, :ph] = 0.0
-            xp[:, :, :, h + ph:] = 0.0
-        if pw:
-            xp[:, :, :, :, :pw] = 0.0
-            xp[:, :, :, :, wid + pw:] = 0.0
-        xp[:, :, pd:pd + d, ph:ph + h, pw:pw + wid] = x
-    else:
-        xp = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, (ed, eh, ew), axis=(2, 3, 4))
-    win = win[:, :, ::sd, ::sh, ::sw, ::dd, ::dh, ::dw]  # [n,c,od,oh,ow,kd,kh,kw]
-    wmat = w.reshape(o, -1).T.copy()  # [c*kd*kh*kw, o]
+    padded = (c, d + 2 * pd, h + 2 * ph, wid + 2 * pw) if (pd or ph or pw) else None
+    pad_elems = int(np.prod(padded)) if padded else 0
+    if workspace is None:
+        workspace = np.empty(pad_elems + rows * cols, dtype=np.float32)
+    elif workspace.size < pad_elems + rows * cols:
+        raise ShapeError(f"conv3d workspace holds {workspace.size} floats, needs {pad_elems + rows * cols}")
     if out is None:
         out = np.empty((n, o, od, oh, ow), dtype=np.float32)
-    col_buf = None
-    if ws_ok:
-        col_buf = workspace[pad_elems:pad_elems + rows * cols].reshape(od, oh, ow, c, kd, kh, kw)
-    for i in range(n):  # bound im2col temp memory to one batch item
-        if col_buf is not None:
-            np.copyto(col_buf, win[i].transpose(1, 2, 3, 0, 4, 5, 6))
-            col = col_buf.reshape(rows, cols)
+    elif out.shape != (n, o, od, oh, ow) or not out.flags.c_contiguous:
+        raise ShapeError(f"conv3d out must be C-contiguous {(n, o, od, oh, ow)}, got {out.shape}")
+    xp = workspace[:pad_elems].reshape(padded) if padded else None
+    if xp is not None:
+        xp.fill(0.0)  # the border stays zero; each item overwrites only the interior
+    col = workspace[pad_elems:pad_elems + rows * cols].reshape(c, kd, kh, kw, od, oh, ow)
+    wmat = w.reshape(o, cols)  # K runs (c,kd,kh,kw), as the column buffer's rows do
+    for i in range(n):
+        if xp is not None:
+            xp[:, pd:pd + d, ph:ph + h, pw:pw + wid] = x[i]
+            src = xp
         else:
-            # ascontiguousarray keeps the matmul on the contiguous-sgemm path even
-            # when reshape could alias (degenerate kernels), so results do not
-            # depend on whether the im2col buffer is pooled
-            col = np.ascontiguousarray(win[i].transpose(1, 2, 3, 0, 4, 5, 6)).reshape(rows, cols)
-        y = col @ wmat
+            src = x[i]
+        for a in range(kd):
+            z = src[:, a * dd:a * dd + (od - 1) * sd + 1:sd]
+            for e in range(kh):
+                zy = z[:, :, e * dh:e * dh + (oh - 1) * sh + 1:sh]
+                for f in range(kw):
+                    col[:, a, e, f] = zy[:, :, :, f * dw:f * dw + (ow - 1) * sw + 1:sw]
+        y = out[i].reshape(o, rows)
+        np.matmul(wmat, col.reshape(cols, rows), out=y)
         if b is not None:
-            y += b
+            y += b[:, None]
         if relu:
             np.maximum(y, 0.0, out=y)
-        out[i] = y.T.reshape(o, od, oh, ow)
     return out
 
 
@@ -275,25 +279,36 @@ def nonlocal_raw(
     w_phi: np.ndarray,
     w_g: np.ndarray,
     w_out: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Residual softmax self-attention over all positions of [N,C,*spatial] input.
 
     Projections are pointwise (1x1) maps C->Ci given as [C,Ci] matrices; the
     output projection w_out is [Ci,C]. Attention logits are scaled by 1/sqrt(Ci).
+    Attention runs one batch item at a time, so its [P,P] temporaries hold one
+    item. The result goes to `out` (same shape as x; allocated when not given),
+    which must not overlap x except as x itself.
     """
     n, c = x.shape[0], x.shape[1]
     if w_theta.shape[0] != c:
         raise ShapeError(f"channel axis mismatch: input C={c} vs projection C={w_theta.shape[0]}")
     ci = w_theta.shape[1]
-    spatial = x.shape[2:]
-    flat = x.reshape(n, c, -1).transpose(0, 2, 1)  # [n, P, c]
-    theta = flat @ w_theta  # [n,P,ci]
-    phi = flat @ w_phi
-    g = flat @ w_g
-    logits = (theta @ phi.transpose(0, 2, 1)) / np.sqrt(np.float32(ci))
-    attn = softmax_raw(logits, axis=-1)
-    y = (attn @ g) @ w_out  # [n,P,c]
-    return np.ascontiguousarray(x + y.transpose(0, 2, 1).reshape(x.shape))
+    if out is None:
+        out = np.empty(x.shape, dtype=np.float32)
+    elif out.shape != x.shape:
+        raise ShapeError(f"nonlocal out shape {out.shape} != input shape {x.shape}")
+    scale = np.sqrt(np.float32(ci))
+    for i in range(n):
+        flat = x[i].reshape(c, -1).T  # [P, c]
+        theta = flat @ w_theta  # [P,ci]
+        phi = flat @ w_phi
+        g = flat @ w_g
+        logits = theta @ phi.T  # [P,P]
+        logits /= scale
+        attn = softmax_raw(logits, axis=-1)
+        y = (attn @ g) @ w_out  # [P,c]
+        np.add(x[i], y.T.reshape(x.shape[1:]), out=out[i])
+    return out
 
 
 # ---------------------------------------------------------------------------

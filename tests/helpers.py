@@ -1,9 +1,11 @@
-"""Shared test utilities: random graph generation and brute-force plan checking."""
+"""Shared test utilities: random graph generation, brute-force plan checking,
+and the earlier extractor kernels kept as references for the current ones."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from edgevad.graphopt import GraphBuilder, GraphError, MemoryPlan
-from edgevad.tensor import Tensor
+from edgevad.tensor import Tensor, softmax_raw
 
 
 def random_graph(seed, min_ops=3, max_ops=8):
@@ -90,3 +92,47 @@ def check_plan_no_overlap(plan: MemoryPlan):
             if lives_overlap and ranges_overlap:
                 return False, (a, t)
     return True, None
+
+
+def conv3d_rowmajor_ref(x, w, b, stride, pad, dilation, relu=False):
+    """Reference conv3d: pad the whole batch, then per item a row-major im2col
+    [od*oh*ow, C*kd*kh*kw] times the transposed weight [C*kd*kh*kw, O]."""
+    n, c, d, h, wid = x.shape
+    o, _, kd, kh, kw = w.shape
+    sd, sh, sw = stride
+    pd, ph, pw = pad
+    dd, dh, dw = dilation
+    ed, eh, ew = (kd - 1) * dd + 1, (kh - 1) * dh + 1, (kw - 1) * dw + 1
+    od = (d + 2 * pd - ed) // sd + 1
+    oh = (h + 2 * ph - eh) // sh + 1
+    ow = (wid + 2 * pw - ew) // sw + 1
+    rows, cols = od * oh * ow, c * kd * kh * kw
+    xp = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    win = sliding_window_view(xp, (ed, eh, ew), axis=(2, 3, 4))
+    win = win[:, :, ::sd, ::sh, ::sw, ::dd, ::dh, ::dw]  # [n,c,od,oh,ow,kd,kh,kw]
+    wmat = w.reshape(o, -1).T.copy()  # [c*kd*kh*kw, o]
+    out = np.empty((n, o, od, oh, ow), dtype=np.float32)
+    for i in range(n):
+        col = np.ascontiguousarray(win[i].transpose(1, 2, 3, 0, 4, 5, 6)).reshape(rows, cols)
+        y = col @ wmat
+        if b is not None:
+            y += b
+        if relu:
+            np.maximum(y, 0.0, out=y)
+        out[i] = y.T.reshape(o, od, oh, ow)
+    return out
+
+
+def nonlocal_batched_ref(x, w_theta, w_phi, w_g, w_out):
+    """Reference non-local block: attention over the whole batch at once,
+    with [N,P,P] logits."""
+    n, c = x.shape[0], x.shape[1]
+    ci = w_theta.shape[1]
+    flat = x.reshape(n, c, -1).transpose(0, 2, 1)  # [n, P, c]
+    theta = flat @ w_theta  # [n,P,ci]
+    phi = flat @ w_phi
+    g = flat @ w_g
+    logits = (theta @ phi.transpose(0, 2, 1)) / np.sqrt(np.float32(ci))
+    attn = softmax_raw(logits, axis=-1)
+    y = (attn @ g) @ w_out  # [n,P,c]
+    return np.ascontiguousarray(x + y.transpose(0, 2, 1).reshape(x.shape))

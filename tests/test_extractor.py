@@ -1,5 +1,6 @@
 """Extractor tests: config contracts, non-local oracle, feature extraction."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,8 @@ from edgevad import extractor as ex
 from edgevad import graphopt as go
 from edgevad.extractor import ExtractorConfig, NonLocalParams, desk_scale_config, full_scale_config
 from edgevad.tensor import Tensor
+
+MIB = 2 ** 20
 
 
 def tiny_config(output_dim=6, crops=2, spatial=16, frames=4):
@@ -178,3 +181,22 @@ class TestExtractFeatures:
         f = ex.extract_features(g, [batch])
         assert f.data.shape == (10, 1, 32)
         assert np.all(np.isfinite(f.data.data))
+
+
+class TestRunnerMemory:
+    def test_planned_desk_run_makes_no_large_allocation(self):
+        g, plan = go.optimize(ex.build_extractor(desk_scale_config(), seed=0))
+        runner = go.GraphRunner(g, plan)
+        # the arena plus one padded stem item and one stem column buffer
+        assert runner.static_bytes < 64 * MIB
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.standard_normal(g.meta[g.inputs[0]].shape, dtype=np.float32))
+        warm = runner.run(x)[0].data
+        tracemalloc.start()
+        try:
+            again = runner.run(x)[0].data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(again, warm)
+        assert peak < 16 * MIB

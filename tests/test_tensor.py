@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from edgevad import tensor as tc
 from edgevad.tensor import F16, F32, ShapeError
 
+from helpers import conv3d_rowmajor_ref, nonlocal_batched_ref
+
 
 # ---------------------------------------------------------------------------
 # independent oracles (nested loops, no shared code with the kernels)
@@ -148,6 +150,109 @@ class TestConv3d:
         w = tc.zeros((1, 1, 3, 1, 1))
         with pytest.raises(ShapeError, match="depth"):
             tc.conv3d(x, w)
+
+
+# ---------------------------------------------------------------------------
+# extractor kernels against the row-major-im2col and batched references
+# ---------------------------------------------------------------------------
+
+# per-item input shape, weight shape, stride, pad of the desk extractor's convs
+DESK_CONVS = {
+    "stem": ((3, 16, 224, 224), (8, 3, 3, 5, 5), (2, 4, 4), (1, 2, 2)),
+    "s0b0": ((8, 8, 56, 56), (8, 8, 3, 3, 3), (1, 2, 2), (1, 1, 1)),
+    "s1b0": ((8, 8, 28, 28), (16, 8, 3, 3, 3), (2, 2, 2), (1, 1, 1)),
+}
+
+
+def random_conv_case(seed):
+    """Random conv3d arguments; every fifth seed has a full-extent kernel
+    (a 1x1x1 output), the others mix padding, strides and dilation."""
+    rng = np.random.default_rng(seed)
+    n, c, o = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    d, h, w = (int(v) for v in rng.integers(1, 9, size=3))
+    if seed % 5 == 0:
+        kernel, stride, pad, dil = (d, h, w), (1, 1, 1), (0, 0, 0), (1, 1, 1)
+    else:
+        stride = tuple(int(v) for v in rng.integers(1, 4, size=3))
+        pad = tuple(int(v) for v in rng.integers(0, 3, size=3)) if seed % 2 else (0, 0, 0)
+        dil = tuple(int(v) for v in rng.integers(1, 3, size=3))
+        kernel = tuple(
+            int(rng.integers(1, min(4, (e + 2 * p - 1) // dl + 1) + 1)) for e, p, dl in zip((d, h, w), pad, dil)
+        )
+    x = rng.normal(size=(n, c, d, h, w)).astype(np.float32)
+    wt = rng.normal(size=(o, c) + kernel).astype(np.float32)
+    b = rng.normal(size=(o,)).astype(np.float32) if seed % 3 else None
+    return x, wt, b, stride, pad, dil, bool(seed % 4)
+
+
+def conv3d_both_ways(x, w, b, stride, pad, dil, relu, out_shape):
+    """The kernel without scratch, and with a NaN-filled workspace and out."""
+    plain = tc.conv3d_raw(x, w, b, stride, pad, dil, relu=relu)
+    ws = np.full(tc.conv3d_workspace_elems(x.shape, out_shape, w.shape[1], w.shape[2:], pad) + 3, np.nan, np.float32)
+    out = np.full(out_shape, np.nan, np.float32)
+    pooled = tc.conv3d_raw(x, w, b, stride, pad, dil, relu=relu, out=out, workspace=ws)
+    assert pooled is out
+    return plain, pooled
+
+
+class TestKernelReferences:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_conv3d_matches_rowmajor_reference(self, seed):
+        x, w, b, stride, pad, dil, relu = random_conv_case(seed)
+        ref = conv3d_rowmajor_ref(x, w, b, stride, pad, dil, relu)
+        plain, pooled = conv3d_both_ways(x, w, b, stride, pad, dil, relu, ref.shape)
+        np.testing.assert_array_equal(plain, pooled)
+        # the GEMM now has the weight as its left operand; BLAS may sum the K
+        # products of a small GEMM in another order, so allow the reordering
+        # bound of a K-term float32 sum (plus one rounding of the bias add)
+        k = w[0].size
+        absconv = conv3d_rowmajor_ref(np.abs(x), np.abs(w), None, stride, pad, dil)
+        eps = np.finfo(np.float32).eps
+        assert np.all(np.abs(plain - ref) <= 2 * eps * (k * absconv + np.abs(ref)))
+
+    @pytest.mark.parametrize("name", sorted(DESK_CONVS))
+    def test_conv3d_bitwise_on_desk_shapes(self, name):
+        item, wshape, stride, pad = DESK_CONVS[name]
+        rng = np.random.default_rng(len(name))
+        x = rng.standard_normal((10,) + item, dtype=np.float32)
+        w = rng.standard_normal(wshape, dtype=np.float32) * np.float32(0.1)
+        b = rng.standard_normal(wshape[0], dtype=np.float32)
+        ref = conv3d_rowmajor_ref(x, w, b, stride, pad, (1, 1, 1), relu=True)
+        for got in conv3d_both_ways(x, w, b, stride, pad, (1, 1, 1), True, ref.shape):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_nonlocal_bitwise_equal_to_batched_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n, c = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        spatial = tuple(int(v) for v in rng.integers(1, 6, size=int(rng.integers(1, 4))))
+        ci = max(1, c // 2)
+        x = rng.normal(size=(n, c) + spatial).astype(np.float32)
+        ws = [rng.normal(size=s).astype(np.float32) for s in ((c, ci), (c, ci), (c, ci), (ci, c))]
+        ref = nonlocal_batched_ref(x, *ws)
+        np.testing.assert_array_equal(tc.nonlocal_raw(x, *ws), ref)
+        out = np.full(x.shape, np.nan, np.float32)
+        assert tc.nonlocal_raw(x, *ws, out=out) is out
+        np.testing.assert_array_equal(out, ref)
+
+    def test_nonlocal_bitwise_on_desk_shape(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((10, 16, 4, 14, 14), dtype=np.float32)
+        ws = [rng.standard_normal(s, dtype=np.float32) * np.float32(0.25) for s in ((16, 8),) * 3 + ((8, 16),)]
+        ref = nonlocal_batched_ref(x, *ws)
+        np.testing.assert_array_equal(tc.nonlocal_raw(x, *ws), ref)
+        out = np.full(x.shape, np.nan, np.float32)
+        np.testing.assert_array_equal(tc.nonlocal_raw(x, *ws, out=out), ref)
+
+    def test_conv3d_rejects_small_workspace_and_strided_out(self):
+        x = np.ones((2, 1, 3, 4, 4), np.float32)
+        w = np.ones((2, 1, 3, 3, 3), np.float32)
+        need = tc.conv3d_workspace_elems(x.shape, (2, 2, 3, 4, 4), 1, (3, 3, 3), (1, 1, 1))
+        with pytest.raises(ShapeError, match="workspace"):
+            tc.conv3d_raw(x, w, None, (1, 1, 1), (1, 1, 1), (1, 1, 1), workspace=np.empty(need - 1, np.float32))
+        strided = np.empty((2, 2, 3, 4, 8), np.float32)[..., ::2]
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            tc.conv3d_raw(x, w, None, (1, 1, 1), (1, 1, 1), (1, 1, 1), out=strided)
 
 
 # ---------------------------------------------------------------------------
