@@ -25,7 +25,7 @@ from .extractor import ExtractorConfig, build_extractor, desk_scale_config, full
 from .graphopt import GraphRunner, optimize
 from .serialize import load_graph_params, load_params
 from .sources import load_video_source
-from .videopre import NormConstants, preprocess_snippet, segment_snippets
+from .videopre import CROP_SIZE, NormConstants, preprocess_snippet, segment_snippets
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -239,6 +239,25 @@ def run_pipeline(
     q_feats = Boundary(cfg.queue_capacity, stop)
     errors: List[Tuple[str, BaseException]] = []
 
+    # Clip buffers, allocated and written once up front: one per clip that can
+    # be alive at a time (queued, in the extractor's hands, or being built by a
+    # preprocess worker). The pipeline's footprint is then the same on every
+    # run, whichever stage is faster, and no snippet allocates a clip.
+    free_clips: "queue.Queue" = queue.Queue()
+    clip_shape = (10, 3, cfg.frames_per_snippet, CROP_SIZE, CROP_SIZE)
+    for _ in range(min(cfg.queue_capacity + 1 + cfg.stage_workers, snips.snippet_count)):
+        buf = np.empty(clip_shape, dtype=np.float32)
+        buf.fill(0.0)
+        free_clips.put(buf)
+
+    def take_clip():
+        while not stop.is_set():
+            try:
+                return free_clips.get(timeout=0.05)
+            except queue.Empty:
+                pass
+        return None
+
     def guard(stage: str, fn: Callable[[], None]):
         def run():
             try:
@@ -264,9 +283,12 @@ def run_pipeline(
             if item is Boundary.SENTINEL:
                 q_clips.put(Boundary.SENTINEL)
                 return
+            buf = take_clip()
+            if buf is None:
+                return
             t0 = time.perf_counter()
-            batch = preprocess_snippet(video, snips, item, consts)
-            ok = q_clips.put((item, batch, (time.perf_counter() - t0) * 1e3))
+            batch = preprocess_snippet(video, snips, item, consts, out=buf)
+            ok = q_clips.put((item, buf, batch, (time.perf_counter() - t0) * 1e3))
             q_idx.done()
             if not ok:
                 return
@@ -281,13 +303,14 @@ def run_pipeline(
                     q_feats.put(Boundary.SENTINEL)
                     return
                 continue
-            i, batch, pre_ms = item
+            i, buf, batch, pre_ms = item
             t0 = time.perf_counter()
             if tuple(batch.data.shape) != tuple(declared):
                 raise ValueError(
                     f"snippet {i}: clip shape {tuple(batch.data.shape)} != graph input {tuple(declared)}"
                 )
             row = runner.run(batch.data)[0].data  # [crops, D]
+            free_clips.put(buf)
             ok = q_feats.put((i, batch.start_frame, row, pre_ms, (time.perf_counter() - t0) * 1e3))
             q_clips.done()
             if not ok:

@@ -8,7 +8,7 @@ constants live on the 0-255 pixel scale, so frames are never pre-scaled to [0,1]
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,8 +122,12 @@ def resize_shorter_side(frame: np.ndarray, target: int = RESIZE_TARGET) -> np.nd
     return resize_bilinear(frame, out_h, out_w)
 
 
-def ten_crop(clip: np.ndarray, size: int = CROP_SIZE) -> np.ndarray:
-    """[3,L,H,W] -> [10,3,L,size,size]: TL, TR, BL, BR, center, then their W-axis mirrors."""
+def ten_crop(clip: np.ndarray, size: int = CROP_SIZE, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """[3,L,H,W] -> [10,3,L,size,size]: TL, TR, BL, BR, center, then their W-axis mirrors.
+
+    The crops are written to `out` when it is given (a C-contiguous float32
+    array of the output shape), else to a fresh array; the values are the same.
+    """
     if clip.ndim != 4:
         raise ValueError(f"ten_crop expects a [3,L,H,W] clip, got {clip.ndim}-D")
     h, w = clip.shape[2], clip.shape[3]
@@ -141,7 +145,11 @@ def ten_crop(clip: np.ndarray, size: int = CROP_SIZE) -> np.ndarray:
     ]
     # explicit C-contiguous output: np.stack of strided views would keep the
     # source memory order and force a second full relayout downstream
-    out = np.empty((10,) + base[0].shape, dtype=np.float32)
+    shape = (10,) + base[0].shape
+    if out is None:
+        out = np.empty(shape, dtype=np.float32)
+    elif out.shape != shape or out.dtype != np.float32 or not out.flags.c_contiguous:
+        raise ValueError(f"ten_crop out must be C-contiguous float32 {shape}, got {out.dtype} {out.shape}")
     for j, c in enumerate(base):
         out[j] = c
         out[5 + j] = c[:, :, :, ::-1]
@@ -203,16 +211,22 @@ def preprocess_snippet(
     plan: SnippetPlan,
     index: int,
     consts: NormConstants = NormConstants(),
+    out: Optional[np.ndarray] = None,
 ) -> ClipBatch:
-    """Full per-snippet pipeline in fixed order; output is [10,3,L,224,224]."""
+    """Full per-snippet pipeline in fixed order; output is [10,3,L,224,224].
+
+    With `out` (a C-contiguous float32 [10,3,L,224,224] array) the clip is
+    written there and the batch holds a read-only view of it; `out` stays
+    writable, so a caller can reuse it once the batch is no longer read.
+    """
     frames = gather_snippet_frames(video, plan, index)
     resized = [resize_shorter_side(np.asarray(f, dtype=np.float32)) for f in frames]
     clip = np.stack(resized, axis=0).transpose(3, 0, 1, 2)  # [L,H,W,3] -> [3,L,H,W]
-    crops = ten_crop(clip)
+    crops = ten_crop(clip, out=out)
     data = normalize(crops, consts, inplace=True)
     start = plan.start_indices[index]
     return ClipBatch(
-        data=Tensor(data),
+        data=Tensor(data.view()),  # Tensor freezes the array it is given; freeze a view
         snippet_index=index,
         start_frame=start,
         timestamp_s=start / video.fps if video.fps > 0 else 0.0,

@@ -120,6 +120,22 @@ class TestPipelineRuns:
         for name, peak in res.boundary_high_water.items():
             assert peak <= cfg.queue_capacity + 1, f"boundary {name} hit {peak}"
 
+    def test_clip_buffers_allocated_once(self, monkeypatch):
+        # queue_capacity + 1 + stage_workers buffers serve every snippet
+        seen = set()
+        real = pl.preprocess_snippet
+
+        def spy(*args, out=None, **kw):
+            seen.add(out.__array_interface__["data"][0])
+            return real(*args, out=out, **kw)
+
+        monkeypatch.setattr(pl, "preprocess_snippet", spy)
+        cfg = tiny_cfg(frames=60, snippets=8, queue_capacity=1)
+        res = run_pipeline(cfg)
+        assert len(seen) <= cfg.queue_capacity + 1 + cfg.stage_workers
+        monkeypatch.setattr(pl, "preprocess_snippet", real)
+        assert [r.score for r in res.records] == [r.score for r in run_sequential(cfg).records]
+
     def test_unreadable_source_is_config_error(self):
         cfg = tiny_cfg()
         cfg.source = {"kind": "ppm_dir", "path": "/nonexistent/frames"}

@@ -101,6 +101,18 @@ class TestTenCrop:
         with pytest.raises(ValueError, match="resize"):
             vp.ten_crop(np.zeros((3, 1, 200, 260)))
 
+    def test_out_gets_the_same_crops(self):
+        rng = np.random.default_rng(4)
+        clip = rng.normal(size=(3, 2, 240, 300)).astype(np.float32)
+        out = np.full((10, 3, 2, 224, 224), np.nan, dtype=np.float32)
+        assert vp.ten_crop(clip, out=out) is out
+        np.testing.assert_array_equal(out, vp.ten_crop(clip))
+
+    def test_out_of_wrong_shape_rejected(self):
+        clip = np.zeros((3, 2, 224, 224), dtype=np.float32)
+        with pytest.raises(ValueError, match="out"):
+            vp.ten_crop(clip, out=np.empty((10, 3, 1, 224, 224), dtype=np.float32))
+
 
 class TestNormalize:
     def test_mean_pixel_maps_to_zero(self):
@@ -182,6 +194,16 @@ class TestPreprocessSnippet:
         clip = np.stack(resized, axis=0).transpose(3, 0, 1, 2)
         manual = vp.normalize(vp.ten_crop(clip))
         np.testing.assert_array_equal(batch.data.data, manual.astype(np.float32))
+
+    def test_out_buffer_reused_across_snippets(self):
+        video = synthetic_video(30, h=40, w=56, seed=9)
+        plan = vp.segment_snippets(video, snippet_count=3)
+        out = np.empty((10, 3, 16, 224, 224), dtype=np.float32)
+        for i in range(3):
+            batch = vp.preprocess_snippet(video, plan, i, out=out)
+            assert np.shares_memory(batch.data.data, out)
+            assert not batch.data.data.flags.writeable and out.flags.writeable
+            np.testing.assert_array_equal(batch.data.data, vp.preprocess_snippet(video, plan, i).data.data)
 
     def test_stage_order_crop_before_resize_differs(self):
         # cropping 224 from the raw frame and resizing afterwards samples different
