@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .graphopt import ComputeGraph, GraphError, Node
+from .graphopt import OPS, ComputeGraph, UnknownNodeKind
 
 # Published end-to-end deployment figures (Jetson hardware; informational only).
 JETSON_REFERENCE = {
@@ -29,62 +29,18 @@ JETSON_REFERENCE = {
 }
 
 
-class UnknownNodeKind(GraphError):
-    pass
-
-
-def _node_macs(node: Node, graph: ComputeGraph) -> int:
-    kind = node.kind
-    out = graph.meta[node.output].shape
-    pshape = {slot: graph.params[name].shape for slot, name in node.params.items()}
-    if kind in ("conv3d", "conv3d_bias_relu"):
-        _, c, kd, kh, kw = pshape["w"]
-        return int(np.prod(out)) * c * kd * kh * kw
-    if kind in ("conv1d", "conv1d_bias_relu"):
-        _, c, k = pshape["w"]
-        return int(np.prod(out)) * c * k
-    if kind in ("linear", "linear_bias_relu"):
-        _, i = pshape["w"]
-        return int(np.prod(out)) * i
-    if kind == "nonlocal3d":
-        n, c = out[0], out[1]
-        p = int(np.prod(out[2:]))
-        ci = pshape["wt"][1]
-        proj = 3 * p * c * ci + p * ci * c          # theta/phi/g + output projection
-        attn = 2 * p * p * ci                       # scores + weighted sum
-        return n * (proj + attn)
-    if kind == "nonlocal1d":
-        c, t = out
-        ci = pshape["wt"][1]
-        return 3 * t * c * ci + t * ci * c + 2 * t * t * ci
-    if kind in (
-        "bias_add", "relu", "sigmoid", "add", "maxpool3d", "gap3d",
-        "transpose2d", "concat", "softmax",
-    ):
-        return 0
-    raise UnknownNodeKind(f"no FLOP formula for node kind {kind!r} (node {node.name})")
-
-
 def count_params_flops(graph: ComputeGraph) -> Tuple[int, int]:
     """(learnable scalars, flops for one forward pass at the declared shape).
 
-    FLOPs count multiply-accumulate pairs as 2 ops; elementwise/pool/softmax
-    nodes contribute zero, matching the convention where a biased linear
-    O x I layer costs 2*O*I.
+    FLOPs count multiply-accumulate pairs as 2 ops, from each kind's entry in
+    the op table; elementwise/pool nodes contribute zero, matching the
+    convention where a biased linear O x I layer costs 2*O*I.
     """
-    unknown = [n.kind for n in graph.nodes if _is_unknown(n, graph)]
+    unknown = sorted({n.kind for n in graph.nodes} - OPS.keys())
     if unknown:
-        raise UnknownNodeKind(f"no FLOP formula for node kinds {sorted(set(unknown))}")
-    flops = sum(2 * _node_macs(n, graph) for n in graph.nodes)
+        raise UnknownNodeKind(f"no FLOP formula for node kinds {unknown}")
+    flops = sum(2 * OPS[n.kind].macs(graph.meta[n.output].shape, graph.param_shapes(n)) for n in graph.nodes)
     return graph.param_count(), flops
-
-
-def _is_unknown(node: Node, graph: ComputeGraph) -> bool:
-    try:
-        _node_macs(node, graph)
-        return False
-    except UnknownNodeKind:
-        return True
 
 
 # ---------------------------------------------------------------------------

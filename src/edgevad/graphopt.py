@@ -11,8 +11,9 @@ functions and never change execution results beyond the documented F16 rounding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .tensor import (
     maxpool3d_raw,
     nonlocal_raw,
     round_f16,
-    softmax_raw,
 )
 
 
@@ -94,12 +94,7 @@ class ComputeGraph:
             for slot, pname in n.params.items():
                 if pname not in self.params:
                     raise GraphError(f"node {n.name}: missing parameter {pname} for slot {slot}")
-            want = infer_shape(
-                n.kind,
-                [self.meta[t].shape for t in n.inputs],
-                n.attrs,
-                {slot: self.params[p].shape for slot, p in n.params.items()},
-            )
+            want = op_spec(n.kind).shape([self.meta[t].shape for t in n.inputs], n.attrs, self.param_shapes(n))
             got = self.meta[n.output].shape
             if tuple(want) != tuple(got):
                 raise GraphError(f"node {n.name}: declared output shape {got} != inferred {tuple(want)}")
@@ -107,6 +102,9 @@ class ComputeGraph:
         for t in self.outputs:
             if t not in produced:
                 raise GraphError(f"graph output {t} is never produced")
+
+    def param_shapes(self, n: Node) -> Dict[str, tuple]:
+        return {slot: self.params[p].shape for slot, p in n.params.items()}
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -176,17 +174,44 @@ def _jsonable_attrs(attrs: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# shape inference
+# op table: everything the graph knows about a node kind, in one entry
 # ---------------------------------------------------------------------------
 
-def _conv3d_shape(x, w, attrs):
-    n, c, d, h, wid = x
-    o, cw, kd, kh, kw = w
+class UnknownNodeKind(GraphError):
+    pass
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One node kind. `run` writes into `out` (None when unplanned) where its
+    kernel can; the runner copies any other result there. A kind whose `run`
+    also takes `b=` and `relu=` sets `bias_axis`, and fuse() folds
+    `kind -> bias_add(bias_axis) -> relu` into `<kind>_bias_relu`, an entry
+    derived from this one."""
+
+    shape: Callable  # (input shapes, attrs, param shapes) -> output shape; GraphError if inconsistent
+    run: Callable  # (input arrays, param arrays, attrs, out, workspace) -> result
+    macs: Callable = lambda out, ps: 0  # (output shape, param shapes) -> multiply-accumulates
+    # (input shapes, output shape, attrs, param shapes) -> scratch floats; the runner allocates the max
+    workspace: Callable = lambda xs, out, a, ps: 0
+    bias_axis: Optional[int] = None
+
+
+FUSED_SUFFIX = "_bias_relu"
+
+
+def _channels(c: int, cw: int) -> None:
     if c != cw:
         raise GraphError(f"channel axis mismatch: input C={c} vs weight C={cw}")
-    sd, sh, sw = attrs["stride"]
-    pd, ph, pw = attrs["pad"]
-    dd, dh, dw = attrs.get("dilation", (1, 1, 1))
+
+
+def _conv3d_shape(xs, a, ps):
+    n, c, d, h, wid = xs[0]
+    o, cw, kd, kh, kw = ps["w"]
+    _channels(c, cw)
+    sd, sh, sw = a["stride"]
+    pd, ph, pw = a["pad"]
+    dd, dh, dw = a.get("dilation", (1, 1, 1))
     od = (d + 2 * pd - ((kd - 1) * dd + 1)) // sd + 1
     oh = (h + 2 * ph - ((kh - 1) * dh + 1)) // sh + 1
     ow = (wid + 2 * pw - ((kw - 1) * dw + 1)) // sw + 1
@@ -195,62 +220,144 @@ def _conv3d_shape(x, w, attrs):
     return (n, o, od, oh, ow)
 
 
-def infer_shape(kind: str, input_shapes: Sequence[tuple], attrs: dict, param_shapes: dict) -> tuple:
-    x = tuple(input_shapes[0]) if input_shapes else ()
-    if kind in ("conv3d", "conv3d_bias_relu"):
-        return _conv3d_shape(x, param_shapes["w"], attrs)
-    if kind in ("conv1d", "conv1d_bias_relu"):
-        c, t = x
-        o, cw, k = param_shapes["w"]
-        if c != cw:
-            raise GraphError(f"channel axis mismatch: input C={c} vs weight C={cw}")
-        if k % 2 == 0:
-            raise GraphError(f"even conv1d kernel k={k} unsupported (same-padding)")
-        return (o, t)
-    if kind in ("linear", "linear_bias_relu"):
-        o, i = param_shapes["w"]
-        if x[-1] != i:
-            raise GraphError(f"trailing axis mismatch: input I={x[-1]} vs weight I={i}")
-        return x[:-1] + (o,)
-    if kind == "bias_add":
-        b = param_shapes["b"]
-        axis = attrs["axis"]
-        if x[axis] != b[0]:
-            raise GraphError(f"bias extent {b[0]} != input axis {axis} extent {x[axis]}")
-        return x
-    if kind in ("relu", "sigmoid", "softmax"):
-        return x
-    if kind == "add":
-        a, b = tuple(input_shapes[0]), tuple(input_shapes[1])
-        if a != b:
-            raise GraphError(f"add shape mismatch {a} vs {b}")
-        return a
-    if kind == "maxpool3d":
-        n, c, d, h, w = x
-        kd, kh, kw = attrs["kernel"]
-        sd, sh, sw = attrs["stride"]
-        od, oh, ow = (d - kd) // sd + 1, (h - kh) // sh + 1, (w - kw) // sw + 1
-        if min(od, oh, ow) < 1:
-            raise GraphError(f"maxpool3d output collapses: {(od, oh, ow)}")
-        return (n, c, od, oh, ow)
-    if kind == "gap3d":
-        return (x[0], x[1])
-    if kind in ("nonlocal3d", "nonlocal1d"):
-        return x
-    if kind == "transpose2d":
-        return (x[1], x[0])
-    if kind == "concat":
-        axis = attrs["axis"]
-        base = list(input_shapes[0])
-        total = 0
-        for s in input_shapes:
-            s = list(s)
-            if s[:axis] + s[axis + 1:] != base[:axis] + base[axis + 1:]:
-                raise GraphError(f"concat shape mismatch on non-concat axes: {input_shapes}")
-            total += s[axis]
-        base[axis] = total
-        return tuple(base)
-    raise GraphError(f"unknown node kind {kind!r}")
+def _conv3d(xs, p, a, out, ws, relu=False):
+    return conv3d_raw(xs[0], p["w"], p.get("b"), a["stride"], a["pad"], a.get("dilation", (1, 1, 1)),
+                      relu=relu, out=out, workspace=ws)
+
+
+def _conv3d_workspace(xs, out, a, ps):
+    w = ps["w"]
+    return conv3d_workspace_elems(xs[0], out, w[1], w[2:], a["pad"])
+
+
+def _conv1d_shape(xs, a, ps):
+    c, t = xs[0]
+    o, cw, k = ps["w"]
+    _channels(c, cw)
+    if k % 2 == 0:
+        raise GraphError(f"even conv1d kernel k={k} unsupported (same-padding)")
+    return (o, t)
+
+
+def _conv1d(xs, p, a, out, ws, relu=False):
+    return conv1d_raw(xs[0], p["w"], a["dilation"], b=p.get("b"), relu=relu, out=out)
+
+
+def _linear_shape(xs, a, ps):
+    x = tuple(xs[0])
+    o, i = ps["w"]
+    if x[-1] != i:
+        raise GraphError(f"trailing axis mismatch: input I={x[-1]} vs weight I={i}")
+    return x[:-1] + (o,)
+
+
+def _linear(xs, p, a, out, ws, relu=False):
+    return linear_raw(xs[0], p["w"], b=p.get("b"), relu=relu, out=out)
+
+
+def _weight_macs(out, ps):
+    """conv/linear: each output element sums over all but the weight's first axis."""
+    return int(np.prod(out)) * int(np.prod(ps["w"][1:]))
+
+
+def _bias_shape(xs, a, ps):
+    x, b, axis = tuple(xs[0]), ps["b"], a["axis"]
+    if x[axis] != b[0]:
+        raise GraphError(f"bias extent {b[0]} != input axis {axis} extent {x[axis]}")
+    return x
+
+
+def _bias_add(xs, p, a, out, ws):
+    x = xs[0]
+    shape = [1] * x.ndim
+    shape[a["axis"] % x.ndim] = p["b"].shape[0]
+    return np.add(x, p["b"].reshape(shape), out=out)
+
+
+def _same(xs, a, ps):
+    return tuple(xs[0])
+
+
+def _add_shape(xs, a, ps):
+    x, y = tuple(xs[0]), tuple(xs[1])
+    if x != y:
+        raise GraphError(f"add shape mismatch {x} vs {y}")
+    return x
+
+
+def _add(xs, p, a, out, ws):
+    x, y = xs
+    if x.shape != y.shape:
+        raise ShapeError(f"add shape mismatch {x.shape} vs {y.shape}")
+    return np.add(x, y, out=out)
+
+
+def _maxpool3d_shape(xs, a, ps):
+    n, c, d, h, w = xs[0]
+    kd, kh, kw = a["kernel"]
+    sd, sh, sw = a["stride"]
+    od, oh, ow = (d - kd) // sd + 1, (h - kh) // sh + 1, (w - kw) // sw + 1
+    if min(od, oh, ow) < 1:
+        raise GraphError(f"maxpool3d output collapses: {(od, oh, ow)}")
+    return (n, c, od, oh, ow)
+
+
+def _attention_macs(out, ps):
+    """[N,C,*positions]: theta/phi/g and output projections, scores and weighted sum."""
+    n, c, p = out[0], out[1], int(np.prod(out[2:]))
+    ci = ps["wt"][1]
+    return n * (3 * p * c * ci + p * ci * c + 2 * p * p * ci)
+
+
+def _nonlocal1d(xs, p, a, out, ws):
+    y = nonlocal_raw(xs[0][None], p["wt"], p["wp"], p["wg"], p["wo"], out=None if out is None else out[None])
+    return y[0] if out is None else out
+
+
+def _concat_shape(xs, a, ps):
+    axis = a["axis"]
+    base = list(xs[0])
+    total = 0
+    for s in xs:
+        s = list(s)
+        if s[:axis] + s[axis + 1:] != base[:axis] + base[axis + 1:]:
+            raise GraphError(f"concat shape mismatch on non-concat axes: {xs}")
+        total += s[axis]
+    base[axis] = total
+    return tuple(base)
+
+
+OPS: Dict[str, OpSpec] = {
+    "conv3d": OpSpec(_conv3d_shape, _conv3d, _weight_macs, _conv3d_workspace, bias_axis=1),
+    "conv1d": OpSpec(_conv1d_shape, _conv1d, _weight_macs, bias_axis=0),
+    "linear": OpSpec(_linear_shape, _linear, _weight_macs, bias_axis=-1),
+    "bias_add": OpSpec(_bias_shape, _bias_add),
+    "relu": OpSpec(_same, lambda xs, p, a, out, ws: np.maximum(xs[0], 0.0, out=out)),
+    "sigmoid": OpSpec(_same, lambda xs, p, a, out, ws: 1.0 / (1.0 + np.exp(-xs[0]))),
+    "add": OpSpec(_add_shape, _add),
+    "maxpool3d": OpSpec(_maxpool3d_shape, lambda xs, p, a, out, ws: maxpool3d_raw(xs[0], a["kernel"], a["stride"])),
+    "gap3d": OpSpec(lambda xs, a, ps: tuple(xs[0][:2]),
+                    lambda xs, p, a, out, ws: np.mean(xs[0], axis=(2, 3, 4), dtype=np.float32)),
+    "nonlocal3d": OpSpec(_same, lambda xs, p, a, out, ws: nonlocal_raw(
+        xs[0], p["wt"], p["wp"], p["wg"], p["wo"], out=out), _attention_macs),
+    "nonlocal1d": OpSpec(_same, _nonlocal1d, lambda out, ps: _attention_macs((1,) + tuple(out), ps)),
+    "transpose2d": OpSpec(lambda xs, a, ps: (xs[0][1], xs[0][0]),
+                          lambda xs, p, a, out, ws: np.ascontiguousarray(xs[0].T)),
+    "concat": OpSpec(_concat_shape, lambda xs, p, a, out, ws: np.concatenate(xs, axis=a["axis"], out=out)),
+}
+# fused kinds: the base entry with the bias and ReLU folded into its kernel call
+OPS.update({
+    kind + FUSED_SUFFIX: replace(spec, run=partial(spec.run, relu=True), bias_axis=None)
+    for kind, spec in OPS.items()
+    if spec.bias_axis is not None
+})
+
+
+def op_spec(kind: str) -> OpSpec:
+    try:
+        return OPS[kind]
+    except KeyError:
+        raise UnknownNodeKind(f"unknown node kind {kind!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +403,8 @@ class GraphBuilder:
         attrs = attrs or {}
         params = params or {}
         out = self._tid(kind)
-        shape = infer_shape(
-            kind,
-            [self._meta[t].shape for t in inputs],
-            attrs,
-            {slot: self._params[p].shape for slot, p in params.items()},
+        shape = op_spec(kind).shape(
+            [self._meta[t].shape for t in inputs], attrs, {slot: self._params[p].shape for slot, p in params.items()}
         )
         prec = self._meta[inputs[0]].precision if inputs else F32
         self._meta[out] = TensorMeta(tuple(shape), prec)
@@ -369,53 +473,46 @@ class GraphBuilder:
 # pass 1: operator fusion
 # ---------------------------------------------------------------------------
 
-_BIAS_AXIS = {"conv3d": 1, "conv1d": 0, "linear": -1}
-
-
 def fuse(graph: ComputeGraph) -> ComputeGraph:
-    """Collapse conv/linear -> bias_add -> relu chains with single-consumer
-    intermediates into one fused node. Semantics preserved bitwise in F32."""
+    """Collapse `kind -> bias_add -> relu` chains, where `kind` has a bias axis
+    in the op table and the intermediates have a single consumer, into one
+    `<kind>_bias_relu` node. Semantics preserved bitwise in F32."""
     cons = graph.consumers()
     out_set = set(graph.outputs)
-    index_of = {n.output: i for i, n in enumerate(graph.nodes)}
+
+    def sole_consumer(t: str, kind: str) -> Optional[int]:
+        c = cons.get(t, [])
+        ok = len(c) == 1 and t not in out_set and graph.nodes[c[0]].kind == kind
+        return c[0] if ok else None
+
     skip = set()
     new_nodes: List[Node] = []
     dead_tensors = set()
     for i, n in enumerate(graph.nodes):
         if i in skip:
             continue
-        fused = None
-        if n.kind in _BIAS_AXIS:
-            t1 = n.output
-            c1 = cons.get(t1, [])
-            if len(c1) == 1 and t1 not in out_set:
-                n2 = graph.nodes[c1[0]]
-                if n2.kind == "bias_add" and _axis_matches(n2.attrs["axis"], _BIAS_AXIS[n.kind], len(graph.meta[t1].shape)):
-                    t2 = n2.output
-                    c2 = cons.get(t2, [])
-                    if len(c2) == 1 and t2 not in out_set:
-                        n3 = graph.nodes[c2[0]]
-                        if n3.kind == "relu":
-                            fused = Node(
-                                name=f"{n.name}+bias+relu",
-                                kind=f"{n.kind}_bias_relu",
-                                inputs=n.inputs,
-                                output=n3.output,
-                                attrs=dict(n.attrs),
-                                params={"w": n.params["w"], "b": n2.params["b"]},
-                            )
-                            skip.add(c1[0])
-                            skip.add(c2[0])
-                            dead_tensors.update((t1, t2))
-        new_nodes.append(fused if fused is not None else n)
+        axis = op_spec(n.kind).bias_axis
+        j = sole_consumer(n.output, "bias_add") if axis is not None else None
+        ndim = len(graph.meta[n.output].shape)
+        if j is not None and graph.nodes[j].attrs["axis"] % ndim == axis % ndim:
+            nb = graph.nodes[j]
+            k = sole_consumer(nb.output, "relu")
+            if k is not None:
+                skip.update((j, k))
+                dead_tensors.update((n.output, nb.output))
+                n = Node(
+                    name=f"{n.name}+bias+relu",
+                    kind=n.kind + FUSED_SUFFIX,
+                    inputs=n.inputs,
+                    output=graph.nodes[k].output,
+                    attrs=dict(n.attrs),
+                    params={"w": n.params["w"], "b": nb.params["b"]},
+                )
+        new_nodes.append(n)
     meta = {t: m for t, m in graph.meta.items() if t not in dead_tensors}
     g = ComputeGraph(new_nodes, list(graph.inputs), list(graph.outputs), meta, dict(graph.params), graph.name)
     g.validate()
     return g
-
-
-def _axis_matches(axis: int, canonical: int, ndim: int) -> bool:
-    return axis % ndim == canonical % ndim
 
 
 # ---------------------------------------------------------------------------
@@ -555,20 +652,16 @@ class GraphRunner:
         self.workspace: Optional[np.ndarray] = None
         if plan is not None:
             self.pool = np.empty(plan.buffers[0], dtype=np.float32)
-            ws_elems = 0
-            for n in graph.nodes:
-                if n.kind in ("conv3d", "conv3d_bias_relu"):
-                    w_shape = graph.params[n.params["w"]].shape
-                    ws_elems = max(
-                        ws_elems,
-                        conv3d_workspace_elems(
-                            graph.meta[n.inputs[0]].shape,
-                            graph.meta[n.output].shape,
-                            w_shape[1],
-                            w_shape[2:],
-                            n.attrs["pad"],
-                        ),
+            ws_elems = max(
+                (
+                    op_spec(n.kind).workspace(
+                        [graph.meta[t].shape for t in n.inputs], graph.meta[n.output].shape,
+                        n.attrs, graph.param_shapes(n),
                     )
+                    for n in graph.nodes
+                ),
+                default=0,
+            )
             if ws_elems:
                 self.workspace = np.empty(ws_elems, dtype=np.float32)
         self._last_use: Dict[str, int] = {}
@@ -610,15 +703,16 @@ class GraphRunner:
             if pool is not None and n.output in plan.assignment:
                 _, off = plan.assignment[n.output]
                 dst = pool[off:off + m.elems].reshape(m.shape)
+            p = {slot: graph.params[name].data for slot, name in n.params.items()}
             try:
-                res = _run_node(graph, n, env, dst, self.workspace)
+                res = op_spec(n.kind).run([env[t] for t in n.inputs], p, n.attrs, dst, self.workspace)
             except (ShapeError, GraphError) as e:
                 raise GraphError(f"node {n.name}: {e}") from e
             if m.precision == F16:
-                if res.base is pool or res is dst:
-                    res[...] = round_f16(res)
-                else:
-                    res = round_f16(res)
+                res = round_f16(res)
+            if dst is not None and res is not dst:
+                dst[...] = res
+                res = dst
             if alloc_stats is not None and dst is None:
                 alloc_stats["fresh_bytes"] = alloc_stats.get("fresh_bytes", 0) + res.nbytes
             env[n.output] = res
@@ -649,84 +743,6 @@ def execute(
     GraphRunner directly to amortize buffer setup across repeated calls.
     """
     return GraphRunner(graph, plan).run(inputs, alloc_stats=alloc_stats)
-
-
-def _run_node(graph: ComputeGraph, n: Node, env: Dict[str, np.ndarray], dst, workspace=None):
-    p = {slot: graph.params[name].data for slot, name in n.params.items()}
-    x = env[n.inputs[0]] if n.inputs else None
-    k = n.kind
-    if k == "conv3d":
-        return conv3d_raw(x, p["w"], None, n.attrs["stride"], n.attrs["pad"], n.attrs.get("dilation", (1, 1, 1)), out=dst, workspace=workspace)
-    if k == "conv3d_bias_relu":
-        return conv3d_raw(x, p["w"], p["b"], n.attrs["stride"], n.attrs["pad"], n.attrs.get("dilation", (1, 1, 1)), relu=True, out=dst, workspace=workspace)
-    if k == "conv1d":
-        return conv1d_raw(x, p["w"], n.attrs["dilation"], out=dst)
-    if k == "conv1d_bias_relu":
-        return conv1d_raw(x, p["w"], n.attrs["dilation"], b=p["b"], relu=True, out=dst)
-    if k == "linear":
-        return linear_raw(x, p["w"], out=dst)
-    if k == "linear_bias_relu":
-        return linear_raw(x, p["w"], b=p["b"], relu=True, out=dst)
-    if k == "bias_add":
-        axis = n.attrs["axis"] % x.ndim
-        shape = [1] * x.ndim
-        shape[axis] = p["b"].shape[0]
-        b = p["b"].reshape(shape)
-        if dst is not None:
-            return np.add(x, b, out=dst)
-        return x + b
-    if k == "relu":
-        if dst is not None:
-            return np.maximum(x, 0.0, out=dst)
-        return np.maximum(x, 0.0)
-    if k == "sigmoid":
-        res = 1.0 / (1.0 + np.exp(-x))
-        if dst is not None:
-            dst[...] = res
-            return dst
-        return res
-    if k == "softmax":
-        res = softmax_raw(x, n.attrs.get("axis", -1))
-        if dst is not None:
-            dst[...] = res
-            return dst
-        return res
-    if k == "add":
-        y = env[n.inputs[1]]
-        if x.shape != y.shape:
-            raise ShapeError(f"add shape mismatch {x.shape} vs {y.shape}")
-        if dst is not None:
-            return np.add(x, y, out=dst)
-        return x + y
-    if k == "maxpool3d":
-        res = maxpool3d_raw(x, n.attrs["kernel"], n.attrs["stride"])
-        if dst is not None:
-            dst[...] = res
-            return dst
-        return res
-    if k == "gap3d":
-        res = np.mean(x, axis=(2, 3, 4), dtype=np.float32)
-        if dst is not None:
-            dst[...] = res
-            return dst
-        return res
-    if k == "nonlocal3d":
-        return nonlocal_raw(x, p["wt"], p["wp"], p["wg"], p["wo"], out=dst)
-    if k == "nonlocal1d":
-        return nonlocal_raw(x[None], p["wt"], p["wp"], p["wg"], p["wo"], out=None if dst is None else dst[None])[0]
-    if k == "transpose2d":
-        res = np.ascontiguousarray(x.T)
-        if dst is not None:
-            dst[...] = res
-            return dst
-        return res
-    if k == "concat":
-        arrs = [env[t] for t in n.inputs]
-        if dst is not None:
-            np.concatenate(arrs, axis=n.attrs["axis"], out=dst)
-            return dst
-        return np.concatenate(arrs, axis=n.attrs["axis"])
-    raise GraphError(f"unknown node kind {k!r}")
 
 
 def optimize(

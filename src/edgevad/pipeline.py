@@ -55,7 +55,6 @@ class PipelineConfig:
     fuse: bool = True
     fp16: bool = False
     memplan: bool = True
-    top_k: int = 3
 
     def validate(self) -> None:
         if self.queue_capacity < 1:
@@ -82,7 +81,6 @@ class PipelineConfig:
             "fuse": self.fuse,
             "fp16": self.fp16,
             "memplan": self.memplan,
-            "top_k": self.top_k,
         }
 
 
@@ -209,6 +207,26 @@ class PipelineResult:
     boundary_high_water: Dict[str, int]
 
 
+def _summary(cfg: PipelineConfig, frames: int, records: List[ScoreRecord], elapsed: float) -> Dict:
+    return {
+        "frames": frames,
+        "snippets": len(records),
+        "elapsed_s": round(elapsed, 4),
+        "fps": round(frames / elapsed, 3) if elapsed > 0 else 0.0,
+        "alerts": sum(1 for r in records if r.alert),
+        "threshold": cfg.threshold,
+        "config": cfg.echo(),
+    }
+
+
+def _clip_buffer(cfg: PipelineConfig) -> np.ndarray:
+    """One [10,3,L,224,224] clip for preprocess_snippet(..., out=), written
+    once so that its pages are resident before the first snippet."""
+    buf = np.empty((10, 3, cfg.frames_per_snippet, CROP_SIZE, CROP_SIZE), dtype=np.float32)
+    buf.fill(0.0)
+    return buf
+
+
 def _startup(cfg: PipelineConfig):
     cfg.validate()
     try:
@@ -244,11 +262,8 @@ def run_pipeline(
     # preprocess worker). The pipeline's footprint is then the same on every
     # run, whichever stage is faster, and no snippet allocates a clip.
     free_clips: "queue.Queue" = queue.Queue()
-    clip_shape = (10, 3, cfg.frames_per_snippet, CROP_SIZE, CROP_SIZE)
     for _ in range(min(cfg.queue_capacity + 1 + cfg.stage_workers, snips.snippet_count)):
-        buf = np.empty(clip_shape, dtype=np.float32)
-        buf.fill(0.0)
-        free_clips.put(buf)
+        free_clips.put(_clip_buffer(cfg))
 
     def take_clip():
         while not stop.is_set():
@@ -366,15 +381,7 @@ def run_pipeline(
 
     elapsed = time.perf_counter() - t_start
     frames = video.frame_count
-    summary = {
-        "frames": frames,
-        "snippets": len(records),
-        "elapsed_s": round(elapsed, 4),
-        "fps": round(frames / elapsed, 3) if elapsed > 0 else 0.0,
-        "alerts": sum(1 for r in records if r.alert),
-        "threshold": cfg.threshold,
-        "config": cfg.echo(),
-    }
+    summary = _summary(cfg, frames, records, elapsed)
     if log is not None:
         log(
             f"summary frames={frames} snippets={len(records)} elapsed_s={elapsed:.3f} "
@@ -394,9 +401,10 @@ def run_sequential(cfg: PipelineConfig) -> PipelineResult:
     video, graph, plan, model, snips = _startup(cfg)
     runner = GraphRunner(graph, plan)
     consts = NormConstants()
+    clip = _clip_buffer(cfg)  # reused: the runner's outputs never alias its input
     rows, starts = [], []
     for i in range(snips.snippet_count):
-        batch = preprocess_snippet(video, snips, i, consts)
+        batch = preprocess_snippet(video, snips, i, consts, out=clip)
         rows.append(runner.run(batch.data)[0].data)
         starts.append(batch.start_frame)
     feats = np.stack(rows, axis=1)
@@ -412,14 +420,5 @@ def run_sequential(cfg: PipelineConfig) -> PipelineResult:
         )
         for i, s in enumerate(scores)
     ]
-    elapsed = time.perf_counter() - t_start
-    summary = {
-        "frames": video.frame_count,
-        "snippets": len(records),
-        "elapsed_s": round(elapsed, 4),
-        "fps": round(video.frame_count / elapsed, 3) if elapsed > 0 else 0.0,
-        "alerts": sum(1 for r in records if r.alert),
-        "threshold": cfg.threshold,
-        "config": cfg.echo(),
-    }
+    summary = _summary(cfg, video.frame_count, records, time.perf_counter() - t_start)
     return PipelineResult(records=records, summary=summary, boundary_high_water={})

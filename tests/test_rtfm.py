@@ -324,3 +324,32 @@ class TestVideoScore:
             axis=0,
         )
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+class TestHeadGraph:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_graph_matches_autodiff_forward(self, seed):
+        """head_graph on GraphRunner, plain and fused+planned, scores as the tape does."""
+        from edgevad import graphopt as go
+        from edgevad.tensor import Tensor
+
+        rng = np.random.default_rng(seed)
+        model = RtfmModel(seed=seed)
+        for name, v in model.params.items():
+            if name.endswith("_b") or name == "tsa_o":  # zero at init; make them count
+                model.params[name] = rng.normal(scale=0.5, size=v.shape)
+        t = 32
+        feats = rng.normal(size=(t, model.mstn.in_dim))
+        g = rtfm.head_graph(model.mstn, model.head, snippets=t)
+        g.params.update({
+            name: Tensor(np.asarray(v.T if name.startswith("fc") and name.endswith("_w") else v, np.float32))
+            for name, v in model.params.items()
+        })
+        x = Tensor(feats.T.astype(np.float32))  # the graph takes channels-first [D,T]
+        plain = go.GraphRunner(g).run(x)[0].data
+        opt, plan = go.optimize(g, do_fuse=True, do_memplan=True)
+        assert {"conv1d_bias_relu", "linear_bias_relu"} <= {n.kind for n in opt.nodes}
+        fused = go.GraphRunner(opt, plan).run(x)[0].data
+        want = rtfm.snippet_scores(model, rtfm.mstn_forward(model, feats))
+        np.testing.assert_allclose(plain[:, 0], want, rtol=0, atol=1e-5)
+        np.testing.assert_array_equal(fused, plain)
