@@ -166,7 +166,7 @@ def cmd_bench(args) -> int:
             for rec in res.records:
                 for stage, ms in rec.latencies_ms.items():
                     lats.setdefault(stage, []).append(ms)
-            return bench_mod.WorkloadResult(frames=res.summary["frames"], stage_latencies_ms=lats)
+            return bench_mod.WorkloadResult(frames=res.summary["processed_frames"], stage_latencies_ms=lats)
 
         return run
 

@@ -10,8 +10,12 @@ recorded amortized per snippet.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import datetime as _dt
+import functools
 import json
+import os
 import queue
 import threading
 import time
@@ -207,16 +211,78 @@ class PipelineResult:
     boundary_high_water: Dict[str, int]
 
 
-def _summary(cfg: PipelineConfig, frames: int, records: List[ScoreRecord], elapsed: float) -> Dict:
+def _summary(
+    cfg: PipelineConfig, frames: int, records: List[ScoreRecord], elapsed: float, blas: Optional[int]
+) -> Dict:
+    """`fps` divides the source's frames by the wall time; `processed_frames`
+    counts the frames the snippets cover (with repeats), which is the work done."""
+    processed = len(records) * cfg.frames_per_snippet
     return {
         "frames": frames,
+        "processed_frames": processed,
         "snippets": len(records),
         "elapsed_s": round(elapsed, 4),
         "fps": round(frames / elapsed, 3) if elapsed > 0 else 0.0,
+        "processed_frames_per_s": round(processed / elapsed, 3) if elapsed > 0 else 0.0,
+        "blas_threads": blas,
         "alerts": sum(1 for r in records if r.alert),
         "threshold": cfg.threshold,
         "config": cfg.echo(),
     }
+
+
+# The thread-count setters of the OpenBLAS builds numpy ships or links, in
+# the order they are tried; each has a getter of the same name with "get".
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas() -> Optional[Tuple[Callable[[int], None], Callable[[], int]]]:
+    """(set, get) of the thread count of the OpenBLAS numpy has loaded, or
+    None when no such library or symbol is found (not Linux, another BLAS)."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SETTERS:
+            get_name = name.replace("set", "get", 1)
+            if hasattr(lib, name) and hasattr(lib, get_name):
+                set_fn, get_fn = getattr(lib, name), getattr(lib, get_name)
+                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                return set_fn, get_fn
+    return None
+
+
+def _blas_threads() -> Optional[int]:
+    """OpenBLAS's current thread count, or None when it cannot be read."""
+    fns = _openblas()
+    return None if fns is None else fns[1]()
+
+
+@contextlib.contextmanager
+def _blas_pool(cfg: PipelineConfig):
+    """Give the extractor's GEMMs the CPUs the preprocess workers leave free:
+    max(1, usable CPUs - stage_workers) OpenBLAS threads, restored on exit.
+    Yields the count set, or None when OpenBLAS's count cannot be set. The
+    count is process-wide, so concurrent runs in one process share it."""
+    fns = _openblas()
+    if fns is None:
+        yield None
+        return
+    set_fn, get_fn = fns
+    old, n = get_fn(), max(1, len(os.sched_getaffinity(0)) - cfg.stage_workers)
+    set_fn(n)
+    try:
+        yield n
+    finally:
+        set_fn(old)
 
 
 def _clip_buffer(cfg: PipelineConfig) -> np.ndarray:
@@ -244,7 +310,10 @@ def run_pipeline(
     emit: Optional[Callable[[ScoreRecord], None]] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> PipelineResult:
-    """Threaded staged execution; every snippet yields exactly one ScoreRecord."""
+    """Threaded staged execution; every snippet yields exactly one ScoreRecord.
+
+    The stage threads own the CPUs: while they run, OpenBLAS gets only the
+    CPUs the preprocess workers leave free (see `_blas_pool`)."""
     t_start = time.perf_counter()
     video, graph, plan, model, snips = _startup(cfg)
     runner = GraphRunner(graph, plan)
@@ -371,17 +440,18 @@ def run_pipeline(
         threading.Thread(target=guard("preprocess", pre_stage), name=f"preprocess-{w}")
         for w in range(cfg.stage_workers)
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    with _blas_pool(cfg) as blas:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
     if errors:
         stage, exc = errors[0]
         raise PipelineStageError(f"stage {stage!r} failed: {exc}") from exc
 
     elapsed = time.perf_counter() - t_start
     frames = video.frame_count
-    summary = _summary(cfg, frames, records, elapsed)
+    summary = _summary(cfg, frames, records, elapsed, blas)
     if log is not None:
         log(
             f"summary frames={frames} snippets={len(records)} elapsed_s={elapsed:.3f} "
@@ -403,10 +473,11 @@ def run_sequential(cfg: PipelineConfig) -> PipelineResult:
     consts = NormConstants()
     clip = _clip_buffer(cfg)  # reused: the runner's outputs never alias its input
     rows, starts = [], []
-    for i in range(snips.snippet_count):
-        batch = preprocess_snippet(video, snips, i, consts, out=clip)
-        rows.append(runner.run(batch.data)[0].data)
-        starts.append(batch.start_frame)
+    with _blas_pool(cfg) as blas:  # the pipeline's count, so its GEMMs sum alike
+        for i in range(snips.snippet_count):
+            batch = preprocess_snippet(video, snips, i, consts, out=clip)
+            rows.append(runner.run(batch.data)[0].data)
+            starts.append(batch.start_frame)
     feats = np.stack(rows, axis=1)
     scores = rtfm.video_score(feats, model)
     records = [
@@ -420,5 +491,5 @@ def run_sequential(cfg: PipelineConfig) -> PipelineResult:
         )
         for i, s in enumerate(scores)
     ]
-    summary = _summary(cfg, video.frame_count, records, time.perf_counter() - t_start)
+    summary = _summary(cfg, video.frame_count, records, time.perf_counter() - t_start, blas)
     return PipelineResult(records=records, summary=summary, boundary_high_water={})

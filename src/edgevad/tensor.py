@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 F32 = "f32"
 F16 = "f16"
@@ -116,7 +116,7 @@ def conv3d_raw(
     """Direct 3-D cross-correlation with zero padding on [N,C,D,H,W] input.
 
     Lowered to one GEMM per batch item over a tap-major column buffer
-    [C,kd,kh,kw, od,oh,ow], filled with one strided copy per kernel tap from
+    [C,kd,kh,kw, od,oh,ow], filled with one strided copy per batch item from
     the item zero-padded in scratch. The GEMM writes [O, od*oh*ow] straight
     into `out[i]`, and bias and ReLU are applied there in place. On the desk
     convs this equals a row-major im2col times the transposed weight bit for
@@ -171,12 +171,16 @@ def conv3d_raw(
             src = xp
         else:
             src = x[i]
-        for a in range(kd):
-            z = src[:, a * dd:a * dd + (od - 1) * sd + 1:sd]
-            for e in range(kh):
-                zy = z[:, :, e * dh:e * dh + (oh - 1) * sh + 1:sh]
-                for f in range(kw):
-                    col[:, a, e, f] = zy[:, :, :, f * dw:f * dw + (ow - 1) * sw + 1:sw]
+        # every tap of every output position as one read-only strided view:
+        # tap (a,e,f) of output (z,y,x) reads src[:, a*dd + z*sd, e*dh + y*sh, f*dw + x*sw]
+        s_c, s_d, s_h, s_w = src.strides
+        taps = as_strided(
+            src,
+            shape=(c, kd, kh, kw, od, oh, ow),
+            strides=(s_c, s_d * dd, s_h * dh, s_w * dw, s_d * sd, s_h * sh, s_w * sw),
+            writeable=False,
+        )
+        np.copyto(col, taps)
         y = out[i].reshape(o, rows)
         np.matmul(wmat, col.reshape(cols, rows), out=y)
         if b is not None:
@@ -250,12 +254,15 @@ def linear_raw(
     return y
 
 
-def softmax_raw(x: np.ndarray, axis: int) -> np.ndarray:
-    if np.isnan(x).any():
-        warnings.warn("softmax input contains NaN; propagating", RuntimeWarning)
+def softmax_raw(x: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(x - max) / sum along `axis`. The result goes to `out` when given
+    (x itself is allowed), with no x-sized temporary; the values are the same."""
     m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    if np.isnan(m).any():  # the max of a row propagates any NaN in it
+        warnings.warn("softmax input contains NaN; propagating", RuntimeWarning)
+    e = np.subtract(x, m, out=out)
+    np.exp(e, out=e)
+    return np.divide(e, np.sum(e, axis=axis, keepdims=True), out=e)
 
 
 def maxpool3d_raw(x: np.ndarray, kernel: tuple, stride: tuple) -> np.ndarray:
@@ -298,14 +305,15 @@ def nonlocal_raw(
     elif out.shape != x.shape:
         raise ShapeError(f"nonlocal out shape {out.shape} != input shape {x.shape}")
     scale = np.sqrt(np.float32(ci))
+    logits = None  # one [P,P] buffer for every item: logits, then attention
     for i in range(n):
         flat = x[i].reshape(c, -1).T  # [P, c]
         theta = flat @ w_theta  # [P,ci]
         phi = flat @ w_phi
         g = flat @ w_g
-        logits = theta @ phi.T  # [P,P]
+        logits = np.matmul(theta, phi.T, out=logits)  # [P,P]
         logits /= scale
-        attn = softmax_raw(logits, axis=-1)
+        attn = softmax_raw(logits, axis=-1, out=logits)
         y = (attn @ g) @ w_out  # [P,c]
         np.add(x[i], y.T.reshape(x.shape[1:]), out=out[i])
     return out

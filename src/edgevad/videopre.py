@@ -3,6 +3,8 @@
 Stage order is fixed and load-bearing: gather frames -> float tensor -> resize
 shorter side to 256 -> ten-crop 224 -> stack -> normalize. Normalization
 constants live on the 0-255 pixel scale, so frames are never pre-scaled to [0,1].
+`preprocess_snippet` normalizes the uncropped clip before cutting the crops;
+normalization is elementwise, so the result is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def normalize(clip: np.ndarray, consts: NormConstants = NormConstants(), inplace
     """(x - mean) / std per channel; the channel axis is at position ndim-4.
 
     inplace=True mutates (and returns) the given float32 array; callers use it
-    only on buffers they own, like the fresh ten-crop stack.
+    only on buffers they own, like the stacked clip in preprocess_snippet.
     """
     x = np.asarray(clip, dtype=np.float32)
     ax = x.ndim - 4
@@ -221,9 +223,14 @@ def preprocess_snippet(
     """
     frames = gather_snippet_frames(video, plan, index)
     resized = [resize_shorter_side(np.asarray(f, dtype=np.float32)) for f in frames]
-    clip = np.stack(resized, axis=0).transpose(3, 0, 1, 2)  # [L,H,W,3] -> [3,L,H,W]
-    crops = ten_crop(clip, out=out)
-    data = normalize(crops, consts, inplace=True)
+    # stacked channels-first and contiguous, [3,L,H,W], so the crops read
+    # unit-stride rows; normalize is elementwise, so running it on the clip
+    # before the crops are cut gives the same bits on 4-8x fewer elements
+    h, w = resized[0].shape[:2]
+    clip = np.empty((3, len(resized), h, w), dtype=np.float32)
+    np.stack([r.transpose(2, 0, 1) for r in resized], axis=1, out=clip)
+    normalize(clip, consts, inplace=True)
+    data = ten_crop(clip, out=out)
     start = plan.start_indices[index]
     return ClipBatch(
         data=Tensor(data.view()),  # Tensor freezes the array it is given; freeze a view

@@ -5,7 +5,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from edgevad.graphopt import GraphBuilder, GraphError, MemoryPlan
-from edgevad.tensor import Tensor, softmax_raw
+from edgevad.tensor import Tensor
 
 
 def random_graph(seed, min_ops=3, max_ops=8):
@@ -133,6 +133,7 @@ def nonlocal_batched_ref(x, w_theta, w_phi, w_g, w_out):
     phi = flat @ w_phi
     g = flat @ w_g
     logits = (theta @ phi.transpose(0, 2, 1)) / np.sqrt(np.float32(ci))
-    attn = softmax_raw(logits, axis=-1)
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))  # the softmax, out of place
+    attn = e / np.sum(e, axis=-1, keepdims=True)
     y = (attn @ g) @ w_out  # [n,P,c]
     return np.ascontiguousarray(x + y.transpose(0, 2, 1).reshape(x.shape))

@@ -199,4 +199,6 @@ class TestRunnerMemory:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(again, warm)
-        assert peak < 16 * MIB
+        # measured 2.54 MiB, nearly all the non-local block's one [784,784]
+        # float32 buffer (2.35 MiB); the 1.46 MiB margin fails a second one
+        assert peak < 4 * MIB

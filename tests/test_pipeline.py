@@ -192,6 +192,63 @@ class TestPipelineRuns:
             run_pipeline(cfg)
 
 
+class TestBlasThreads:
+    """run_pipeline gives OpenBLAS the CPUs its preprocess workers leave free."""
+
+    @pytest.fixture(autouse=True)
+    def needs_openblas(self):
+        if pl._blas_threads() is None:
+            pytest.skip("no OpenBLAS thread count to read in this process")
+
+    def test_count_during_run(self):
+        import os
+
+        for workers in (1, 2):
+            cfg = tiny_cfg(stage_workers=workers)
+            seen = []
+            res = run_pipeline(cfg, emit=lambda rec: seen.append(pl._blas_threads()))
+            want = max(1, len(os.sched_getaffinity(0)) - workers)
+            assert seen == [want] * cfg.snippet_count
+            assert res.summary["blas_threads"] == want
+            assert run_sequential(cfg).summary["blas_threads"] == want
+
+    def test_count_restored_after_run(self):
+        before = pl._blas_threads()
+        run_pipeline(tiny_cfg())
+        assert pl._blas_threads() == before
+
+    def test_count_restored_after_stage_error(self):
+        before = pl._blas_threads()
+        cfg = tiny_cfg()
+        cfg.frames_per_snippet = 6  # the mid-stream shape error above
+        with pytest.raises(PipelineStageError, match="extract"):
+            run_pipeline(cfg)
+        assert pl._blas_threads() == before
+
+    def test_count_restored_when_body_raises(self):
+        before = pl._blas_threads()
+        with pytest.raises(KeyboardInterrupt):
+            with pl._blas_pool(tiny_cfg()):
+                raise KeyboardInterrupt
+        assert pl._blas_threads() == before
+
+    def test_runs_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(pl, "_openblas", lambda: None)
+        cfg = tiny_cfg()
+        a = run_pipeline(cfg)
+        b = run_sequential(cfg)
+        assert a.summary["blas_threads"] is None and b.summary["blas_threads"] is None
+        assert [r.score for r in a.records] == [r.score for r in b.records]
+
+
+class TestSummary:
+    def test_processed_frames(self):
+        # 4 snippets of 4 frames over a 40-frame video
+        s = run_pipeline(tiny_cfg()).summary
+        assert s["frames"] == 40 and s["processed_frames"] == 16
+        assert s["processed_frames_per_s"] == pytest.approx(16 / s["elapsed_s"], rel=1e-2)
+
+
 class TestBoundary:
     def test_sentinel_bypasses_gauge(self):
         import threading
