@@ -15,23 +15,9 @@ import time
 import numpy as np
 
 from edgevad import rtfm
-from edgevad.extractor import build_extractor, desk_scale_config
-from edgevad.graphopt import GraphRunner, optimize
 from edgevad.metrics import video_verdict
-from edgevad.pipeline import PipelineConfig, run_pipeline
+from edgevad.pipeline import PipelineConfig, run_pipeline, run_sequential
 from edgevad.serialize import save_params
-from edgevad.sources import load_video_source
-from edgevad.videopre import preprocess_snippet, segment_snippets
-
-
-def extract_crop_features(runner, spec, snippets, frames_per_snippet=16):
-    video = load_video_source(spec)
-    plan = segment_snippets(video, snippets, frames_per_snippet)
-    rows = [
-        runner.run(preprocess_snippet(video, plan, i).data)[0].data
-        for i in range(snippets)
-    ]
-    return np.stack(rows, axis=1)  # [crops, T, D]
 
 
 def main() -> int:
@@ -45,9 +31,6 @@ def main() -> int:
     ap.add_argument("--params-out", default="/tmp/edgevad_demo_params")
     args = ap.parse_args()
 
-    graph = build_extractor(desk_scale_config(), seed=args.seed)
-    opt_graph, plan = optimize(graph, do_fuse=True, do_memplan=True)
-    runner = GraphRunner(opt_graph, plan)
     base = {"kind": "synthetic", "pattern": "moving_square", "frames": args.frames,
             "width": 64, "height": 64}
     window = {"start": args.frames // 3, "end": args.frames - args.frames // 6, "strength": 130}
@@ -55,15 +38,12 @@ def main() -> int:
     print(f"extracting features for {2 * args.train_videos} training clips "
           f"({args.snippets} snippets each) with the frozen extractor...")
     t0 = time.perf_counter()
+    clips = [({**base, "seed": v}, 0) for v in range(args.train_videos)]
+    clips += [({**base, "seed": 100 + v, "anomaly": window}, 1) for v in range(args.train_videos)]
     dataset = []
-    for v in range(args.train_videos):
-        feats = extract_crop_features(runner, {**base, "seed": v}, args.snippets)
-        dataset += [(feats[c], 0) for c in range(feats.shape[0])]
-    for v in range(args.train_videos):
-        feats = extract_crop_features(
-            runner, {**base, "seed": 100 + v, "anomaly": window}, args.snippets
-        )
-        dataset += [(feats[c], 1) for c in range(feats.shape[0])]
+    for spec, label in clips:
+        feats = run_sequential(PipelineConfig(source=spec, snippet_count=args.snippets, seed=args.seed)).features
+        dataset += [(crop, label) for crop in feats]  # one [T, D] video per crop
     print(f"  {len(dataset)} per-crop feature videos in {time.perf_counter() - t0:.0f}s")
 
     print(f"training the head for up to {args.epochs} epochs...")

@@ -9,7 +9,7 @@ planning passes, plus a benchmark harness for FPS / memory / FLOP accounting.
 
 from .tensor import F16, F32, Tensor
 from .videopre import ClipBatch, NormConstants, RawVideo, SnippetPlan
-from .extractor import ExtractorConfig, SnippetFeatures, desk_scale_config, full_scale_config
+from .extractor import ExtractorConfig, desk_scale_config, full_scale_config
 from .graphopt import ComputeGraph, GraphRunner, MemoryPlan, execute, fuse, lower_precision, optimize, plan_memory
 from .rtfm import HeadConfig, MstnConfig, RtfmModel, TrainConfig
 from .pipeline import PipelineConfig, ScoreRecord, run_pipeline, run_sequential
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "F16", "F32", "Tensor",
     "ClipBatch", "NormConstants", "RawVideo", "SnippetPlan",
-    "ExtractorConfig", "SnippetFeatures", "desk_scale_config", "full_scale_config",
+    "ExtractorConfig", "desk_scale_config", "full_scale_config",
     "ComputeGraph", "GraphRunner", "MemoryPlan", "execute", "fuse", "lower_precision",
     "optimize", "plan_memory",
     "HeadConfig", "MstnConfig", "RtfmModel", "TrainConfig",

@@ -12,11 +12,11 @@ block starts as an exact residual identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .graphopt import ComputeGraph, GraphBuilder, GraphRunner, MemoryPlan
+from .graphopt import ComputeGraph, GraphBuilder
 from .tensor import Tensor, nonlocal_raw
 
 
@@ -102,31 +102,6 @@ def full_scale_config(crops: int = 10) -> ExtractorConfig:
         block="bottleneck",
         crops=crops,
     )
-
-
-@dataclass
-class SnippetFeatures:
-    """Per-crop, per-snippet feature matrix: [crops, T, D]."""
-
-    data: Tensor
-
-    def __post_init__(self) -> None:
-        if len(self.data.shape) != 3:
-            raise ValueError(f"SnippetFeatures must be [crops, T, D], got {self.data.shape}")
-        if not np.all(np.isfinite(self.data.data)):
-            raise ValueError("SnippetFeatures contains NaN or Inf")
-
-    @property
-    def crops(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def snippet_count(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.data.shape[2]
 
 
 def _he_conv(rng, shape):
@@ -245,29 +220,3 @@ class NonLocalParams:
 def nonlocal_block(x: Tensor, params: NonLocalParams) -> Tensor:
     """Standalone residual softmax-attention block on [N,C,D,H,W]."""
     return Tensor(nonlocal_raw(x.data, params.wt, params.wp, params.wg, params.wo), x.precision)
-
-
-def extract_features(
-    graph: ComputeGraph,
-    batches: Iterable,
-    plan: Optional[MemoryPlan] = None,
-) -> SnippetFeatures:
-    """Run every clip batch through the graph; rows stack to [crops, T, D].
-
-    One GraphRunner serves every batch, so the arena and conv workspace are
-    allocated once per call, not once per snippet.
-    """
-    declared = graph.meta[graph.inputs[0]].shape
-    runner = GraphRunner(graph, plan)
-    rows = []
-    for i, batch in enumerate(batches):
-        data = batch.data if isinstance(batch.data, Tensor) else Tensor(batch.data)
-        if tuple(data.shape) != tuple(declared):
-            raise ValueError(
-                f"snippet {getattr(batch, 'snippet_index', i)}: clip shape {tuple(data.shape)} "
-                f"does not match graph input {tuple(declared)}"
-            )
-        rows.append(runner.run(data)[0].data)
-    if not rows:
-        raise ValueError("no clip batches supplied")
-    return SnippetFeatures(Tensor(np.stack(rows, axis=1)))  # [crops, T, D]

@@ -1,11 +1,13 @@
-"""End-to-end staged dataflow: source -> preprocess -> extract -> detect -> records.
+"""End-to-end dataflow: source -> preprocess -> extract -> detect -> records.
 
-Each stage runs in its own thread connected by bounded FIFO queues; snippet
-order is preserved end to end and the pipelined result is identical to the
-sequential composition of the same modules. The detector needs the whole
-video's temporal context (dilated convolutions and attention span all T
-snippets), so it accumulates feature rows and scores once; its latency is
-recorded amortized per snippet.
+`run_pipeline` overlaps the two stages that do the work. `stage_workers`
+preprocess threads take snippet indices and fill clip buffers; the caller's
+own thread extracts each clip as it arrives through one bounded queue. The
+detector needs the whole video's temporal context (dilated convolutions and
+attention span all T snippets), so once the workers are joined the caller
+scores the video once; its latency is recorded amortized per snippet.
+`run_sequential` composes the same modules in a plain loop, and both runs
+give the same records bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .extractor import ExtractorConfig, build_extractor, desk_scale_config, full
 from .graphopt import GraphRunner, optimize
 from .serialize import load_graph_params, load_params
 from .sources import load_video_source
-from .videopre import CROP_SIZE, NormConstants, preprocess_snippet, segment_snippets
+from .videopre import CROP_SIZE, NormConstants, SnippetPlan, preprocess_snippet, segment_snippets
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,51 +129,6 @@ def log_event(record: ScoreRecord) -> str:
     return f"{ts.isoformat(timespec='milliseconds')} snippet={record.snippet_index:03d} score={record.score:.4f} {flag}"
 
 
-class Boundary:
-    """Bounded FIFO between stages with a residency high-water mark.
-
-    An item is resident from successful enqueue until the consumer reports it
-    done, so max residency is capacity (queued) + 1 (in the consumer's hands).
-    Sentinels bypass the gauge. put/get poll the stop event to stay
-    deadlock-free when a sibling stage dies.
-    """
-
-    SENTINEL = object()
-
-    def __init__(self, capacity: int, stop: threading.Event):
-        self.q: "queue.Queue" = queue.Queue(maxsize=capacity)
-        self._stop = stop
-        self._lock = threading.Lock()
-        self._resident = 0
-        self.max_resident = 0
-
-    def put(self, item) -> bool:
-        while True:
-            try:
-                self.q.put(item, timeout=0.05)
-                break
-            except queue.Full:
-                if self._stop.is_set():
-                    return False
-        if item is not Boundary.SENTINEL:
-            with self._lock:
-                self._resident += 1
-                self.max_resident = max(self.max_resident, self._resident)
-        return True
-
-    def get(self):
-        while True:
-            try:
-                return self.q.get(timeout=0.05)
-            except queue.Empty:
-                if self._stop.is_set():
-                    return Boundary.SENTINEL
-
-    def done(self) -> None:
-        with self._lock:
-            self._resident -= 1
-
-
 def _resolve_extractor_config(profile) -> ExtractorConfig:
     if isinstance(profile, ExtractorConfig):
         return profile
@@ -209,6 +166,7 @@ class PipelineResult:
     records: List[ScoreRecord]
     summary: Dict
     boundary_high_water: Dict[str, int]
+    features: np.ndarray  # [crops, T, D], the rows the detector scored
 
 
 def _summary(
@@ -305,149 +263,143 @@ def _startup(cfg: PipelineConfig):
     return video, graph, plan, model, snips
 
 
+def _score(
+    cfg: PipelineConfig,
+    model: rtfm.RtfmModel,
+    snips: SnippetPlan,
+    rows: List[np.ndarray],
+    latencies: Optional[List[Dict[str, float]]] = None,
+) -> Tuple[np.ndarray, List[ScoreRecord]]:
+    """Score the video once from its [crops, D] rows in snippet order: the
+    [crops, T, D] features and one ScoreRecord per snippet. With per-snippet
+    `latencies`, each record also gets the detect time amortized per snippet."""
+    t0 = time.perf_counter()
+    feats = np.stack(rows, axis=1)
+    scores = rtfm.video_score(feats, model)
+    det_ms = (time.perf_counter() - t0) * 1e3 / len(rows)
+    records = [
+        ScoreRecord(
+            snippet_index=i,
+            start_frame=snips.start_indices[i],
+            score=float(np.clip(s, 0.0, 1.0)),
+            alert=alert_check(float(s), cfg.threshold),
+            latencies_ms={} if latencies is None else {**latencies[i], "detect": det_ms},
+            timestamp=time.time(),
+        )
+        for i, s in enumerate(scores)
+    ]
+    return feats, records
+
+
 def run_pipeline(
     cfg: PipelineConfig,
     emit: Optional[Callable[[ScoreRecord], None]] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> PipelineResult:
-    """Threaded staged execution; every snippet yields exactly one ScoreRecord.
+    """Pipelined execution; every snippet yields exactly one ScoreRecord.
 
-    The stage threads own the CPUs: while they run, OpenBLAS gets only the
-    CPUs the preprocess workers leave free (see `_blas_pool`)."""
+    The preprocess workers are the only threads; the caller's thread extracts
+    each clip as it arrives, then scores the video and emits the records.
+    Those threads own the CPUs: while they run, OpenBLAS gets only the CPUs
+    the preprocess workers leave free (see `_blas_pool`)."""
     t_start = time.perf_counter()
     video, graph, plan, model, snips = _startup(cfg)
     runner = GraphRunner(graph, plan)
     consts = NormConstants()
-    declared = graph.meta[graph.inputs[0]].shape
-
-    stop = threading.Event()
-    q_idx = Boundary(cfg.queue_capacity, stop)
-    q_clips = Boundary(cfg.queue_capacity, stop)
-    q_feats = Boundary(cfg.queue_capacity, stop)
-    errors: List[Tuple[str, BaseException]] = []
+    n = snips.snippet_count
 
     # Clip buffers, allocated and written once up front: one per clip that can
     # be alive at a time (queued, in the extractor's hands, or being built by a
     # preprocess worker). The pipeline's footprint is then the same on every
     # run, whichever stage is faster, and no snippet allocates a clip.
     free_clips: "queue.Queue" = queue.Queue()
-    for _ in range(min(cfg.queue_capacity + 1 + cfg.stage_workers, snips.snippet_count)):
+    for _ in range(min(cfg.queue_capacity + 1 + cfg.stage_workers, n)):
         free_clips.put(_clip_buffer(cfg))
+    todo: "queue.SimpleQueue" = queue.SimpleQueue()
+    for i in range(n):
+        todo.put(i)
+    ready: "queue.Queue" = queue.Queue(maxsize=cfg.queue_capacity)  # clips, and None per ended worker
+    stop = threading.Event()
+    errors: List[Tuple[str, BaseException]] = []
 
-    def take_clip():
-        while not stop.is_set():
-            try:
-                return free_clips.get(timeout=0.05)
-            except queue.Empty:
-                pass
-        return None
-
-    def guard(stage: str, fn: Callable[[], None]):
-        def run():
-            try:
-                fn()
-            except BaseException as e:  # record, wake all stages, drain
-                errors.append((stage, e))
-                stop.set()
-
-        return run
-
-    def src_stage():
-        for i in range(snips.snippet_count):
-            if stop.is_set():
-                return
-            if not q_idx.put(i):
-                return
-        for _ in range(cfg.stage_workers):  # one sentinel per preprocess worker
-            q_idx.put(Boundary.SENTINEL)
-
-    def pre_stage():
-        while True:
-            item = q_idx.get()
-            if item is Boundary.SENTINEL:
-                q_clips.put(Boundary.SENTINEL)
-                return
-            buf = take_clip()
-            if buf is None:
-                return
-            t0 = time.perf_counter()
-            batch = preprocess_snippet(video, snips, item, consts, out=buf)
-            ok = q_clips.put((item, buf, batch, (time.perf_counter() - t0) * 1e3))
-            q_idx.done()
-            if not ok:
-                return
-
-    def ext_stage():
-        sentinels = 0
-        while True:
-            item = q_clips.get()
-            if item is Boundary.SENTINEL:
-                sentinels += 1
-                if sentinels >= cfg.stage_workers or stop.is_set():
-                    q_feats.put(Boundary.SENTINEL)
+    def preprocess_worker() -> None:
+        i = None
+        try:
+            # An index is taken before a buffer, so a worker that finds none
+            # left ends without holding a buffer a sibling may wait for.
+            while not stop.is_set():
+                try:
+                    i = todo.get_nowait()
+                except queue.Empty:
                     return
-                continue
-            i, buf, batch, pre_ms = item
-            t0 = time.perf_counter()
-            if tuple(batch.data.shape) != tuple(declared):
-                raise ValueError(
-                    f"snippet {i}: clip shape {tuple(batch.data.shape)} != graph input {tuple(declared)}"
-                )
-            row = runner.run(batch.data)[0].data  # [crops, D]
-            free_clips.put(buf)
-            ok = q_feats.put((i, batch.start_frame, row, pre_ms, (time.perf_counter() - t0) * 1e3))
-            q_clips.done()
-            if not ok:
-                return
+                buf = free_clips.get()
+                if buf is None:  # woken by halt()
+                    return
+                t0 = time.perf_counter()
+                batch = preprocess_snippet(video, snips, i, consts, out=buf)
+                ready.put((i, buf, batch, (time.perf_counter() - t0) * 1e3))
+        except BaseException as e:  # raised again on the caller's thread
+            errors.append((f"stage 'preprocess' failed: snippet {i}: {e}", e))
+        finally:
+            ready.put(None)
 
-    records: List[ScoreRecord] = []
-
-    def det_stage():
-        meta = []
-        while True:
-            item = q_feats.get()
-            if item is Boundary.SENTINEL:
-                break
-            meta.append(item)
-            q_feats.done()
-        if stop.is_set() or not meta:
-            return
-        meta.sort(key=lambda m: m[0])  # restore snippet order (workers may reorder)
-        t0 = time.perf_counter()
-        feats = np.stack([m[2] for m in meta], axis=1)  # [crops, T, D]
-        scores = rtfm.video_score(feats, model)
-        det_ms = (time.perf_counter() - t0) * 1e3 / len(meta)
-        for (i, start_frame, _, pre_ms, ext_ms), score in zip(meta, scores):
-            rec = ScoreRecord(
-                snippet_index=i,
-                start_frame=start_frame,
-                score=float(np.clip(score, 0.0, 1.0)),
-                alert=alert_check(float(score), cfg.threshold),
-                latencies_ms={"preprocess": pre_ms, "extract": ext_ms, "detect": det_ms},
-                timestamp=time.time(),
-            )
-            records.append(rec)
-            if emit is not None:
-                emit(rec)
-            if log is not None:
-                log(log_event(rec))
-
-    threads = [
-        threading.Thread(target=guard("source", src_stage), name="source"),
-        threading.Thread(target=guard("extract", ext_stage), name="extract"),
-        threading.Thread(target=guard("detect", det_stage), name="detect"),
-    ] + [
-        threading.Thread(target=guard("preprocess", pre_stage), name=f"preprocess-{w}")
-        for w in range(cfg.stage_workers)
+    workers = [
+        threading.Thread(target=preprocess_worker, name=f"preprocess-{w}") for w in range(cfg.stage_workers)
     ]
+
+    def halt() -> None:
+        """Stop the workers; one waiting for a free clip gets None instead."""
+        if not stop.is_set():
+            stop.set()
+            for _ in workers:
+                free_clips.put(None)
+
+    rows: List[Optional[np.ndarray]] = [None] * n
+    latencies: List[Optional[Dict[str, float]]] = [None] * n
+    clips_high_water = 0
     with _blas_pool(cfg) as blas:
-        for t in threads:
+        for t in workers:
             t.start()
-        for t in threads:
-            t.join()
-    if errors:
-        stage, exc = errors[0]
-        raise PipelineStageError(f"stage {stage!r} failed: {exc}") from exc
+        ended = 0
+        try:
+            while ended < len(workers):
+                item = ready.get()
+                if item is None:
+                    ended += 1
+                elif not stop.is_set():  # after a failure, only drain
+                    i, buf, batch, pre_ms = item
+                    t0 = time.perf_counter()
+                    try:
+                        rows[i] = runner.run(batch.data)[0].data  # [crops, D]
+                    except Exception as e:
+                        errors.append((f"stage 'extract' failed: snippet {i}: {e}", e))
+                    ext_ms = (time.perf_counter() - t0) * 1e3
+                    # clips resident: this one and those queued behind it (an
+                    # end marker counts too; the bound queue_capacity + 1 holds)
+                    clips_high_water = max(clips_high_water, ready.qsize() + 1)
+                    free_clips.put(buf)
+                    latencies[i] = {"preprocess": pre_ms, "extract": ext_ms}
+                if errors:
+                    halt()
+        finally:
+            if ended < len(workers):  # the caller raised: stop the workers and drain
+                halt()
+                while ended < len(workers):
+                    ended += ready.get() is None
+            for t in workers:
+                t.join()
+        if errors:
+            msg, exc = errors[0]
+            raise PipelineStageError(msg) from exc
+        try:
+            feats, records = _score(cfg, model, snips, rows, latencies)
+            for rec in records:
+                if emit is not None:
+                    emit(rec)
+                if log is not None:
+                    log(log_event(rec))
+        except Exception as e:
+            raise PipelineStageError(f"stage 'detect' failed: {e}") from e
 
     elapsed = time.perf_counter() - t_start
     frames = video.frame_count
@@ -457,12 +409,7 @@ def run_pipeline(
             f"summary frames={frames} snippets={len(records)} elapsed_s={elapsed:.3f} "
             f"fps={summary['fps']} alerts={summary['alerts']}"
         )
-    high_water = {
-        "indices": q_idx.max_resident,
-        "clips": q_clips.max_resident,
-        "features": q_feats.max_resident,
-    }
-    return PipelineResult(records=records, summary=summary, boundary_high_water=high_water)
+    return PipelineResult(records, summary, {"clips": clips_high_water}, feats)
 
 
 def run_sequential(cfg: PipelineConfig) -> PipelineResult:
@@ -472,24 +419,11 @@ def run_sequential(cfg: PipelineConfig) -> PipelineResult:
     runner = GraphRunner(graph, plan)
     consts = NormConstants()
     clip = _clip_buffer(cfg)  # reused: the runner's outputs never alias its input
-    rows, starts = [], []
+    rows = []
     with _blas_pool(cfg) as blas:  # the pipeline's count, so its GEMMs sum alike
         for i in range(snips.snippet_count):
             batch = preprocess_snippet(video, snips, i, consts, out=clip)
             rows.append(runner.run(batch.data)[0].data)
-            starts.append(batch.start_frame)
-    feats = np.stack(rows, axis=1)
-    scores = rtfm.video_score(feats, model)
-    records = [
-        ScoreRecord(
-            snippet_index=i,
-            start_frame=starts[i],
-            score=float(np.clip(s, 0.0, 1.0)),
-            alert=alert_check(float(s), cfg.threshold),
-            latencies_ms={},
-            timestamp=time.time(),
-        )
-        for i, s in enumerate(scores)
-    ]
+        feats, records = _score(cfg, model, snips, rows)
     summary = _summary(cfg, video.frame_count, records, time.perf_counter() - t_start, blas)
-    return PipelineResult(records=records, summary=summary, boundary_high_water={})
+    return PipelineResult(records, summary, {}, feats)

@@ -1,4 +1,4 @@
-"""Extractor tests: config contracts, non-local oracle, feature extraction."""
+"""Extractor tests: config contracts, non-local oracle, runner rows and memory."""
 
 import tracemalloc
 from types import SimpleNamespace
@@ -130,57 +130,19 @@ class TestNonLocalBlock:
         assert np.max(np.abs(got - want)) <= 1e-5
 
 
-class TestExtractFeatures:
-    def test_feature_shape_and_determinism(self):
-        cfg = tiny_config()
-        g = ex.build_extractor(cfg, seed=5)
-        batches = [clip(cfg.input_shape, seed=i) for i in range(3)]
-        f1 = ex.extract_features(g, batches)
-        f2 = ex.extract_features(g, batches)
-        assert f1.data.shape == (2, 3, 6)
-        np.testing.assert_array_equal(f1.data.data, f2.data.data)
-
-    def test_identical_snippets_identical_rows(self):
-        cfg = tiny_config()
-        g = ex.build_extractor(cfg, seed=6)
-        batches = [clip(cfg.input_shape, seed=7)] * 3
-        f = ex.extract_features(g, batches).data.data
-        np.testing.assert_array_equal(f[:, 0], f[:, 1])
-        np.testing.assert_array_equal(f[:, 0], f[:, 2])
-
-    def test_permutation_equivariance(self):
-        cfg = tiny_config()
-        g = ex.build_extractor(cfg, seed=8)
-        batches = [clip(cfg.input_shape, seed=10 + i) for i in range(4)]
-        f = ex.extract_features(g, batches).data.data
-        perm = [2, 0, 3, 1]
-        fp = ex.extract_features(g, [batches[i] for i in perm]).data.data
-        np.testing.assert_array_equal(fp, f[:, perm])
-
-    def test_shape_mismatch_names_snippet(self):
-        cfg = tiny_config()
-        g = ex.build_extractor(cfg, seed=9)
-        bad = clip((2, 3, 4, 8, 8), seed=11)
-        bad.snippet_index = 7
-        with pytest.raises(ValueError, match="snippet 7"):
-            ex.extract_features(g, [bad])
-
-    def test_fused_graph_features_bitwise_equal(self):
-        cfg = tiny_config()
-        g = ex.build_extractor(cfg, seed=12)
-        opt, plan = go.optimize(g, do_fuse=True, do_memplan=True)
-        batches = [clip(cfg.input_shape, seed=20 + i) for i in range(2)]
-        a = ex.extract_features(g, batches).data.data
-        b = ex.extract_features(opt, batches, plan=plan).data.data
-        np.testing.assert_array_equal(a, b)
-
-    def test_desk_scale_full_clip_runs_and_is_finite(self):
-        cfg = desk_scale_config()
-        g = ex.build_extractor(cfg, seed=13)
-        batch = clip(cfg.input_shape, seed=14)
-        f = ex.extract_features(g, [batch])
-        assert f.data.shape == (10, 1, 32)
-        assert np.all(np.isfinite(f.data.data))
+class TestRunnerRows:
+    @pytest.mark.parametrize("profile", ["tiny", "desk"])
+    def test_one_runner_same_rows_in_any_order(self, profile):
+        # a runner carries no state from clip to clip: clips run again, in
+        # another order and repeated, give the same rows bit for bit
+        cfg = tiny_config() if profile == "tiny" else desk_scale_config()
+        runner = go.GraphRunner(ex.build_extractor(cfg, seed=8))
+        clips = [clip(cfg.input_shape, seed=10 + i).data for i in range(3)]
+        rows = [runner.run(c)[0].data.copy() for c in clips]
+        assert rows[0].shape == (cfg.crops, cfg.output_dim)
+        assert all(np.all(np.isfinite(r)) for r in rows)
+        for i in [2, 0, 2, 1, 1]:
+            np.testing.assert_array_equal(runner.run(clips[i])[0].data, rows[i])
 
 
 class TestRunnerMemory:

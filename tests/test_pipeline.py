@@ -1,10 +1,17 @@
-"""Pipeline tests: pipelined-vs-sequential equivalence, alerting, backpressure."""
+"""Pipeline tests: pipelined-vs-sequential equivalence, alerting, backpressure,
+failure paths."""
 
+import sys
+import threading
+import time
+
+import numpy as np
 import pytest
 
 from edgevad import pipeline as pl
+from edgevad import rtfm
+from edgevad.graphopt import GraphRunner
 from edgevad.pipeline import (
-    Boundary,
     PipelineConfig,
     PipelineConfigError,
     PipelineStageError,
@@ -102,6 +109,8 @@ class TestPipelineRuns:
         assert [r.start_frame for r in a.records] == [r.start_frame for r in b.records]
         assert [r.score for r in a.records] == [r.score for r in b.records]
         assert [r.alert for r in a.records] == [r.alert for r in b.records]
+        assert a.features.shape == (10, 4, 8)  # [crops, T, D]
+        np.testing.assert_array_equal(a.features, b.features)
 
     def test_threshold_one_yields_zero_alerts(self):
         res = run_pipeline(tiny_cfg(threshold=1.0))
@@ -119,6 +128,19 @@ class TestPipelineRuns:
         res = run_pipeline(cfg)
         for name, peak in res.boundary_high_water.items():
             assert peak <= cfg.queue_capacity + 1, f"boundary {name} hit {peak}"
+        assert res.boundary_high_water["clips"] >= 1
+
+    def test_clip_gauge_fills_behind_slow_extractor(self, monkeypatch):
+        # while each extraction takes 0.3 s, the worker fills the clip queue:
+        # queue_capacity clips queued plus the one being extracted
+        class SlowRunner(GraphRunner):
+            def run(self, *args, **kw):
+                time.sleep(0.3)
+                return super().run(*args, **kw)
+
+        monkeypatch.setattr(pl, "GraphRunner", SlowRunner)
+        cfg = tiny_cfg(frames=60, snippets=6, queue_capacity=2)
+        assert run_pipeline(cfg).boundary_high_water["clips"] == cfg.queue_capacity + 1
 
     def test_clip_buffers_allocated_once(self, monkeypatch):
         # queue_capacity + 1 + stage_workers buffers serve every snippet
@@ -150,8 +172,9 @@ class TestPipelineRuns:
     def test_mid_stream_shape_error_is_stage_error(self):
         cfg = tiny_cfg()
         cfg.frames_per_snippet = 6  # clips become [10,3,6,...] vs graph [10,3,4,...]
-        with pytest.raises(PipelineStageError, match="extract"):
+        with pytest.raises(PipelineStageError, match="extract") as err:
             run_pipeline(cfg)
+        assert "snippet 0" in str(err.value)
 
     def test_validation_rejects_bad_capacity(self):
         cfg = tiny_cfg()
@@ -249,22 +272,98 @@ class TestSummary:
         assert s["processed_frames_per_s"] == pytest.approx(16 / s["elapsed_s"], rel=1e-2)
 
 
-class TestBoundary:
-    def test_sentinel_bypasses_gauge(self):
-        import threading
+def run_bounded(cfg, **kw):
+    """run_pipeline's result, or the exception it raised, once the thread count
+    is back to its value before the run. The run is made in a daemon thread,
+    so a run that hangs fails the test instead of hanging the suite."""
+    before = threading.active_count()
+    out = []
 
-        b = Boundary(2, threading.Event())
-        b.put(Boundary.SENTINEL)
-        assert b.max_resident == 0
+    def target():
+        try:
+            out.append(run_pipeline(cfg, **kw))
+        except BaseException as e:
+            out.append(e)
 
-    def test_residency_counts_until_done(self):
-        import threading
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(60.0)
+    assert not runner.is_alive(), "run_pipeline did not end"
+    deadline = time.monotonic() + 5.0
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == before, [t.name for t in threading.enumerate()]
+    return out[0]
 
-        b = Boundary(2, threading.Event())
-        b.put(1)
-        b.put(2)
-        assert b.max_resident == 2
-        b.get()
-        b.done()
-        b.put(3)
-        assert b.max_resident == 2
+
+class TestConcurrency:
+    @pytest.mark.parametrize("workers,snippets", [(5, 6), (8, 3)])
+    def test_many_workers_short_switch_interval(self, workers, snippets):
+        # more workers than CPUs on a small board (and, in the second case,
+        # than snippets), with the interpreter switching threads every 10 us:
+        # every snippet arrives once and the run equals the plain loop
+        cfg = tiny_cfg(frames=60, snippets=snippets, queue_capacity=1, stage_workers=workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            res = run_bounded(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert isinstance(res, pl.PipelineResult), res
+        assert [r.snippet_index for r in res.records] == list(range(snippets))
+        assert [r.score for r in res.records] == [r.score for r in run_sequential(cfg).records]
+
+
+class TestFailurePaths:
+    """A stage that raises ends the run with PipelineStageError naming the stage,
+    and every thread the run started is gone soon after."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_preprocess_raises_mid_run(self, monkeypatch, workers, bad):
+        real = pl.preprocess_snippet
+
+        def flaky(video, snips, i, *args, **kw):
+            if i == bad:
+                raise OSError(f"truncated frame in snippet {i}")
+            return real(video, snips, i, *args, **kw)
+
+        monkeypatch.setattr(pl, "preprocess_snippet", flaky)
+        cfg = tiny_cfg(frames=60, snippets=6, queue_capacity=1, stage_workers=workers)
+        err = run_bounded(cfg)
+        assert isinstance(err, PipelineStageError)
+        assert "preprocess" in str(err) and "truncated frame" in str(err)
+
+    def test_video_score_raises(self, monkeypatch):
+        def boom(feats, model):
+            raise FloatingPointError("NaN in the head")
+
+        monkeypatch.setattr(rtfm, "video_score", boom)
+        err = run_bounded(tiny_cfg())
+        assert isinstance(err, PipelineStageError)
+        assert "detect" in str(err) and "NaN in the head" in str(err)
+
+    def test_emit_raises(self):
+        def emit(rec):
+            if rec.snippet_index == 1:
+                raise RuntimeError("sink closed")
+
+        err = run_bounded(tiny_cfg(), emit=emit)
+        assert isinstance(err, PipelineStageError)
+        assert "detect" in str(err) and "sink closed" in str(err)
+
+    def test_interrupt_in_caller_joins_workers(self, monkeypatch):
+        # the caller's thread extracts; an interrupt there stops and joins the
+        # preprocess workers and reaches the caller as itself
+        class InterruptedRunner(GraphRunner):
+            calls = 0
+
+            def run(self, *args, **kw):
+                InterruptedRunner.calls += 1
+                if InterruptedRunner.calls == 2:
+                    raise KeyboardInterrupt
+                return super().run(*args, **kw)
+
+        monkeypatch.setattr(pl, "GraphRunner", InterruptedRunner)
+        err = run_bounded(tiny_cfg(frames=60, snippets=6, queue_capacity=1, stage_workers=3))
+        assert isinstance(err, KeyboardInterrupt)
