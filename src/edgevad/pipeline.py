@@ -374,9 +374,11 @@ def run_pipeline(
                     except Exception as e:
                         errors.append((f"stage 'extract' failed: snippet {i}: {e}", e))
                     ext_ms = (time.perf_counter() - t0) * 1e3
-                    # clips resident: this one and those queued behind it (an
-                    # end marker counts too; the bound queue_capacity + 1 holds)
-                    clips_high_water = max(clips_high_water, ready.qsize() + 1)
+                    # clips resident: this one and those queued behind it;
+                    # a worker's end marker is not a clip
+                    with ready.mutex:
+                        queued = sum(item is not None for item in ready.queue)
+                    clips_high_water = max(clips_high_water, queued + 1)
                     free_clips.put(buf)
                     latencies[i] = {"preprocess": pre_ms, "extract": ext_ms}
                 if errors:

@@ -1,10 +1,14 @@
 """Shared test utilities: random graph generation, brute-force plan checking,
-and the earlier extractor kernels kept as references for the current ones."""
+the earlier extractor kernels kept as references for the current ones, and a
+small pipeline configuration with a slowed extractor."""
+
+import time
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from edgevad.graphopt import GraphBuilder, GraphError, MemoryPlan
+from edgevad.graphopt import GraphBuilder, GraphError, GraphRunner, MemoryPlan
+from edgevad.pipeline import PipelineConfig
 from edgevad.tensor import Tensor
 
 
@@ -137,3 +141,44 @@ def nonlocal_batched_ref(x, w_theta, w_phi, w_g, w_out):
     attn = e / np.sum(e, axis=-1, keepdims=True)
     y = (attn @ g) @ w_out  # [n,P,c]
     return np.ascontiguousarray(x + y.transpose(0, 2, 1).reshape(x.shape))
+
+
+TINY_PROFILE = dict(
+    name="tiny-nl",
+    stem_channels=4,
+    stem_kernel=(1, 5, 5),
+    stem_stride=(1, 8, 8),
+    stem_pad=(0, 2, 2),
+    stage_widths=(8,),
+    stage_blocks=(1,),
+    stage_strides=((1, 2),),
+    inflate=((0,),),
+    nonlocal_blocks=((0,),),
+    output_dim=8,
+    crops=10,
+    in_channels=3,
+    frames=4,
+    spatial=224,
+)
+
+
+def tiny_cfg(frames=40, snippets=4, **kw):
+    return PipelineConfig(
+        source={"kind": "synthetic", "pattern": "moving_square", "frames": frames,
+                "width": 48, "height": 40, "seed": 1,
+                "anomaly": {"start": frames // 2, "end": frames // 2 + 8, "strength": 110}},
+        snippet_count=snippets,
+        frames_per_snippet=4,
+        extractor_profile=dict(TINY_PROFILE),
+        seed=3,
+        **kw,
+    )
+
+
+class SlowRunner(GraphRunner):
+    """A GraphRunner whose every run first sleeps 0.3 s, so the preprocess
+    workers get ahead of the extractor."""
+
+    def run(self, *args, **kw):
+        time.sleep(0.3)
+        return super().run(*args, **kw)

@@ -1,6 +1,7 @@
-"""Extractor tests: config contracts, non-local oracle, runner rows and memory."""
+"""Extractor tests: config contracts, non-local oracle, feature rows and memory."""
 
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,8 +9,11 @@ import pytest
 
 from edgevad import extractor as ex
 from edgevad import graphopt as go
+from edgevad import pipeline as pl
 from edgevad.extractor import ExtractorConfig, NonLocalParams, desk_scale_config, full_scale_config
 from edgevad.tensor import Tensor
+
+from helpers import tiny_cfg
 
 MIB = 2 ** 20
 
@@ -130,19 +134,60 @@ class TestNonLocalBlock:
         assert np.max(np.abs(got - want)) <= 1e-5
 
 
-class TestRunnerRows:
-    @pytest.mark.parametrize("profile", ["tiny", "desk"])
-    def test_one_runner_same_rows_in_any_order(self, profile):
-        # a runner carries no state from clip to clip: clips run again, in
-        # another order and repeated, give the same rows bit for bit
-        cfg = tiny_config() if profile == "tiny" else desk_scale_config()
+class TestExtractFeatures:
+    """Features are one GraphRunner run per clip, stacked [crops, T, D]; a
+    snippet's rows depend on its clip alone, not on what the runner ran before."""
+
+    @staticmethod
+    def extract(runner, batches):
+        return np.stack([runner.run(b.data)[0].data.copy() for b in batches], axis=1)
+
+    def test_feature_shape_and_determinism(self):
+        cfg = tiny_config()
+        runner = go.GraphRunner(ex.build_extractor(cfg, seed=5))
+        batches = [clip(cfg.input_shape, seed=i) for i in range(3)]
+        f1 = self.extract(runner, batches)
+        f2 = self.extract(runner, batches)
+        assert f1.shape == (2, 3, 6)
+        np.testing.assert_array_equal(f1, f2)
+
+    def test_identical_snippets_identical_rows(self):
+        cfg = tiny_config()
+        runner = go.GraphRunner(ex.build_extractor(cfg, seed=6))
+        f = self.extract(runner, [clip(cfg.input_shape, seed=7)] * 3)
+        np.testing.assert_array_equal(f[:, 0], f[:, 1])
+        np.testing.assert_array_equal(f[:, 0], f[:, 2])
+
+    def test_permutation_equivariance(self):
+        cfg = tiny_config()
         runner = go.GraphRunner(ex.build_extractor(cfg, seed=8))
-        clips = [clip(cfg.input_shape, seed=10 + i).data for i in range(3)]
-        rows = [runner.run(c)[0].data.copy() for c in clips]
-        assert rows[0].shape == (cfg.crops, cfg.output_dim)
-        assert all(np.all(np.isfinite(r)) for r in rows)
-        for i in [2, 0, 2, 1, 1]:
-            np.testing.assert_array_equal(runner.run(clips[i])[0].data, rows[i])
+        batches = [clip(cfg.input_shape, seed=10 + i) for i in range(4)]
+        f = self.extract(runner, batches)
+        perm = [2, 0, 3, 1]
+        fp = self.extract(runner, [batches[i] for i in perm])
+        np.testing.assert_array_equal(fp, f[:, perm])
+
+    def test_shape_mismatch_names_snippet(self, monkeypatch):
+        # the runner rejects a mis-shaped clip; the pipeline's extract stage
+        # says which snippet it came from
+        real = pl.preprocess_snippet
+
+        def short_clip_at_2(video, plan, index, *args, **kw):
+            batch = real(video, plan, index, *args, **kw)
+            if index == 2:
+                batch = replace(batch, data=Tensor(batch.data.data[:, :, :-1]))
+            return batch
+
+        monkeypatch.setattr(pl, "preprocess_snippet", short_clip_at_2)
+        with pytest.raises(pl.PipelineStageError, match="stage 'extract' failed: snippet 2"):
+            pl.run_pipeline(tiny_cfg())
+
+    def test_desk_scale_full_clip_runs_and_is_finite(self):
+        cfg = desk_scale_config()
+        runner = go.GraphRunner(ex.build_extractor(cfg, seed=13))
+        f = self.extract(runner, [clip(cfg.input_shape, seed=14)])
+        assert f.shape == (10, 1, 32)
+        assert np.all(np.isfinite(f))
 
 
 class TestRunnerMemory:

@@ -12,7 +12,6 @@ from edgevad import pipeline as pl
 from edgevad import rtfm
 from edgevad.graphopt import GraphRunner
 from edgevad.pipeline import (
-    PipelineConfig,
     PipelineConfigError,
     PipelineStageError,
     ScoreRecord,
@@ -22,36 +21,7 @@ from edgevad.pipeline import (
     run_sequential,
 )
 
-TINY_PROFILE = dict(
-    name="tiny-nl",
-    stem_channels=4,
-    stem_kernel=(1, 5, 5),
-    stem_stride=(1, 8, 8),
-    stem_pad=(0, 2, 2),
-    stage_widths=(8,),
-    stage_blocks=(1,),
-    stage_strides=((1, 2),),
-    inflate=((0,),),
-    nonlocal_blocks=((0,),),
-    output_dim=8,
-    crops=10,
-    in_channels=3,
-    frames=4,
-    spatial=224,
-)
-
-
-def tiny_cfg(frames=40, snippets=4, **kw):
-    return PipelineConfig(
-        source={"kind": "synthetic", "pattern": "moving_square", "frames": frames,
-                "width": 48, "height": 40, "seed": 1,
-                "anomaly": {"start": frames // 2, "end": frames // 2 + 8, "strength": 110}},
-        snippet_count=snippets,
-        frames_per_snippet=4,
-        extractor_profile=dict(TINY_PROFILE),
-        seed=3,
-        **kw,
-    )
+from helpers import SlowRunner, tiny_cfg
 
 
 class TestAlertRule:
@@ -91,6 +61,15 @@ class TestScoreRecordInvariants:
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             ScoreRecord(0, 0, 0.5, False, {"extract": -1.0})
+
+
+class TestBoundary:
+    def test_sentinel_bypasses_gauge(self, monkeypatch):
+        # a worker's end marker is not a clip: with one snippet, the marker
+        # is queued while the extractor holds the only clip
+        monkeypatch.setattr(pl, "GraphRunner", SlowRunner)
+        cfg = tiny_cfg(snippets=1, queue_capacity=2)
+        assert run_pipeline(cfg).boundary_high_water["clips"] == 1
 
 
 class TestPipelineRuns:
@@ -133,11 +112,6 @@ class TestPipelineRuns:
     def test_clip_gauge_fills_behind_slow_extractor(self, monkeypatch):
         # while each extraction takes 0.3 s, the worker fills the clip queue:
         # queue_capacity clips queued plus the one being extracted
-        class SlowRunner(GraphRunner):
-            def run(self, *args, **kw):
-                time.sleep(0.3)
-                return super().run(*args, **kw)
-
         monkeypatch.setattr(pl, "GraphRunner", SlowRunner)
         cfg = tiny_cfg(frames=60, snippets=6, queue_capacity=2)
         assert run_pipeline(cfg).boundary_high_water["clips"] == cfg.queue_capacity + 1
