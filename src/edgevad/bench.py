@@ -51,7 +51,6 @@ def count_params_flops(graph: ComputeGraph) -> Tuple[int, int]:
 class WorkloadResult:
     frames: int
     stage_latencies_ms: Dict[str, List[float]] = field(default_factory=dict)
-    alloc_peak_bytes: int = 0
 
 
 @dataclass
@@ -60,7 +59,6 @@ class BenchReport:
     frames: int
     wall_s: float
     peak_rss_bytes: int
-    alloc_peak_bytes: int
     stage_p50_ms: Dict[str, float]
     stage_p95_ms: Dict[str, float]
     params: int
@@ -98,8 +96,8 @@ def measure(
 ) -> BenchReport:
     """Time a workload, sampling resident memory concurrently.
 
-    The workload returns a frame count or a WorkloadResult. Peak memory is
-    max(sampled RSS, workload-reported allocator high-water). Not reentrant:
+    The workload returns a frame count or a WorkloadResult. Peak memory is the
+    highest RSS sampled (every `sample_period_ms` and at the end). Not reentrant:
     concurrent measures in one process would corrupt each other's sampling.
     """
     if not _measure_lock.acquire(blocking=False):
@@ -124,9 +122,9 @@ def measure(
             thread.join()
         samples.append(_rss_bytes())
         if isinstance(out, WorkloadResult):
-            frames, lats, alloc = out.frames, out.stage_latencies_ms, out.alloc_peak_bytes
+            frames, lats = out.frames, out.stage_latencies_ms
         else:
-            frames, lats, alloc = int(out), {}, 0
+            frames, lats = int(out), {}
         wall = t1 - t0
         if frames < 0:
             raise ValueError("workload reported negative frame count")
@@ -137,7 +135,6 @@ def measure(
             frames=frames,
             wall_s=wall,
             peak_rss_bytes=max(samples),
-            alloc_peak_bytes=alloc,
             stage_p50_ms=p50,
             stage_p95_ms=p95,
             params=params,

@@ -333,7 +333,7 @@ def cmd_count(args) -> int:
     seed = args.seed if args.seed is not None else 0
     snippets = args.snippets
     eg = build_extractor(ecfg, seed=seed)
-    hg = rtfm.head_graph(mstn, head, snippets=snippets, seed=seed)
+    hg = rtfm.head_graph(rtfm.RtfmModel(mstn, head, seed=seed), snippets=snippets)
     ext = bench_mod.count_params_flops(eg)
     hd = bench_mod.count_params_flops(hg)
     print(f"profile: {args.profile} (FLOPs = 2 x multiply-accumulates, single clip "

@@ -647,11 +647,16 @@ class GraphRunner:
 
     def __init__(self, graph: ComputeGraph, plan: Optional[MemoryPlan] = None):
         self.graph = graph
-        self.plan = plan
         self.pool: Optional[np.ndarray] = None
         self.workspace: Optional[np.ndarray] = None
+        # each node's output slot in the arena, cut once: the plan and pool never change
+        self._dst: List[Optional[np.ndarray]] = [None] * len(graph.nodes)
         if plan is not None:
             self.pool = np.empty(plan.buffers[0], dtype=np.float32)
+            for i, n in enumerate(graph.nodes):
+                if n.output in plan.assignment:
+                    m, (_, off) = graph.meta[n.output], plan.assignment[n.output]
+                    self._dst[i] = self.pool[off:off + m.elems].reshape(m.shape)
             ws_elems = max(
                 (
                     op_spec(n.kind).workspace(
@@ -679,7 +684,7 @@ class GraphRunner:
         inputs: Union[Dict[str, Tensor], Sequence[Tensor], Tensor],
         alloc_stats: Optional[dict] = None,
     ) -> List[Tensor]:
-        graph, plan, pool = self.graph, self.plan, self.pool
+        graph, pool = self.graph, self.pool
         if isinstance(inputs, Tensor):
             inputs = [inputs]
         if not isinstance(inputs, dict):
@@ -697,18 +702,13 @@ class GraphRunner:
             alloc_stats["pool_bytes"] = alloc_stats.get("pool_bytes", 0) + self.static_bytes
 
         out_set = set(graph.outputs)
-        for i, n in enumerate(graph.nodes):
-            m = graph.meta[n.output]
-            dst = None
-            if pool is not None and n.output in plan.assignment:
-                _, off = plan.assignment[n.output]
-                dst = pool[off:off + m.elems].reshape(m.shape)
+        for i, (n, dst) in enumerate(zip(graph.nodes, self._dst)):
             p = {slot: graph.params[name].data for slot, name in n.params.items()}
             try:
                 res = op_spec(n.kind).run([env[t] for t in n.inputs], p, n.attrs, dst, self.workspace)
             except (ShapeError, GraphError) as e:
                 raise GraphError(f"node {n.name}: {e}") from e
-            if m.precision == F16:
+            if graph.meta[n.output].precision == F16:
                 res = round_f16(res)
             if dst is not None and res is not dst:
                 dst[...] = res

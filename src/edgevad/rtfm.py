@@ -8,7 +8,8 @@ dropout on the final hidden layer and a sigmoid squash. Training follows the
 magnitude-separability idea: hinge on the top-k mean feature magnitudes of
 abnormal-vs-normal videos, plus BCE on the scores of the top-k-magnitude
 snippets (label 1 abnormal, 0 normal). Only this head trains; the extractor
-stays frozen.
+stays frozen. Training runs the float64 autodiff tape; inference runs the same
+parameters as the float32 `head_graph` on a plain `GraphRunner`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Var
+from .graphopt import ComputeGraph, GraphBuilder, GraphRunner
+from .tensor import Tensor
 
 BCE_EPS = 1e-7
 
@@ -116,7 +119,7 @@ class RtfmModel:
 
 
 # ---------------------------------------------------------------------------
-# forward pieces (autodiff Vars; pass plain arrays for inference)
+# forward pieces on the float64 autodiff tape: training, and the tests' oracle
 # ---------------------------------------------------------------------------
 
 def mstn_forward_var(pv: Dict[str, Var], cfg: MstnConfig, feats) -> Var:
@@ -265,33 +268,42 @@ def _sum_vars(vs: Sequence[Var]) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# inference-side scoring
+# inference-side scoring: head_graph on GraphRunner, float32
 # ---------------------------------------------------------------------------
 
-def video_score(feats, model: RtfmModel) -> np.ndarray:
-    """Per-snippet scores in [0,1]; a leading crop axis is averaged away."""
-    arr = feats.data.data if hasattr(feats, "data") and hasattr(feats.data, "data") else np.asarray(feats)
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 2:
-        x = mstn_forward(model, arr)
-        return snippet_scores(model, x, mode="infer")
-    if arr.ndim != 3:
-        raise ValueError(f"expected [T,D] or [crops,T,D], got {arr.shape}")
-    per_crop = [snippet_scores(model, mstn_forward(model, arr[c]), mode="infer") for c in range(arr.shape[0])]
-    return np.mean(per_crop, axis=0)
-
-
-def video_anomaly_score(feats, model: RtfmModel, k: int = 3) -> float:
-    """Video-level score: mean snippet score over the top-k magnitude snippets."""
-    arr = feats.data.data if hasattr(feats, "data") and hasattr(feats.data, "data") else np.asarray(feats)
-    arr = np.asarray(arr, dtype=np.float64)
+def _head_forward(feats: np.ndarray, model: RtfmModel,
+                  runners: Optional[Dict[int, GraphRunner]] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-crop scores [crops,T] and temporal features [crops,T,out_dim] of
+    [T,D] or [crops,T,D] features, one head_graph run per crop. A runner is
+    built for each new T in `runners` (fresh by default, so it reads the current
+    parameters); pass one dict to share it across videos with fixed parameters.
+    Plain, not fused+planned: the outputs are bitwise equal and it builds faster."""
+    arr = np.asarray(feats, dtype=np.float32)
     if arr.ndim == 2:
         arr = arr[None]
-    xs = [mstn_forward(model, arr[c]) for c in range(arr.shape[0])]
-    mags = np.mean([np.sqrt((x ** 2).sum(axis=1)) for x in xs], axis=0)
-    scores = np.mean([snippet_scores(model, x, mode="infer") for x in xs], axis=0)
+    if arr.ndim != 3:
+        raise ValueError(f"expected [T,D] or [crops,T,D], got {arr.shape}")
+    t, runners = arr.shape[1], {} if runners is None else runners
+    if t not in runners:
+        runners[t] = GraphRunner(head_graph(model, t))
+    outs = [runners[t].run(Tensor(crop.T)) for crop in arr]  # the graph takes channels-first [D,T]
+    return np.stack([s.data[:, 0] for s, _ in outs]), np.stack([x.data for _, x in outs])
+
+
+def video_score(feats: np.ndarray, model: RtfmModel) -> np.ndarray:
+    """Per-snippet scores in [0,1]; a leading crop axis is averaged away in float64."""
+    return _head_forward(feats, model)[0].mean(axis=0, dtype=np.float64)
+
+
+def video_anomaly_score(feats: np.ndarray, model: RtfmModel, k: int = 3) -> float:
+    """Video-level score: mean snippet score over the top-k magnitude snippets."""
+    return _topk_magnitude_score(*_head_forward(feats, model), k)
+
+
+def _topk_magnitude_score(scores: np.ndarray, xs: np.ndarray, k: int) -> float:
+    mags = np.sqrt((xs.astype(np.float64) ** 2).sum(axis=2)).mean(axis=0)
     idx = _topk_indices(mags, min(k, len(mags)))
-    return float(scores[idx].mean())
+    return float(scores.mean(axis=0, dtype=np.float64)[idx].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -380,59 +392,44 @@ def training_auc(result_model: RtfmModel, dataset, k: int = 3) -> float:
     """Video-level ROC-AUC of top-k scores against the dataset labels."""
     from .metrics import roc_auc
 
-    scores = [video_anomaly_score(f, result_model, k=k) for f, _ in dataset]
+    runners: Dict[int, GraphRunner] = {}  # the parameters are fixed for the call: one build per T
+    scores = [_topk_magnitude_score(*_head_forward(f, result_model, runners), k) for f, _ in dataset]
     labels = [y for _, y in dataset]
     return roc_auc(scores, labels)
 
 
-def head_graph(mstn: Optional[MstnConfig] = None, head: Optional[HeadConfig] = None,
-               snippets: int = 32, seed: int = 0):
-    """Compute-graph form of the head (channels-first [D,T] input).
-
-    Parameter shapes mirror the trainable model exactly, so parameter and FLOP
-    accounting agree with what training updates.
-    """
-    from .graphopt import GraphBuilder
-    from .tensor import Tensor
-
-    mstn = mstn or MstnConfig()
-    head = head or HeadConfig()
-    values = init_params(mstn, head, seed=seed)
+def head_graph(model: RtfmModel, snippets: int = 32) -> ComputeGraph:
+    """The model's head as a float32 compute graph: channels-first [D,T]
+    features in; per-snippet scores [T,1] and temporal features [T,out_dim]
+    out. fc weights go in transposed ([O,I], as `linear` takes them)."""
+    mstn = model.mstn
     b = GraphBuilder(f"head-d{mstn.in_dim}")
     x = b.input((mstn.in_dim, snippets), name="features")
 
-    def par(name, arr):
-        return b.param(name, Tensor(np.asarray(arr, dtype=np.float32)))
+    def par(name):
+        v = model.params[name]
+        return b.param(name, Tensor(v.T if name.startswith("fc") and name.endswith("_w") else v))
 
     branches = []
     for i, dil in enumerate(mstn.dilations):
-        t = b.conv1d(x, par(f"pdc{i}_w", values[f"pdc{i}_w"]), dilation=dil)
-        t = b.bias(t, par(f"pdc{i}_b", values[f"pdc{i}_b"]), axis=0)
+        t = b.conv1d(x, par(f"pdc{i}_w"), dilation=dil)
+        t = b.bias(t, par(f"pdc{i}_b"), axis=0)
         branches.append(b.relu(t))
     if mstn.use_tsa:
-        proj = b.conv1d(x, par("tsa_proj_w", values["tsa_proj_w"]), dilation=1)
-        branches.append(
-            b.nonlocal1d(
-                proj,
-                par("tsa_q", values["tsa_q"]),
-                par("tsa_k", values["tsa_k"]),
-                par("tsa_g", values["tsa_g"]),
-                par("tsa_o", values["tsa_o"]),
-                name="tsa",
-            )
-        )
+        proj = b.conv1d(x, par("tsa_proj_w"), dilation=1)
+        branches.append(b.nonlocal1d(proj, par("tsa_q"), par("tsa_k"), par("tsa_g"), par("tsa_o"), name="tsa"))
     cat = b.concat(branches, axis=0)
-    fused = b.conv1d(cat, par("fuse_w", values["fuse_w"]), dilation=1)
-    fused = b.bias(fused, par("fuse_b", values["fuse_b"]), axis=0)
-    t = b.transpose2d(fused)  # [T, out_dim]
-    t = b.linear(t, par("fc1_w", values["fc1_w"].T))
-    t = b.bias(t, par("fc1_b", values["fc1_b"]), axis=-1)
+    fused = b.conv1d(cat, par("fuse_w"), dilation=1)
+    fused = b.bias(fused, par("fuse_b"), axis=0)
+    feats = b.transpose2d(fused)  # [T, out_dim]
+    t = b.linear(feats, par("fc1_w"))
+    t = b.bias(t, par("fc1_b"), axis=-1)
     t = b.relu(t)
-    t = b.linear(t, par("fc2_w", values["fc2_w"].T))
-    t = b.bias(t, par("fc2_b", values["fc2_b"]), axis=-1)
+    t = b.linear(t, par("fc2_w"))
+    t = b.bias(t, par("fc2_b"), axis=-1)
     t = b.relu(t)
-    t = b.linear(t, par("fc3_w", values["fc3_w"].T))
-    t = b.bias(t, par("fc3_b", values["fc3_b"]), axis=-1)
-    t = b.sigmoid(t)
-    b.output(t)
+    t = b.linear(t, par("fc3_w"))
+    t = b.bias(t, par("fc3_b"), axis=-1)
+    b.output(b.sigmoid(t))
+    b.output(feats)
     return b.build()

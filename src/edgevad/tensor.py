@@ -211,11 +211,14 @@ def conv1d_raw(
         raise ShapeError(f"even kernel size k={k}: symmetric same-padding undefined")
     if t < 1:
         raise ShapeError("temporal axis must have extent >= 1")
+    if dilation < 1:  # the strided view below reads in bounds only for dilation >= 1
+        raise ShapeError(f"dilation must be >= 1, got {dilation}")
     half = (k - 1) * dilation // 2
-    xp = np.pad(x, ((0, 0), (half, half)))
-    eff = (k - 1) * dilation + 1
-    win = sliding_window_view(xp, eff, axis=1)[:, :, ::dilation]  # [c,t,k]
-    col = win.transpose(1, 0, 2).reshape(t, c * k)
+    xp = np.zeros((c, t + 2 * half), dtype=x.dtype)
+    xp[:, half:half + t] = x
+    # tap j of output position i reads xp[:, i + j*dilation]; k == 1 stays a transposed view
+    s0, s1 = xp.strides
+    col = as_strided(xp, (t, c, k), (s1, s0, s1 * dilation), writeable=False).reshape(t, c * k)
     y = col @ w.reshape(o, -1).T  # [t,o]
     if b is not None:
         y += b

@@ -266,8 +266,8 @@ def test_criterion_09_accounting():
         g, _ = random_graph(seed)
         assert bench_mod.count_params_flops(g) == recount_oracle(g)
     ext = bench_mod.count_params_flops(build_extractor(full_scale_config(crops=1), seed=0))
-    head = bench_mod.count_params_flops(rtfm.head_graph(rtfm.full_scale_mstn_config(),
-                                                        rtfm.full_scale_head_config()))
+    head = bench_mod.count_params_flops(rtfm.head_graph(rtfm.RtfmModel(rtfm.full_scale_mstn_config(),
+                                                                       rtfm.full_scale_head_config())))
     table = bench_mod.accounting_table(ext, head, crops=10, snippets=32)
     assert "59.301M" in table and "41.733G" in table
     print("\n" + table)

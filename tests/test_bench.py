@@ -149,7 +149,7 @@ class TestMeasure:
 
 def _report(fps, rss, fingerprint="cfg1", optimized=False):
     return BenchReport(
-        fps=fps, frames=100, wall_s=100 / fps, peak_rss_bytes=rss, alloc_peak_bytes=0,
+        fps=fps, frames=100, wall_s=100 / fps, peak_rss_bytes=rss,
         stage_p50_ms={}, stage_p95_ms={}, params=10, flops=20,
         fingerprint=fingerprint, optimized=optimized,
     )

@@ -319,11 +319,69 @@ class TestVideoScore:
         rng = np.random.default_rng(10)
         crops = rng.normal(size=(4, 5, 8))
         got = rtfm.video_score(crops, m)
-        want = np.mean(
-            [rtfm.snippet_scores(m, rtfm.mstn_forward(m, crops[c]), mode="infer") for c in range(4)],
-            axis=0,
-        )
+        want = np.mean([rtfm.video_score(crops[c], m) for c in range(4)], axis=0)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_rejects_other_ranks(self):
+        m = small_model(seed=12)
+        for shape in [(8,), (1, 2, 5, 8)]:
+            with pytest.raises(ValueError, match=r"expected \[T,D\] or \[crops,T,D\]"):
+                rtfm.video_score(np.zeros(shape), m)
+
+    def test_anomaly_score_matches_tape_composition(self):
+        """Graph head vs the tape: same top-k snippets, score within float32
+        error, on every seed whose k-th and (k+1)-th magnitudes are 1e-3 apart."""
+        k, checked = 3, 0
+        for seed in range(12):
+            m = small_model(seed=seed)
+            rng = np.random.default_rng(100 + seed)
+            for name, v in m.params.items():
+                if name.endswith("_b") or name == "tsa_o":  # zero at init; make them count
+                    m.params[name] = rng.normal(scale=0.5, size=v.shape)
+            crops = rng.normal(size=(3, 12, 8)) * rng.uniform(0.5, 3.0, size=(1, 12, 1))
+            xs = [rtfm.mstn_forward(m, c) for c in crops]
+            mags = np.mean([np.sqrt((x ** 2).sum(axis=1)) for x in xs], axis=0)
+            top = np.sort(mags)[::-1]
+            if top[k - 1] - top[k] <= 1e-3:
+                continue
+            checked += 1
+            want_idx = np.argsort(-mags, kind="stable")[:k]
+            scores = np.mean([rtfm.snippet_scores(m, x) for x in xs], axis=0)
+            assert abs(rtfm.video_anomaly_score(crops, m, k=k) - scores[want_idx].mean()) <= 1e-5
+            _, gxs = rtfm._head_forward(crops, m)
+            gmags = np.sqrt((gxs.astype(np.float64) ** 2).sum(axis=2)).mean(axis=0)
+            np.testing.assert_array_equal(np.argsort(-gmags, kind="stable")[:k], want_idx)
+        assert checked >= 8
+
+    def test_inference_never_runs_the_tape(self, monkeypatch):
+        from edgevad.pipeline import run_sequential
+
+        from helpers import tiny_cfg
+
+        data, _ = rtfm.make_magnitude_dataset(n_normal=3, n_abnormal=3, snippets=8, dim=8, seed=4)
+        model = small_model(seed=4)
+
+        def boom(*a, **kw):
+            raise AssertionError("inference ran the autodiff tape")
+
+        monkeypatch.setattr(rtfm, "mstn_forward_var", boom)
+        monkeypatch.setattr(rtfm, "snippet_logits_var", boom)
+        res = run_sequential(tiny_cfg())
+        assert len(res.records) == 4
+        assert 0.0 <= rtfm.training_auc(model, data) <= 1.0
+
+    def test_training_auc_builds_one_head_per_snippet_count(self, monkeypatch):
+        from edgevad.metrics import roc_auc
+
+        data, _ = rtfm.make_magnitude_dataset(n_normal=3, n_abnormal=3, snippets=8, dim=8, seed=5)
+        data += [(f[:6], y) for f, y in data[2:4]]  # a second snippet count
+        model = small_model(seed=5)
+        want = roc_auc([rtfm.video_anomaly_score(f, model, k=2) for f, _ in data], [y for _, y in data])
+        built = []
+        real = rtfm.head_graph
+        monkeypatch.setattr(rtfm, "head_graph", lambda m, t: built.append(t) or real(m, t))
+        assert rtfm.training_auc(model, data, k=2) == want
+        assert sorted(built) == [6, 8]
 
 
 class TestHeadGraph:
@@ -340,16 +398,14 @@ class TestHeadGraph:
                 model.params[name] = rng.normal(scale=0.5, size=v.shape)
         t = 32
         feats = rng.normal(size=(t, model.mstn.in_dim))
-        g = rtfm.head_graph(model.mstn, model.head, snippets=t)
-        g.params.update({
-            name: Tensor(np.asarray(v.T if name.startswith("fc") and name.endswith("_w") else v, np.float32))
-            for name, v in model.params.items()
-        })
+        g = rtfm.head_graph(model, t)
         x = Tensor(feats.T.astype(np.float32))  # the graph takes channels-first [D,T]
-        plain = go.GraphRunner(g).run(x)[0].data
+        plain = [o.data for o in go.GraphRunner(g).run(x)]
         opt, plan = go.optimize(g, do_fuse=True, do_memplan=True)
         assert {"conv1d_bias_relu", "linear_bias_relu"} <= {n.kind for n in opt.nodes}
-        fused = go.GraphRunner(opt, plan).run(x)[0].data
-        want = rtfm.snippet_scores(model, rtfm.mstn_forward(model, feats))
-        np.testing.assert_allclose(plain[:, 0], want, rtol=0, atol=1e-5)
-        np.testing.assert_array_equal(fused, plain)
+        fused = [o.data for o in go.GraphRunner(opt, plan).run(x)]
+        temporal = rtfm.mstn_forward(model, feats)
+        np.testing.assert_allclose(plain[0][:, 0], rtfm.snippet_scores(model, temporal), rtol=0, atol=1e-5)
+        np.testing.assert_allclose(plain[1], temporal, rtol=1e-6, atol=1e-5)
+        for a, b in zip(fused, plain):
+            np.testing.assert_array_equal(a, b)

@@ -266,6 +266,13 @@ class TestConv1dDilated:
         with pytest.raises(ShapeError, match="even kernel"):
             tc.conv1d_dilated(x, w)
 
+    @pytest.mark.parametrize("dilation", [0, -1])
+    def test_nonpositive_dilation_rejected(self, dilation):
+        x = tc.tensor([[1.0, 2.0, 3.0, 4.0, 5.0]])
+        w = tc.tensor([[[1.0, 0.0, 1.0]]])
+        with pytest.raises(ShapeError, match="dilation must be >= 1"):
+            tc.conv1d_dilated(x, w, dilation=dilation)
+
     @pytest.mark.parametrize("dilation", [1, 2, 3])
     def test_delta_kernel_is_identity(self, dilation):
         x = tc.tensor([[1.0, 2.0, 3.0, 4.0, 5.0]])
