@@ -193,14 +193,6 @@ def mean(x) -> Var:
     return out
 
 
-def mean_axis(x, axis: int) -> Var:
-    x = as_var(x)
-    out = Var(np.mean(x.value, axis=axis), (x,))
-    n = x.value.shape[axis]
-    out._bwd = lambda g: x._accum(np.expand_dims(g, axis).repeat(n, axis) / n)
-    return out
-
-
 def gather_rows(x, idx) -> Var:
     """x[idx] on the leading axis; gradient scatters back to the selected rows."""
     x = as_var(x)

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields as dc_fields
+from dataclasses import fields as dc_fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -30,6 +30,8 @@ from .pipeline import (
     PipelineConfig,
     PipelineConfigError,
     PipelineStageError,
+    _build_graph,
+    _resolve_extractor_config,
     run_pipeline,
 )
 from .serialize import save_params
@@ -77,13 +79,18 @@ def _merge(base: Dict, override: Dict) -> Dict:
     return merged
 
 
-def _load_config(args, allowed: set) -> Dict:
-    cfg: Dict = {}
+def _load_config(args, allowed: set, defaults: Dict) -> Dict:
+    """`defaults`, whose keys a config file replaces whole, then `--set`
+    merged in (a dotted key replaces only the value it names)."""
+    cfg = dict(defaults)
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        cfg = json.loads(path.read_text())
+        loaded = json.loads(path.read_text())
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{path}: expected a JSON object")
+        cfg.update(loaded)
     cfg = _merge(cfg, _parse_set(getattr(args, "set", None)))
     unknown = set(cfg) - allowed
     if unknown:
@@ -93,8 +100,7 @@ def _load_config(args, allowed: set) -> Dict:
 
 def _pipeline_config(args) -> PipelineConfig:
     allowed = {f.name for f in dc_fields(PipelineConfig)}
-    cfg = _load_config(args, allowed)
-    cfg.setdefault("source", DEFAULT_SOURCE)
+    cfg = _load_config(args, allowed, {"source": DEFAULT_SOURCE})
     if args.seed is not None:
         cfg["seed"] = args.seed
     if getattr(args, "no_fuse", False):
@@ -119,11 +125,7 @@ def _open_out(path: Optional[str]):
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _pipeline_config(args)
-    except (ConfigError, TypeError, PipelineConfigError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _pipeline_config(args)
     out, close = _open_out(args.out)
     try:
         result = run_pipeline(
@@ -131,12 +133,6 @@ def cmd_run(args) -> int:
             emit=lambda rec: print(rec.to_json(), file=out),
             log=lambda line: print(line, file=sys.stderr),
         )
-    except PipelineConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PipelineStageError as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
     finally:
         if close:
             out.close()
@@ -146,16 +142,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        cfg = _pipeline_config(args)
-    except (ConfigError, TypeError, PipelineConfigError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    from .pipeline import _build_graph  # reuse profile resolution
-
-    base_cfg = PipelineConfig(**{**cfg.echo(), "fuse": False, "fp16": False, "memplan": False})
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    cfg = _pipeline_config(args)
+    base_cfg = replace(cfg, fuse=False, fp16=False, memplan=False)
     opt_cfg = cfg
-    ecfg, base_graph, _ = _build_graph(base_cfg)
+    _, base_graph, _ = _build_graph(base_cfg)
     params, flops = bench_mod.count_params_flops(base_graph)
     fingerprint = f"{base_graph.fingerprint()}-s{cfg.seed}-t{cfg.snippet_count}"
 
@@ -181,13 +173,9 @@ def cmd_bench(args) -> int:
         reports.sort(key=lambda r: r.wall_s)
         return reports[len(reports) // 2]  # median wall time
 
-    try:
-        run_pipeline(opt_cfg)  # warmup: page in kernels and pools
-        opt_report = best_of(opt_cfg, True)
-        base_report = best_of(base_cfg, False)
-    except PipelineStageError as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    run_pipeline(opt_cfg)  # warmup: page in kernels and pools
+    opt_report = best_of(opt_cfg, True)
+    base_report = best_of(base_cfg, False)
     text, csv = bench_mod.compare_with_reference(opt_report, base_report)
     print(text)
     if args.out:
@@ -201,28 +189,17 @@ def cmd_bench(args) -> int:
 
 
 def cmd_train(args) -> int:
-    allowed = {"n_normal", "n_abnormal", "snippets", "dim", "scale", "anomaly_rows",
-               "epochs", "batch_size", "learning_rate", "weight_decay", "k", "margin"}
-    try:
-        cfg = _load_config(args, allowed)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    data_keys = {"n_normal", "n_abnormal", "snippets", "dim", "scale", "anomaly_rows"}
+    train_keys = {f.name for f in dc_fields(rtfm.TrainConfig)} - {"seed"}
+    cfg = _load_config(args, data_keys | train_keys, {"epochs": args.epochs})
     seed = args.seed if args.seed is not None else 0
-    data_kw = {k: cfg[k] for k in ("n_normal", "n_abnormal", "snippets", "dim", "scale", "anomaly_rows") if k in cfg}
-    dataset, _ = rtfm.make_magnitude_dataset(seed=seed, **data_kw)
-    dim = dataset[0][0].shape[1]
-    tc = rtfm.TrainConfig(
-        learning_rate=cfg.get("learning_rate", 0.001),
-        weight_decay=cfg.get("weight_decay", 0.005),
-        batch_size=cfg.get("batch_size", 16),
-        epochs=cfg.get("epochs", args.epochs),
-        k=cfg.get("k", 3),
-        margin=cfg.get("margin", 100.0),
-        seed=seed,
-    )
-    t0 = time.perf_counter()
-    result = rtfm.train(dataset, tc, mstn=rtfm.MstnConfig(in_dim=dim))
+    tc = rtfm.TrainConfig(seed=seed, **{k: v for k, v in cfg.items() if k in train_keys})
+    try:  # the dataset's generator and train check the config's values
+        dataset, _ = rtfm.make_magnitude_dataset(seed=seed, **{k: v for k, v in cfg.items() if k in data_keys})
+        t0 = time.perf_counter()
+        result = rtfm.train(dataset, tc, mstn=rtfm.MstnConfig(in_dim=dataset[0][0].shape[1]))
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     auc = rtfm.training_auc(result.model, dataset, k=tc.k)
     elapsed = time.perf_counter() - t0
     print(f"trained {tc.epochs} epochs in {elapsed:.1f}s; final loss {result.epoch_losses[-1]:.4f}; "
@@ -244,20 +221,17 @@ def cmd_eval(args) -> int:
         records = _read_records(args.records)
         labels = _read_labels(args.labels)
     except (OSError, ValueError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(e)) from e
     by_index = {r["snippet_index"]: r for r in records}
     pairs = [(by_index[i]["score"], y) for i, y in labels.items() if i in by_index]
     if not pairs:
-        print("config error: no overlapping snippet indices between records and labels", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("no overlapping snippet indices between records and labels")
     scores = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
     try:
         auc = roc_auc(scores, ys)
     except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(e)) from e
     detected = video_verdict(records, rule=args.rule, n=args.run_n)
     metrics = {"auc": auc, "n": len(pairs), "detected": detected, "rule": args.rule, "unit": "snippet"}
     out = json.dumps(metrics, indent=1)
@@ -295,14 +269,8 @@ def _read_labels(path) -> Dict[int, int]:
 
 
 def cmd_optimize(args) -> int:
-    try:
-        cfg = _pipeline_config(args)
-        from .pipeline import _resolve_extractor_config
-
-        ecfg = _resolve_extractor_config(cfg.extractor_profile)
-    except (ConfigError, TypeError, PipelineConfigError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _pipeline_config(args)
+    ecfg = _resolve_extractor_config(cfg.extractor_profile)
     graph = build_extractor(ecfg, seed=cfg.seed)
     before_nodes = len(graph.nodes)
     naive_plan = plan_memory(graph)
@@ -324,12 +292,9 @@ def cmd_count(args) -> int:
     if args.profile == "full":
         ecfg = full_scale_config(crops=1)
         mstn, head = rtfm.full_scale_mstn_config(), rtfm.full_scale_head_config()
-    elif args.profile == "desk":
+    else:  # "desk"; argparse rejects any other value
         ecfg = desk_scale_config(crops=1)
         mstn, head = rtfm.MstnConfig(), rtfm.HeadConfig()
-    else:
-        print(f"config error: unknown profile {args.profile!r}", file=sys.stderr)
-        return EXIT_CONFIG
     seed = args.seed if args.seed is not None else 0
     snippets = args.snippets
     eg = build_extractor(ecfg, seed=seed)
@@ -411,7 +376,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_CONFIG
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, PipelineConfigError) as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except PipelineStageError as e:
+        print(f"runtime error: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """End-to-end dataflow: source -> preprocess -> extract -> detect -> records.
 
-`run_pipeline` overlaps the two stages that do the work. `stage_workers`
-preprocess threads take snippet indices and fill clip buffers; the caller's
-own thread extracts each clip as it arrives through one bounded queue. The
-detector needs the whole video's temporal context (dilated convolutions and
-attention span all T snippets), so once the workers are joined the caller
+`run_pipeline` overlaps the two stages that do the work. A pool of
+`stage_workers` preprocess threads fills clip buffers for a bounded window of
+snippets ahead; the caller's own thread extracts the clips in snippet order.
+The detector needs the whole video's temporal context (dilated convolutions
+and attention span all T snippets), so once the pool is shut down the caller
 scores the video once; its latency is recorded amortized per snippet.
 `run_sequential` composes the same modules in a plain loop, and both runs
 give the same records bit for bit.
@@ -18,10 +18,9 @@ import datetime as _dt
 import functools
 import json
 import os
-import queue
-import threading
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -73,21 +72,7 @@ class PipelineConfig:
             raise PipelineConfigError("snippet plan extents must be >= 1")
 
     def echo(self) -> Dict:
-        return {
-            "source": self.source,
-            "threshold": self.threshold,
-            "queue_capacity": self.queue_capacity,
-            "stage_workers": self.stage_workers,
-            "snippet_count": self.snippet_count,
-            "frames_per_snippet": self.frames_per_snippet,
-            "extractor_profile": self.extractor_profile,
-            "seed": self.seed,
-            "head_params": self.head_params,
-            "extractor_params": self.extractor_params,
-            "fuse": self.fuse,
-            "fp16": self.fp16,
-            "memplan": self.memplan,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -148,9 +133,7 @@ def _build_graph(cfg: PipelineConfig):
     graph = build_extractor(ecfg, seed=cfg.seed)
     if cfg.extractor_params:
         load_graph_params(graph, cfg.extractor_params)
-    plan = None
-    if cfg.fuse or cfg.fp16 or cfg.memplan:
-        graph, plan = optimize(graph, do_fuse=cfg.fuse, do_fp16=cfg.fp16, do_memplan=cfg.memplan)
+    graph, plan = optimize(graph, do_fuse=cfg.fuse, do_fp16=cfg.fp16, do_memplan=cfg.memplan)
     return ecfg, graph, plan
 
 
@@ -298,10 +281,12 @@ def run_pipeline(
 ) -> PipelineResult:
     """Pipelined execution; every snippet yields exactly one ScoreRecord.
 
-    The preprocess workers are the only threads; the caller's thread extracts
-    each clip as it arrives, then scores the video and emits the records.
-    Those threads own the CPUs: while they run, OpenBLAS gets only the CPUs
-    the preprocess workers leave free (see `_blas_pool`)."""
+    The preprocess pool's workers are the only threads; the caller's thread
+    extracts the clips in snippet order, then scores the video and emits the
+    records. Those threads own the CPUs: while they run, OpenBLAS gets only
+    the CPUs the preprocess workers leave free (see `_blas_pool`). Whether the
+    run ends, fails or is interrupted, the snippets not yet started are
+    cancelled and the workers joined before it returns."""
     t_start = time.perf_counter()
     video, graph, plan, model, snips = _startup(cfg)
     runner = GraphRunner(graph, plan)
@@ -309,90 +294,47 @@ def run_pipeline(
     n = snips.snippet_count
 
     # Clip buffers, allocated and written once up front: one per clip that can
-    # be alive at a time (queued, in the extractor's hands, or being built by a
-    # preprocess worker). The pipeline's footprint is then the same on every
-    # run, whichever stage is faster, and no snippet allocates a clip.
-    free_clips: "queue.Queue" = queue.Queue()
-    for _ in range(min(cfg.queue_capacity + 1 + cfg.stage_workers, n)):
-        free_clips.put(_clip_buffer(cfg))
-    todo: "queue.SimpleQueue" = queue.SimpleQueue()
-    for i in range(n):
-        todo.put(i)
-    ready: "queue.Queue" = queue.Queue(maxsize=cfg.queue_capacity)  # clips, and None per ended worker
-    stop = threading.Event()
-    errors: List[Tuple[str, BaseException]] = []
+    # be alive at a time (being extracted, built and waiting, or being built).
+    # The pipeline's footprint is then the same on every run, whichever stage
+    # is faster, and no snippet allocates a clip. Snippet i fills clip i % ahead
+    # and is submitted only once snippet i - ahead has been extracted, so a
+    # buffer is never refilled while the extractor may still read it.
+    clips = [_clip_buffer(cfg) for _ in range(min(cfg.queue_capacity + 1 + cfg.stage_workers, n))]
+    ahead = len(clips)
 
-    def preprocess_worker() -> None:
-        i = None
-        try:
-            # An index is taken before a buffer, so a worker that finds none
-            # left ends without holding a buffer a sibling may wait for.
-            while not stop.is_set():
-                try:
-                    i = todo.get_nowait()
-                except queue.Empty:
-                    return
-                buf = free_clips.get()
-                if buf is None:  # woken by halt()
-                    return
-                t0 = time.perf_counter()
-                batch = preprocess_snippet(video, snips, i, consts, out=buf)
-                ready.put((i, buf, batch, (time.perf_counter() - t0) * 1e3))
-        except BaseException as e:  # raised again on the caller's thread
-            errors.append((f"stage 'preprocess' failed: snippet {i}: {e}", e))
-        finally:
-            ready.put(None)
+    def build(i: int):
+        t0 = time.perf_counter()
+        batch = preprocess_snippet(video, snips, i, consts, out=clips[i % ahead])
+        return batch, (time.perf_counter() - t0) * 1e3
 
-    workers = [
-        threading.Thread(target=preprocess_worker, name=f"preprocess-{w}") for w in range(cfg.stage_workers)
-    ]
-
-    def halt() -> None:
-        """Stop the workers; one waiting for a free clip gets None instead."""
-        if not stop.is_set():
-            stop.set()
-            for _ in workers:
-                free_clips.put(None)
-
-    rows: List[Optional[np.ndarray]] = [None] * n
-    latencies: List[Optional[Dict[str, float]]] = [None] * n
+    rows: List[np.ndarray] = []
+    latencies: List[Dict[str, float]] = []
     clips_high_water = 0
     with _blas_pool(cfg) as blas:
-        for t in workers:
-            t.start()
-        ended = 0
+        pool = ThreadPoolExecutor(cfg.stage_workers, thread_name_prefix="preprocess")
         try:
-            while ended < len(workers):
-                item = ready.get()
-                if item is None:
-                    ended += 1
-                elif not stop.is_set():  # after a failure, only drain
-                    i, buf, batch, pre_ms = item
-                    t0 = time.perf_counter()
-                    try:
-                        rows[i] = runner.run(batch.data)[0].data  # [crops, D]
-                    except Exception as e:
-                        errors.append((f"stage 'extract' failed: snippet {i}: {e}", e))
-                    ext_ms = (time.perf_counter() - t0) * 1e3
-                    # clips resident: this one and those queued behind it;
-                    # a worker's end marker is not a clip
-                    with ready.mutex:
-                        queued = sum(item is not None for item in ready.queue)
-                    clips_high_water = max(clips_high_water, queued + 1)
-                    free_clips.put(buf)
-                    latencies[i] = {"preprocess": pre_ms, "extract": ext_ms}
-                if errors:
-                    halt()
+            futures = [pool.submit(build, i) for i in range(ahead)]
+            for i in range(n):
+                try:
+                    batch, pre_ms = futures[i].result()
+                except Exception as e:
+                    raise PipelineStageError(f"stage 'preprocess' failed: snippet {i}: {e}") from e
+                t0 = time.perf_counter()
+                try:
+                    rows.append(runner.run(batch.data)[0].data)  # [crops, D]
+                except Exception as e:
+                    raise PipelineStageError(f"stage 'extract' failed: snippet {i}: {e}") from e
+                ext_ms = (time.perf_counter() - t0) * 1e3
+                # clips resident: this one and those built among the next
+                # queue_capacity snippets
+                built = sum(f.done() for f in futures[i + 1 : i + 1 + cfg.queue_capacity])
+                clips_high_water = max(clips_high_water, built + 1)
+                latencies.append({"preprocess": pre_ms, "extract": ext_ms})
+                if i + ahead < n:
+                    futures.append(pool.submit(build, i + ahead))
         finally:
-            if ended < len(workers):  # the caller raised: stop the workers and drain
-                halt()
-                while ended < len(workers):
-                    ended += ready.get() is None
-            for t in workers:
-                t.join()
-        if errors:
-            msg, exc = errors[0]
-            raise PipelineStageError(msg) from exc
+            # a worker finishes at most the snippet it holds
+            pool.shutdown(cancel_futures=True)
         try:
             feats, records = _score(cfg, model, snips, rows, latencies)
             for rec in records:

@@ -93,6 +93,15 @@ class TestRun:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_set_source_key_keeps_default_source(self, tmp_path):
+        # a dotted --set changes one key of the default source, not all of it
+        summary = tmp_path / "summary.json"
+        code = main(["run", "--out", str(tmp_path / "r.jsonl"), "--summary", str(summary),
+                     "--set", "source.frames=64", "--set", f"extractor_profile={json.dumps(TINY_PROFILE)}",
+                     "--set", "snippet_count=3", "--set", "frames_per_snippet=4"])
+        assert code == 0
+        assert json.loads(summary.read_text())["frames"] == 64
+
 
 class TestEval:
     def _records(self, tmp_path, scores):
@@ -148,6 +157,25 @@ class TestTrain:
         code = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "r.jsonl"),
                      "--set", f'head_params={json.dumps(str(out))}'])
         assert code == 0
+
+
+class TestConfigErrorsExit2:
+    """Every subcommand reports a config error on stderr and exits 2."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--set", "source.kind=ppm_dir", "--set", "source.path=/nonexistent"],
+        ["--repeats", "0"],
+    ])
+    def test_bench(self, tiny_config, tmp_path, capsys, flags):
+        assert main(["bench", "--config", str(tiny_config), "--out", str(tmp_path / "b.json"), *flags]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["epochs=0", "k=100", "anomaly_rows=9"])
+    def test_train(self, capsys, setting):
+        code = main(["train", "--epochs", "1", "--set", "n_normal=4", "--set", "n_abnormal=4",
+                     "--set", "snippets=8", "--set", "dim=8", "--set", setting])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestOptimizeAndCount:

@@ -65,8 +65,8 @@ class TestScoreRecordInvariants:
 
 class TestBoundary:
     def test_sentinel_bypasses_gauge(self, monkeypatch):
-        # a worker's end marker is not a clip: with one snippet, the marker
-        # is queued while the extractor holds the only clip
+        # with one snippet, nothing is built behind the clip being extracted,
+        # so the gauge counts that clip alone
         monkeypatch.setattr(pl, "GraphRunner", SlowRunner)
         cfg = tiny_cfg(snippets=1, queue_capacity=2)
         assert run_pipeline(cfg).boundary_high_water["clips"] == 1
@@ -168,6 +168,32 @@ class TestPipelineRuns:
         multi = run_pipeline(tiny_cfg(frames=60, snippets=6, stage_workers=3))
         assert [r.snippet_index for r in multi.records] == list(range(6))
         assert [r.score for r in multi.records] == [r.score for r in one.records]
+
+    def test_extraction_in_snippet_order(self, monkeypatch):
+        # snippet 0 is built last, yet the runner sees the clips in snippet
+        # order: a clip buffer is refilled only after its last snippet ran
+        filled = {}
+        real = pl.preprocess_snippet
+
+        def spy(video, snips, i, *args, out=None, **kw):
+            if i == 0:
+                time.sleep(0.3)
+            batch = real(video, snips, i, *args, out=out, **kw)
+            filled[out.__array_interface__["data"][0]] = i
+            return batch
+
+        seen = []
+
+        class RecordingRunner(GraphRunner):
+            def run(self, x, *args, **kw):
+                seen.append(filled[x.data.__array_interface__["data"][0]])
+                return super().run(x, *args, **kw)
+
+        monkeypatch.setattr(pl, "preprocess_snippet", spy)
+        monkeypatch.setattr(pl, "GraphRunner", RecordingRunner)
+        res = run_pipeline(tiny_cfg(frames=60, snippets=6, stage_workers=3))
+        assert seen == list(range(6))
+        assert [r.snippet_index for r in res.records] == list(range(6))
 
     def test_extractor_params_path_round_trip(self, tmp_path):
         from edgevad.extractor import build_extractor
