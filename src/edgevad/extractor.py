@@ -149,13 +149,26 @@ def _nonlocal_unit(b, p, x, prefix, channels):
     return b.nonlocal3d(x, wt, wp, wg, wo, name=prefix)
 
 
-def build_extractor(config: ExtractorConfig, seed: int = 0) -> ComputeGraph:
-    """Assemble the extractor compute graph, ending in global average pooling."""
+def build_extractor(
+    config: ExtractorConfig, seed: int = 0, clip_hw: Optional[Tuple[int, int]] = None
+) -> ComputeGraph:
+    """Assemble the extractor compute graph, ending in global average pooling.
+
+    Its input is the [crops, C, frames, spatial, spatial] crops, or, given
+    `clip_hw`, one uncropped [C, frames, H, W] clip followed by a `ten_crop`
+    node (which needs `crops == 10`). The parameters are the same either way.
+    """
     config.validate()
     rng = np.random.default_rng(seed)
     b = GraphBuilder(config.name)
     p = _ParamInit(b, rng)
-    x = b.input(config.input_shape, name="clips")
+    if clip_hw is None:
+        x = b.input(config.input_shape, name="clips")
+    else:
+        if config.crops != 10:
+            raise ValueError(f"config {config.name}: an uncropped clip input needs crops=10, got {config.crops}")
+        x = b.input((config.in_channels, config.frames) + tuple(clip_hw), name="clip")
+        x = b.ten_crop(x, config.spatial, name="ten_crop")
     cur = _conv_unit(
         b, p, x, "stem", config.in_channels, config.stem_channels,
         config.stem_kernel, config.stem_stride, config.stem_pad,

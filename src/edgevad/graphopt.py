@@ -2,7 +2,8 @@
 
 A ComputeGraph is a static single-producer DAG of kernel nodes over tensor ids.
 Three passes mirror a deployment-engine builder: operator fusion
-(conv/linear -> bias -> relu chains collapse to one node), precision lowering
+(conv/linear -> bias -> relu chains collapse to one node, and a convolution
+reads the ten crops of its clip in place), precision lowering
 to emulated binary16, and static memory planning (lifetime analysis plus greedy
 best-fit offset assignment into one arena). Passes are pure graph -> graph
 functions and never change execution results beyond the documented F16 rounding.
@@ -24,12 +25,14 @@ from .tensor import (
     Tensor,
     conv1d_raw,
     conv3d_raw,
+    conv3d_ten_crop_raw,
     conv3d_workspace_elems,
     linear_raw,
     maxpool3d_raw,
     nonlocal_raw,
     round_f16,
 )
+from .videopre import ten_crop
 
 
 class GraphError(ValueError):
@@ -72,13 +75,6 @@ class ComputeGraph:
     meta: Dict[str, TensorMeta]
     params: Dict[str, Tensor]
     name: str = "graph"
-
-    def consumers(self) -> Dict[str, List[int]]:
-        cons: Dict[str, List[int]] = {t: [] for t in self.meta}
-        for i, n in enumerate(self.nodes):
-            for t in n.inputs:
-                cons[t].append(i)
-        return cons
 
     def validate(self) -> None:
         produced = set(self.inputs)
@@ -195,9 +191,14 @@ class OpSpec:
     # (input shapes, output shape, attrs, param shapes) -> scratch floats; the runner allocates the max
     workspace: Callable = lambda xs, out, a, ps: 0
     bias_axis: Optional[int] = None
+    # (the uncropped clip, param arrays, attrs with the crop "size", out, workspace)
+    # -> the kind's result on ten_crop of the clip; fuse() folds `ten_crop -> kind`
+    # into `ten_crop_<kind>`, an entry derived from this one
+    crop_run: Optional[Callable] = None
 
 
 FUSED_SUFFIX = "_bias_relu"
+CROP_PREFIX = "ten_crop_"
 
 
 def _channels(c: int, cw: int) -> None:
@@ -225,9 +226,24 @@ def _conv3d(xs, p, a, out, ws, relu=False):
                       relu=relu, out=out, workspace=ws)
 
 
+def _conv3d_ten_crop(xs, p, a, out, ws, relu=False):
+    return conv3d_ten_crop_raw(xs[0], p["w"], p.get("b"), a["stride"], a["pad"], a.get("dilation", (1, 1, 1)),
+                               a["size"], relu=relu, out=out, workspace=ws)
+
+
 def _conv3d_workspace(xs, out, a, ps):
     w = ps["w"]
     return conv3d_workspace_elems(xs[0], out, w[1], w[2:], a["pad"])
+
+
+def _ten_crop_shape(xs, a, ps):
+    if len(xs[0]) != 4:
+        raise GraphError(f"ten_crop input must be a 4-D [C,L,H,W] clip, got {tuple(xs[0])}")
+    c, d, h, w = xs[0]
+    size = a["size"]
+    if h < size or w < size:
+        raise GraphError(f"ten_crop: clip extent {h}x{w} smaller than crop {size}")
+    return (10, c, d, size, size)
 
 
 def _conv1d_shape(xs, a, ps):
@@ -328,7 +344,9 @@ def _concat_shape(xs, a, ps):
 
 
 OPS: Dict[str, OpSpec] = {
-    "conv3d": OpSpec(_conv3d_shape, _conv3d, _weight_macs, _conv3d_workspace, bias_axis=1),
+    "conv3d": OpSpec(_conv3d_shape, _conv3d, _weight_macs, _conv3d_workspace, bias_axis=1,
+                     crop_run=_conv3d_ten_crop),
+    "ten_crop": OpSpec(_ten_crop_shape, lambda xs, p, a, out, ws: ten_crop(xs[0], a["size"], out=out)),
     "conv1d": OpSpec(_conv1d_shape, _conv1d, _weight_macs, bias_axis=0),
     "linear": OpSpec(_linear_shape, _linear, _weight_macs, bias_axis=-1),
     "bias_add": OpSpec(_bias_shape, _bias_add),
@@ -347,10 +365,28 @@ OPS: Dict[str, OpSpec] = {
 }
 # fused kinds: the base entry with the bias and ReLU folded into its kernel call
 OPS.update({
-    kind + FUSED_SUFFIX: replace(spec, run=partial(spec.run, relu=True), bias_axis=None)
+    kind + FUSED_SUFFIX: replace(
+        spec, run=partial(spec.run, relu=True), bias_axis=None,
+        crop_run=spec.crop_run and partial(spec.crop_run, relu=True),
+    )
     for kind, spec in OPS.items()
     if spec.bias_axis is not None
 })
+
+
+def _crop_fed(spec: OpSpec) -> OpSpec:
+    """`spec` reading the ten crops of its [C,L,H,W] input in place."""
+    crops = OPS["ten_crop"].shape
+    return OpSpec(
+        shape=lambda xs, a, ps: spec.shape([crops(xs, a, ps)], a, ps),
+        run=spec.crop_run,
+        macs=spec.macs,
+        workspace=lambda xs, out, a, ps: spec.workspace([crops(xs, a, ps)], out, a, ps),
+    )
+
+
+# crop-fed kinds: `ten_crop -> kind` as one node that never writes the crops
+OPS.update({CROP_PREFIX + kind: _crop_fed(spec) for kind, spec in OPS.items() if spec.crop_run is not None})
 
 
 def op_spec(kind: str) -> OpSpec:
@@ -417,6 +453,9 @@ class GraphBuilder:
     def conv3d(self, x, w_name, stride=(1, 1, 1), pad=(0, 0, 0), dilation=(1, 1, 1), name=None):
         return self.op("conv3d", [x], {"stride": tuple(stride), "pad": tuple(pad), "dilation": tuple(dilation)}, {"w": w_name}, name)
 
+    def ten_crop(self, x, size, name=None):
+        return self.op("ten_crop", [x], {"size": int(size)}, name=name)
+
     def conv1d(self, x, w_name, dilation=1, name=None):
         return self.op("conv1d", [x], {"dilation": int(dilation)}, {"w": w_name}, name)
 
@@ -473,17 +512,27 @@ class GraphBuilder:
 # pass 1: operator fusion
 # ---------------------------------------------------------------------------
 
+def _sole_consumers(nodes: List[Node], outputs: Sequence[str]) -> Dict[str, int]:
+    """Tensor id -> index of the one node reading it, for the tensors that
+    exactly one node reads and that are not graph outputs."""
+    readers: Dict[str, List[int]] = {}
+    for i, n in enumerate(nodes):
+        for t in n.inputs:
+            readers.setdefault(t, []).append(i)
+    return {t: c[0] for t, c in readers.items() if len(c) == 1 and t not in outputs}
+
+
 def fuse(graph: ComputeGraph) -> ComputeGraph:
     """Collapse `kind -> bias_add -> relu` chains, where `kind` has a bias axis
     in the op table and the intermediates have a single consumer, into one
-    `<kind>_bias_relu` node. Semantics preserved bitwise in F32."""
-    cons = graph.consumers()
-    out_set = set(graph.outputs)
+    `<kind>_bias_relu` node. Then fold each `ten_crop` whose sole consumer's
+    kind has a crop-fed entry into that consumer, a `ten_crop_<kind>` node
+    that reads the crops in place. Semantics preserved bitwise in F32."""
+    sole = _sole_consumers(graph.nodes, graph.outputs)
 
     def sole_consumer(t: str, kind: str) -> Optional[int]:
-        c = cons.get(t, [])
-        ok = len(c) == 1 and t not in out_set and graph.nodes[c[0]].kind == kind
-        return c[0] if ok else None
+        c = sole.get(t)
+        return c if c is not None and graph.nodes[c].kind == kind else None
 
     skip = set()
     new_nodes: List[Node] = []
@@ -509,6 +558,22 @@ def fuse(graph: ComputeGraph) -> ComputeGraph:
                     params={"w": n.params["w"], "b": nb.params["b"]},
                 )
         new_nodes.append(n)
+    sole = _sole_consumers(new_nodes, graph.outputs)
+    crops: Dict[str, Node] = {}  # crop tensor -> its ten_crop node, folded into the reader
+    folded: List[Node] = []
+    for n in new_nodes:
+        reader = new_nodes[sole[n.output]] if n.output in sole else None
+        if n.kind == "ten_crop" and reader is not None and reader.inputs[0] == n.output \
+                and CROP_PREFIX + reader.kind in OPS:
+            crops[n.output] = n
+            dead_tensors.add(n.output)
+            continue
+        if n.inputs and n.inputs[0] in crops:
+            c = crops.pop(n.inputs[0])
+            n = replace(n, name=f"{n.name}+{c.name}", kind=CROP_PREFIX + n.kind,
+                        inputs=c.inputs + n.inputs[1:], attrs={**n.attrs, **c.attrs})
+        folded.append(n)
+    new_nodes = folded
     meta = {t: m for t, m in graph.meta.items() if t not in dead_tensors}
     g = ComputeGraph(new_nodes, list(graph.inputs), list(graph.outputs), meta, dict(graph.params), graph.name)
     g.validate()

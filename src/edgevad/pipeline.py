@@ -17,10 +17,12 @@ import ctypes
 import datetime as _dt
 import functools
 import json
+import numbers
 import os
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -30,7 +32,8 @@ from .extractor import ExtractorConfig, build_extractor, desk_scale_config, full
 from .graphopt import GraphRunner, optimize
 from .serialize import load_graph_params, load_params
 from .sources import load_video_source
-from .videopre import CROP_SIZE, NormConstants, SnippetPlan, preprocess_snippet, segment_snippets
+from .tensor import Tensor
+from .videopre import NormConstants, SnippetPlan, prepare_clip, resized_extent, segment_snippets
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,6 +48,16 @@ class PipelineStageError(RuntimeError):
     pass
 
 
+def _admitted(hint) -> Tuple[tuple, str]:
+    """The runtime types a field annotation admits, and their names. An int
+    field takes any integral number and a float field any real number."""
+    members = typing.get_args(hint) if typing.get_origin(hint) is Union else (hint,)
+    args = [typing.get_origin(a) or a for a in members]  # Dict -> dict
+    runtime = {int: numbers.Integral, float: numbers.Real}
+    names = " or ".join("None" if a is type(None) else a.__name__ for a in args)
+    return tuple(runtime.get(a, a) for a in args), names
+
+
 @dataclass
 class PipelineConfig:
     source: Dict
@@ -53,7 +66,7 @@ class PipelineConfig:
     stage_workers: int = 1  # preprocess-stage parallelism; other stages stay single
     snippet_count: int = 32
     frames_per_snippet: int = 16
-    extractor_profile: Union[str, Dict] = "desk"  # "desk" | "full" | ExtractorConfig kwargs
+    extractor_profile: Union[str, Dict, ExtractorConfig] = "desk"  # "desk" | "full" | ExtractorConfig (kwargs)
     seed: int = 0
     head_params: Optional[str] = None       # serialized head parameter path
     extractor_params: Optional[str] = None  # serialized extractor parameter path
@@ -62,6 +75,11 @@ class PipelineConfig:
     memplan: bool = True
 
     def validate(self) -> None:
+        hints = typing.get_type_hints(PipelineConfig)
+        for f in fields(self):  # before the comparisons below, which assume the types
+            value, (types, names) = getattr(self, f.name), _admitted(hints[f.name])
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise PipelineConfigError(f"{f.name} must be {names}, got {type(value).__name__} {value!r}")
         if self.queue_capacity < 1:
             raise PipelineConfigError("queue_capacity must be >= 1")
         if self.stage_workers < 1:
@@ -128,9 +146,11 @@ def _resolve_extractor_config(profile) -> ExtractorConfig:
     raise PipelineConfigError(f"unknown extractor profile {profile!r}")
 
 
-def _build_graph(cfg: PipelineConfig):
+def _build_graph(cfg: PipelineConfig, clip_hw: Optional[Tuple[int, int]] = None):
+    """The optimized extractor: on [crops,3,L,s,s] crops, or, given the
+    clips' (H,W), on one uncropped [3,L,H,W] clip (see build_extractor)."""
     ecfg = _resolve_extractor_config(cfg.extractor_profile)
-    graph = build_extractor(ecfg, seed=cfg.seed)
+    graph = build_extractor(ecfg, seed=cfg.seed, clip_hw=clip_hw)
     if cfg.extractor_params:
         load_graph_params(graph, cfg.extractor_params)
     graph, plan = optimize(graph, do_fuse=cfg.fuse, do_fp16=cfg.fp16, do_memplan=cfg.memplan)
@@ -226,24 +246,33 @@ def _blas_pool(cfg: PipelineConfig):
         set_fn(old)
 
 
-def _clip_buffer(cfg: PipelineConfig) -> np.ndarray:
-    """One [10,3,L,224,224] clip for preprocess_snippet(..., out=), written
+def _clip_buffer(cfg: PipelineConfig, clip_hw: Tuple[int, int]) -> np.ndarray:
+    """One uncropped [3,L,H,W] clip for prepare_clip(..., out=), written
     once so that its pages are resident before the first snippet."""
-    buf = np.empty((10, 3, cfg.frames_per_snippet, CROP_SIZE, CROP_SIZE), dtype=np.float32)
+    buf = np.empty((3, cfg.frames_per_snippet) + tuple(clip_hw), dtype=np.float32)
     buf.fill(0.0)
     return buf
 
 
+def _frozen(clip: np.ndarray) -> Tensor:
+    """The clip as the graph's input: Tensor freezes the array it is given,
+    so it gets a view and the buffer stays writable for the next snippet."""
+    return Tensor(clip.view())
+
+
 def _startup(cfg: PipelineConfig):
+    """The source, the extractor on its uncropped clips, the head and the
+    snippet plan; also the clips' (H,W)."""
     cfg.validate()
     try:
         video = load_video_source(cfg.source)
-        ecfg, graph, plan = _build_graph(cfg)
+        clip_hw = resized_extent(*video.frames[0].shape[:2])
+        ecfg, graph, plan = _build_graph(cfg, clip_hw)
         model = _load_model(cfg, ecfg.output_dim)
     except (PipelineConfigError, ValueError, OSError) as e:
         raise PipelineConfigError(str(e)) from e
     snips = segment_snippets(video, cfg.snippet_count, cfg.frames_per_snippet)
-    return video, graph, plan, model, snips
+    return video, graph, plan, model, snips, clip_hw
 
 
 def _score(
@@ -288,7 +317,7 @@ def run_pipeline(
     run ends, fails or is interrupted, the snippets not yet started are
     cancelled and the workers joined before it returns."""
     t_start = time.perf_counter()
-    video, graph, plan, model, snips = _startup(cfg)
+    video, graph, plan, model, snips, clip_hw = _startup(cfg)
     runner = GraphRunner(graph, plan)
     consts = NormConstants()
     n = snips.snippet_count
@@ -299,13 +328,14 @@ def run_pipeline(
     # is faster, and no snippet allocates a clip. Snippet i fills clip i % ahead
     # and is submitted only once snippet i - ahead has been extracted, so a
     # buffer is never refilled while the extractor may still read it.
-    clips = [_clip_buffer(cfg) for _ in range(min(cfg.queue_capacity + 1 + cfg.stage_workers, n))]
+    # The clips are uncropped; the extractor graph cuts the ten crops.
+    clips = [_clip_buffer(cfg, clip_hw) for _ in range(min(cfg.queue_capacity + 1 + cfg.stage_workers, n))]
     ahead = len(clips)
 
     def build(i: int):
         t0 = time.perf_counter()
-        batch = preprocess_snippet(video, snips, i, consts, out=clips[i % ahead])
-        return batch, (time.perf_counter() - t0) * 1e3
+        clip = prepare_clip(video, snips, i, consts, out=clips[i % ahead])
+        return clip, (time.perf_counter() - t0) * 1e3
 
     rows: List[np.ndarray] = []
     latencies: List[Dict[str, float]] = []
@@ -316,12 +346,12 @@ def run_pipeline(
             futures = [pool.submit(build, i) for i in range(ahead)]
             for i in range(n):
                 try:
-                    batch, pre_ms = futures[i].result()
+                    clip, pre_ms = futures[i].result()
                 except Exception as e:
                     raise PipelineStageError(f"stage 'preprocess' failed: snippet {i}: {e}") from e
                 t0 = time.perf_counter()
                 try:
-                    rows.append(runner.run(batch.data)[0].data)  # [crops, D]
+                    rows.append(runner.run(_frozen(clip))[0].data)  # [crops, D]
                 except Exception as e:
                     raise PipelineStageError(f"stage 'extract' failed: snippet {i}: {e}") from e
                 ext_ms = (time.perf_counter() - t0) * 1e3
@@ -348,6 +378,9 @@ def run_pipeline(
     elapsed = time.perf_counter() - t_start
     frames = video.frame_count
     summary = _summary(cfg, frames, records, elapsed, blas)
+    clip_mib = clips[0].nbytes / 2 ** 20
+    summary["clip_buffer_mib"] = round(ahead * clip_mib, 3)
+    summary["clips_high_water_mib"] = round(clips_high_water * clip_mib, 3)
     if log is not None:
         log(
             f"summary frames={frames} snippets={len(records)} elapsed_s={elapsed:.3f} "
@@ -359,15 +392,14 @@ def run_pipeline(
 def run_sequential(cfg: PipelineConfig) -> PipelineResult:
     """Non-pipelined reference: the same modules composed in a plain loop."""
     t_start = time.perf_counter()
-    video, graph, plan, model, snips = _startup(cfg)
+    video, graph, plan, model, snips, clip_hw = _startup(cfg)
     runner = GraphRunner(graph, plan)
     consts = NormConstants()
-    clip = _clip_buffer(cfg)  # reused: the runner's outputs never alias its input
+    clip = _clip_buffer(cfg, clip_hw)  # reused: the runner's outputs never alias its input
     rows = []
     with _blas_pool(cfg) as blas:  # the pipeline's count, so its GEMMs sum alike
         for i in range(snips.snippet_count):
-            batch = preprocess_snippet(video, snips, i, consts, out=clip)
-            rows.append(runner.run(batch.data)[0].data)
+            rows.append(runner.run(_frozen(prepare_clip(video, snips, i, consts, out=clip)))[0].data)
         feats, records = _score(cfg, model, snips, rows)
     summary = _summary(cfg, video.frame_count, records, time.perf_counter() - t_start, blas)
     return PipelineResult(records, summary, {}, feats)

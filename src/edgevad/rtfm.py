@@ -373,6 +373,8 @@ def make_magnitude_dataset(
     Returns (dataset, planted) where planted[i] is the row-index array for
     abnormal videos and None for normal ones; those labels are the oracle.
     """
+    if not 1 <= anomaly_rows <= snippets:
+        raise ValueError(f"anomaly_rows must lie in [1, snippets={snippets}], got {anomaly_rows}")
     rng = np.random.default_rng(seed)
     dataset, planted = [], []
     for _ in range(n_normal):

@@ -102,6 +102,74 @@ def conv3d_workspace_elems(in_shape: tuple, out_shape: tuple, c: int, kernel: tu
     return padded + c * int(np.prod(kernel)) * od * oh * ow
 
 
+def _conv3d_setup(x_shape: tuple, w: np.ndarray, b: Optional[np.ndarray], stride: tuple, pad: tuple,
+                  dilation: tuple, out: Optional[np.ndarray], workspace: Optional[np.ndarray]):
+    """Checks a conv3d call on input of shape `x_shape` [N,C,D,H,W] and cuts
+    its buffers: (out, the zeroed padded item and the view of its interior,
+    both None without padding, the column buffer, the weight as [O,K])."""
+    if len(x_shape) != 5:
+        raise ShapeError(f"conv3d input must be 5-D [N,C,D,H,W], got {len(x_shape)}-D")
+    if w.ndim != 5:
+        raise ShapeError(f"conv3d weight must be 5-D [O,C,kd,kh,kw], got {w.ndim}-D")
+    n, c, d, h, wid = x_shape
+    o, cw, kd, kh, kw = w.shape
+    if c != cw:
+        raise ShapeError(f"channel axis mismatch: input C={c} vs weight C={cw}")
+    if b is not None and b.shape != (o,):
+        raise ShapeError(f"bias axis mismatch: expected ({o},), got {b.shape}")
+    sd, sh, sw = stride
+    pd, ph, pw = pad
+    dd, dh, dw = dilation
+    ed, eh, ew = (kd - 1) * dd + 1, (kh - 1) * dh + 1, (kw - 1) * dw + 1
+    od = (d + 2 * pd - ed) // sd + 1
+    oh = (h + 2 * ph - eh) // sh + 1
+    ow = (wid + 2 * pw - ew) // sw + 1
+    for axis, extent in (("depth", od), ("height", oh), ("width", ow)):
+        if extent < 1:
+            raise ShapeError(f"conv3d output {axis} axis collapses to {extent} (< 1)")
+    rows, cols = od * oh * ow, c * kd * kh * kw
+    padded = (c, d + 2 * pd, h + 2 * ph, wid + 2 * pw) if (pd or ph or pw) else None
+    pad_elems = int(np.prod(padded)) if padded else 0
+    if workspace is None:
+        workspace = np.empty(pad_elems + rows * cols, dtype=np.float32)
+    elif workspace.size < pad_elems + rows * cols:
+        raise ShapeError(f"conv3d workspace holds {workspace.size} floats, needs {pad_elems + rows * cols}")
+    if out is None:
+        out = np.empty((n, o, od, oh, ow), dtype=np.float32)
+    elif out.shape != (n, o, od, oh, ow) or not out.flags.c_contiguous:
+        raise ShapeError(f"conv3d out must be C-contiguous {(n, o, od, oh, ow)}, got {out.shape}")
+    xp = interior = None
+    if padded:
+        xp = workspace[:pad_elems].reshape(padded)
+        xp.fill(0.0)  # the border stays zero; each item overwrites only the interior
+        interior = xp[:, pd:pd + d, ph:ph + h, pw:pw + wid]
+    col = workspace[pad_elems:pad_elems + rows * cols].reshape(c, kd, kh, kw, od, oh, ow)
+    return out, xp, interior, col, w.reshape(o, cols)  # K runs (c,kd,kh,kw), as col's rows do
+
+
+def _conv3d_item(src, col, wmat, y, stride, dilation, b, relu) -> None:
+    """One batch item: every tap of `src` [C,D,H,W] (already padded) into the
+    column buffer, then the GEMM into y [O, od*oh*ow], bias and ReLU in place."""
+    c, kd, kh, kw, od, oh, ow = col.shape
+    sd, sh, sw = stride
+    dd, dh, dw = dilation
+    # every tap of every output position as one read-only strided view:
+    # tap (a,e,f) of output (z,y,x) reads src[:, a*dd + z*sd, e*dh + y*sh, f*dw + x*sw]
+    s_c, s_d, s_h, s_w = src.strides
+    taps = as_strided(
+        src,
+        shape=col.shape,
+        strides=(s_c, s_d * dd, s_h * dh, s_w * dw, s_d * sd, s_h * sh, s_w * sw),
+        writeable=False,
+    )
+    np.copyto(col, taps)
+    np.matmul(wmat, col.reshape(c * kd * kh * kw, od * oh * ow), out=y)
+    if b is not None:
+        y += b[:, None]
+    if relu:
+        np.maximum(y, 0.0, out=y)
+
+
 def conv3d_raw(
     x: np.ndarray,
     w: np.ndarray,
@@ -129,64 +197,61 @@ def conv3d_raw(
     is allocated when it is not given. `out`, when given, must be a
     C-contiguous [N,O,od,oh,ow] float32 array. Values do not depend on either.
     """
-    if x.ndim != 5:
-        raise ShapeError(f"conv3d input must be 5-D [N,C,D,H,W], got {x.ndim}-D")
-    if w.ndim != 5:
-        raise ShapeError(f"conv3d weight must be 5-D [O,C,kd,kh,kw], got {w.ndim}-D")
-    n, c, d, h, wid = x.shape
-    o, cw, kd, kh, kw = w.shape
-    if c != cw:
-        raise ShapeError(f"channel axis mismatch: input C={c} vs weight C={cw}")
-    if b is not None and b.shape != (o,):
-        raise ShapeError(f"bias axis mismatch: expected ({o},), got {b.shape}")
-    sd, sh, sw = stride
-    pd, ph, pw = pad
-    dd, dh, dw = dilation
-    ed, eh, ew = (kd - 1) * dd + 1, (kh - 1) * dh + 1, (kw - 1) * dw + 1
-    od = (d + 2 * pd - ed) // sd + 1
-    oh = (h + 2 * ph - eh) // sh + 1
-    ow = (wid + 2 * pw - ew) // sw + 1
-    for axis, extent in (("depth", od), ("height", oh), ("width", ow)):
-        if extent < 1:
-            raise ShapeError(f"conv3d output {axis} axis collapses to {extent} (< 1)")
-    rows, cols = od * oh * ow, c * kd * kh * kw
-    padded = (c, d + 2 * pd, h + 2 * ph, wid + 2 * pw) if (pd or ph or pw) else None
-    pad_elems = int(np.prod(padded)) if padded else 0
-    if workspace is None:
-        workspace = np.empty(pad_elems + rows * cols, dtype=np.float32)
-    elif workspace.size < pad_elems + rows * cols:
-        raise ShapeError(f"conv3d workspace holds {workspace.size} floats, needs {pad_elems + rows * cols}")
-    if out is None:
-        out = np.empty((n, o, od, oh, ow), dtype=np.float32)
-    elif out.shape != (n, o, od, oh, ow) or not out.flags.c_contiguous:
-        raise ShapeError(f"conv3d out must be C-contiguous {(n, o, od, oh, ow)}, got {out.shape}")
-    xp = workspace[:pad_elems].reshape(padded) if padded else None
-    if xp is not None:
-        xp.fill(0.0)  # the border stays zero; each item overwrites only the interior
-    col = workspace[pad_elems:pad_elems + rows * cols].reshape(c, kd, kh, kw, od, oh, ow)
-    wmat = w.reshape(o, cols)  # K runs (c,kd,kh,kw), as the column buffer's rows do
-    for i in range(n):
+    out, xp, interior, col, wmat = _conv3d_setup(x.shape, w, b, stride, pad, dilation, out, workspace)
+    for i in range(x.shape[0]):
         if xp is not None:
-            xp[:, pd:pd + d, ph:ph + h, pw:pw + wid] = x[i]
-            src = xp
-        else:
-            src = x[i]
-        # every tap of every output position as one read-only strided view:
-        # tap (a,e,f) of output (z,y,x) reads src[:, a*dd + z*sd, e*dh + y*sh, f*dw + x*sw]
-        s_c, s_d, s_h, s_w = src.strides
-        taps = as_strided(
-            src,
-            shape=(c, kd, kh, kw, od, oh, ow),
-            strides=(s_c, s_d * dd, s_h * dh, s_w * dw, s_d * sd, s_h * sh, s_w * sw),
-            writeable=False,
-        )
-        np.copyto(col, taps)
-        y = out[i].reshape(o, rows)
-        np.matmul(wmat, col.reshape(cols, rows), out=y)
-        if b is not None:
-            y += b[:, None]
-        if relu:
-            np.maximum(y, 0.0, out=y)
+            interior[...] = x[i]
+        _conv3d_item(x[i] if xp is None else xp, col, wmat, out[i].reshape(len(wmat), -1),
+                     stride, dilation, b, relu)
+    return out
+
+
+def base_crops(clip: np.ndarray, size: int) -> list:
+    """The five base crops of ten-crop, as views of the last two axes of
+    `clip`: top-left, top-right, bottom-left, bottom-right, center. Crop
+    `5 + j` of ten-crop is crop `j` mirrored along W."""
+    h, w = clip.shape[-2:]
+    if h < size or w < size:
+        raise ShapeError(f"frame extent {h}x{w} smaller than crop {size}; resize the shorter side first")
+    top, left = (h - size) // 2, (w - size) // 2
+    origins = ((0, 0), (0, w - size), (h - size, 0), (h - size, w - size), (top, left))
+    return [clip[..., y:y + size, x:x + size] for y, x in origins]
+
+
+def conv3d_ten_crop_raw(
+    clip: np.ndarray,
+    w: np.ndarray,
+    b: Optional[np.ndarray],
+    stride: tuple,
+    pad: tuple,
+    dilation: tuple,
+    size: int,
+    relu: bool = False,
+    out: Optional[np.ndarray] = None,
+    workspace: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """conv3d_raw of the ten `size` crops of a [C,D,H,W] clip (base_crops, then
+    their W-mirrors), read in place: no crop is copied out of the clip.
+
+    Each base crop is copied once into the zero-padded item and convolved;
+    its mirror is the W-reversed view of that same padded item. Padding is
+    symmetric per axis, so the reversed padded crop is the padded mirrored
+    crop, the column buffer gets the same values, and the result equals
+    conv3d_raw(ten_crop(clip, size)) bit for bit. `out` and `workspace` are
+    as for conv3d_raw on the [10,C,D,size,size] crops.
+    """
+    if clip.ndim != 4:
+        raise ShapeError(f"ten-crop conv3d input must be a 4-D [C,D,H,W] clip, got {clip.ndim}-D")
+    crops = base_crops(clip, size)
+    c, d = clip.shape[:2]
+    shape = (2 * len(crops), c, d, size, size)
+    out, xp, interior, col, wmat = _conv3d_setup(shape, w, b, stride, pad, dilation, out, workspace)
+    for j, crop in enumerate(crops):
+        if xp is not None:
+            interior[...] = crop
+            crop = xp
+        for k, src in ((j, crop), (j + len(crops), crop[..., ::-1])):
+            _conv3d_item(src, col, wmat, out[k].reshape(len(wmat), -1), stride, dilation, b, relu)
     return out
 
 

@@ -3,8 +3,10 @@
 Stage order is fixed and load-bearing: gather frames -> float tensor -> resize
 shorter side to 256 -> ten-crop 224 -> stack -> normalize. Normalization
 constants live on the 0-255 pixel scale, so frames are never pre-scaled to [0,1].
-`preprocess_snippet` normalizes the uncropped clip before cutting the crops;
-normalization is elementwise, so the result is the same bit for bit.
+`prepare_clip` resizes, stacks and normalizes the uncropped [3,L,H,W] clip;
+`preprocess_snippet` is `ten_crop` of it. Normalization is elementwise, so
+normalizing before the crops are cut gives the same bits. The pipeline queues
+`prepare_clip`'s clips and lets the extractor graph cut the crops.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, base_crops
 
 RESIZE_TARGET = 256
 CROP_SIZE = 224
@@ -114,14 +116,17 @@ def resize_bilinear(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - fy)[:, None, None] + bot * fy[:, None, None]
 
 
+def resized_extent(h: int, w: int, target: int = RESIZE_TARGET) -> Tuple[int, int]:
+    """(height, width) once the shorter side is exactly `target`; the longer
+    side rounds to nearest."""
+    if h <= w:
+        return target, int(round(w * target / h))
+    return int(round(h * target / w)), target
+
+
 def resize_shorter_side(frame: np.ndarray, target: int = RESIZE_TARGET) -> np.ndarray:
     """Scale so the shorter side becomes exactly `target`; longer side rounds to nearest."""
-    h, w = frame.shape[:2]
-    if h <= w:
-        out_h, out_w = target, int(round(w * target / h))
-    else:
-        out_h, out_w = int(round(h * target / w)), target
-    return resize_bilinear(frame, out_h, out_w)
+    return resize_bilinear(frame, *resized_extent(*frame.shape[:2], target))
 
 
 def ten_crop(clip: np.ndarray, size: int = CROP_SIZE, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -132,19 +137,7 @@ def ten_crop(clip: np.ndarray, size: int = CROP_SIZE, out: Optional[np.ndarray] 
     """
     if clip.ndim != 4:
         raise ValueError(f"ten_crop expects a [3,L,H,W] clip, got {clip.ndim}-D")
-    h, w = clip.shape[2], clip.shape[3]
-    if h < size or w < size:
-        raise ValueError(
-            f"frame extent {h}x{w} smaller than crop {size}; resize the shorter side first"
-        )
-    top, left = (h - size) // 2, (w - size) // 2
-    base = [
-        clip[:, :, :size, :size],
-        clip[:, :, :size, w - size:],
-        clip[:, :, h - size:, :size],
-        clip[:, :, h - size:, w - size:],
-        clip[:, :, top:top + size, left:left + size],
-    ]
+    base = base_crops(clip, size)
     # explicit C-contiguous output: np.stack of strided views would keep the
     # source memory order and force a second full relayout downstream
     shape = (10,) + base[0].shape
@@ -154,7 +147,7 @@ def ten_crop(clip: np.ndarray, size: int = CROP_SIZE, out: Optional[np.ndarray] 
         raise ValueError(f"ten_crop out must be C-contiguous float32 {shape}, got {out.dtype} {out.shape}")
     for j, c in enumerate(base):
         out[j] = c
-        out[5 + j] = c[:, :, :, ::-1]
+        out[5 + j] = c[..., ::-1]
     return out
 
 
@@ -208,6 +201,29 @@ def gather_snippet_frames(video: RawVideo, plan: SnippetPlan, index: int) -> Lis
     return [video.frames[min(start + j, last)] for j in range(plan.frames_per_snippet)]
 
 
+def prepare_clip(
+    video: RawVideo,
+    plan: SnippetPlan,
+    index: int,
+    consts: NormConstants = NormConstants(),
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Snippet `index` resized, stacked channels-first and normalized: the
+    uncropped [3,L,H,W] clip, with (H,W) = resized_extent of the frames.
+
+    The clip is written to `out` when it is given (a float32 array of that
+    shape), else to a fresh array, and normalized there in place.
+    """
+    frames = gather_snippet_frames(video, plan, index)
+    resized = [resize_shorter_side(np.asarray(f, dtype=np.float32)) for f in frames]
+    # channels-first and contiguous, so the crops read unit-stride rows
+    if out is None:
+        h, w = resized[0].shape[:2]
+        out = np.empty((3, len(resized), h, w), dtype=np.float32)
+    np.stack([r.transpose(2, 0, 1) for r in resized], axis=1, out=out)
+    return normalize(out, consts, inplace=True)
+
+
 def preprocess_snippet(
     video: RawVideo,
     plan: SnippetPlan,
@@ -215,22 +231,14 @@ def preprocess_snippet(
     consts: NormConstants = NormConstants(),
     out: Optional[np.ndarray] = None,
 ) -> ClipBatch:
-    """Full per-snippet pipeline in fixed order; output is [10,3,L,224,224].
+    """Full per-snippet pipeline in fixed order; output is [10,3,L,224,224]:
+    ten_crop of prepare_clip.
 
-    With `out` (a C-contiguous float32 [10,3,L,224,224] array) the clip is
+    With `out` (a C-contiguous float32 [10,3,L,224,224] array) the crops are
     written there and the batch holds a read-only view of it; `out` stays
     writable, so a caller can reuse it once the batch is no longer read.
     """
-    frames = gather_snippet_frames(video, plan, index)
-    resized = [resize_shorter_side(np.asarray(f, dtype=np.float32)) for f in frames]
-    # stacked channels-first and contiguous, [3,L,H,W], so the crops read
-    # unit-stride rows; normalize is elementwise, so running it on the clip
-    # before the crops are cut gives the same bits on 4-8x fewer elements
-    h, w = resized[0].shape[:2]
-    clip = np.empty((3, len(resized), h, w), dtype=np.float32)
-    np.stack([r.transpose(2, 0, 1) for r in resized], axis=1, out=clip)
-    normalize(clip, consts, inplace=True)
-    data = ten_crop(clip, out=out)
+    data = ten_crop(prepare_clip(video, plan, index, consts), out=out)
     start = plan.start_indices[index]
     return ClipBatch(
         data=Tensor(data.view()),  # Tensor freezes the array it is given; freeze a view

@@ -177,6 +177,19 @@ class TestConfigErrorsExit2:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ['queue_capacity="x"', "queue_capacity=true", "fuse=1",
+                                         'threshold="0.5"', "source=[1]", "head_params=3"])
+    def test_run_value_of_wrong_type_names_key(self, tiny_config, tmp_path, capsys, setting):
+        code = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "r.jsonl"), "--set", setting])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and setting.split("=")[0] in err
+
+    def test_train_too_few_snippets_names_anomaly_rows(self, capsys):
+        # the default anomaly_rows (8) does not fit in 2 snippets
+        assert main(["train", "--epochs", "1", "--set", "snippets=2"]) == 2
+        assert "anomaly_rows" in capsys.readouterr().err
+
 
 class TestOptimizeAndCount:
     def test_optimize_dumps_graph_and_plan(self, tiny_config, tmp_path):

@@ -1,7 +1,6 @@
 """Extractor tests: config contracts, non-local oracle, feature rows and memory."""
 
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +11,7 @@ from edgevad import graphopt as go
 from edgevad import pipeline as pl
 from edgevad.extractor import ExtractorConfig, NonLocalParams, desk_scale_config, full_scale_config
 from edgevad.tensor import Tensor
+from edgevad.videopre import ten_crop
 
 from helpers import tiny_cfg
 
@@ -71,6 +71,31 @@ class TestConfigs:
     def test_desk_scale_shape_contract(self):
         g = ex.build_extractor(desk_scale_config(), seed=0)
         assert g.meta[g.outputs[0]].shape == (10, 32)
+
+    def test_crop_input_graph_keeps_fingerprint(self):
+        # the crops-input graph is what `bench` fingerprints and `count` counts
+        for seed in (0, 7):
+            assert ex.build_extractor(desk_scale_config(), seed=seed).fingerprint() == "96aa0708ee5809f3"
+
+    def test_clip_input_graph_cuts_the_crops(self):
+        cfg = tiny_config(crops=10)
+        g = ex.build_extractor(cfg, seed=3, clip_hw=(20, 25))
+        assert g.meta[g.inputs[0]].shape == (3, 4, 20, 25)
+        assert g.nodes[0].kind == "ten_crop"
+        crops_input = ex.build_extractor(cfg, seed=3)
+        assert g.params.keys() == crops_input.params.keys()
+        for name, p in g.params.items():
+            np.testing.assert_array_equal(p.data, crops_input.params[name].data)
+        x = np.random.default_rng(4).normal(size=(3, 4, 20, 25)).astype(np.float32)
+        ref = go.GraphRunner(crops_input).run(Tensor(ten_crop(x, 16)))[0].data
+        fused, plan = go.optimize(g)
+        assert fused.nodes[0].kind == "ten_crop_conv3d_bias_relu"
+        np.testing.assert_array_equal(go.GraphRunner(fused, plan).run(Tensor(x))[0].data, ref)
+        np.testing.assert_array_equal(go.GraphRunner(g).run(Tensor(x))[0].data, ref)
+
+    def test_clip_input_needs_ten_crops(self):
+        with pytest.raises(ValueError, match="crops=10"):
+            ex.build_extractor(tiny_config(crops=2), clip_hw=(16, 16))
 
     def test_one_conv_config_param_count(self):
         cfg = ExtractorConfig(
@@ -170,15 +195,13 @@ class TestExtractFeatures:
     def test_shape_mismatch_names_snippet(self, monkeypatch):
         # the runner rejects a mis-shaped clip; the pipeline's extract stage
         # says which snippet it came from
-        real = pl.preprocess_snippet
+        real = pl.prepare_clip
 
         def short_clip_at_2(video, plan, index, *args, **kw):
-            batch = real(video, plan, index, *args, **kw)
-            if index == 2:
-                batch = replace(batch, data=Tensor(batch.data.data[:, :, :-1]))
-            return batch
+            clip = real(video, plan, index, *args, **kw)
+            return clip[:, :-1] if index == 2 else clip
 
-        monkeypatch.setattr(pl, "preprocess_snippet", short_clip_at_2)
+        monkeypatch.setattr(pl, "prepare_clip", short_clip_at_2)
         with pytest.raises(pl.PipelineStageError, match="stage 'extract' failed: snippet 2"):
             pl.run_pipeline(tiny_cfg())
 

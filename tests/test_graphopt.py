@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from edgevad import graphopt as go
+from edgevad.bench import count_params_flops
 from edgevad.graphopt import ComputeGraph, GraphBuilder, GraphError, Node, TensorMeta
 from edgevad.tensor import F16, Tensor
+from edgevad.videopre import ten_crop
 
 from helpers import check_plan_no_overlap, random_graph
 
@@ -119,6 +121,76 @@ class TestFusion:
         b = go.execute(fused, xs)
         for t1, t2 in zip(a, b):
             np.testing.assert_array_equal(t1.data, t2.data)
+
+
+def crop_conv_graph(seed=0, hw=(20, 27), bias_relu=True, extra_reader=False):
+    """clip [3,4,H,W] -> ten_crop(16) -> conv3d (-> bias -> relu) -> gap."""
+    rng = np.random.default_rng(seed)
+    b = GraphBuilder("crops")
+    x = b.input((3, 4) + hw, name="clip")
+    crops = b.ten_crop(x, 16)
+    w = b.param("w", Tensor(rng.normal(size=(5, 3, 3, 3, 3)).astype(np.float32)))
+    t = b.conv3d(crops, w, stride=(1, 2, 2), pad=(1, 1, 1))
+    if bias_relu:
+        t = b.relu(b.bias(t, b.param("b", Tensor(rng.normal(size=(5,)).astype(np.float32))), axis=1))
+    b.output(b.gap3d(t))
+    if extra_reader:
+        b.output(b.gap3d(crops))
+    g = b.build()
+    return g, [Tensor(rng.normal(size=(3, 4) + hw).astype(np.float32))]
+
+
+class TestTenCropNode:
+    def test_shape_and_zero_macs(self):
+        g, _ = crop_conv_graph()
+        (n,) = [n for n in g.nodes if n.kind == "ten_crop"]
+        assert g.meta[n.output].shape == (10, 3, 4, 16, 16)
+        assert go.OPS["ten_crop"].macs(g.meta[n.output].shape, {}) == 0
+        conv = [n for n in g.nodes if n.kind == "conv3d"][0]
+        assert count_params_flops(g)[1] == 2 * go.OPS["conv3d"].macs(g.meta[conv.output].shape, g.param_shapes(conv))
+
+    @pytest.mark.parametrize("hw", [(15, 20), (20, 15)])
+    def test_clip_smaller_than_crop_rejected(self, hw):
+        b = GraphBuilder()
+        x = b.input((3, 2) + hw)
+        with pytest.raises(GraphError, match="smaller than crop"):
+            b.ten_crop(x, 16)
+
+    def test_node_equals_videopre_ten_crop(self):
+        b = GraphBuilder()
+        b.output(b.ten_crop(b.input((3, 2, 18, 23)), 16))
+        g = b.build()
+        x = np.random.default_rng(1).normal(size=(3, 2, 18, 23)).astype(np.float32)
+        for plan in (None, go.plan_memory(g)):
+            np.testing.assert_array_equal(go.execute(g, Tensor(x), plan)[0].data, ten_crop(x, 16))
+
+    @pytest.mark.parametrize("bias_relu", [True, False])
+    @pytest.mark.parametrize("hw", [(16, 16), (20, 27), (25, 18)])
+    def test_fuse_reads_crops_in_place_bitwise(self, bias_relu, hw):
+        g, xs = crop_conv_graph(hw=hw, bias_relu=bias_relu)
+        fused = go.fuse(g)
+        kind = "ten_crop_conv3d_bias_relu" if bias_relu else "ten_crop_conv3d"
+        assert [n.kind for n in fused.nodes] == [kind, "gap3d"]
+        assert fused.nodes[0].inputs == tuple(g.inputs)
+        ref = go.execute(g, xs)[0].data
+        for plan in (None, go.plan_memory(fused)):
+            np.testing.assert_array_equal(go.execute(fused, xs, plan)[0].data, ref)
+        # no tensor of the fused graph holds the crops
+        assert (10, 3, 4, 16, 16) not in [m.shape for m in fused.meta.values()]
+
+    def test_crops_with_two_readers_stay_materialized(self):
+        g, xs = crop_conv_graph(extra_reader=True)
+        fused = go.fuse(g)
+        assert "ten_crop" in [n.kind for n in fused.nodes]
+        assert "conv3d_bias_relu" in [n.kind for n in fused.nodes]
+        for a, b in zip(go.execute(g, xs), go.execute(fused, xs)):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_fused_crop_kind_round_trips_json(self):
+        g, xs = crop_conv_graph(2)
+        fused = go.fuse(g)
+        again = ComputeGraph.from_json(fused.to_json(), dict(fused.params))
+        np.testing.assert_array_equal(go.execute(again, xs)[0].data, go.execute(fused, xs)[0].data)
 
 
 class TestLowering:

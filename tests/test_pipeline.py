@@ -21,6 +21,8 @@ from edgevad.pipeline import (
     run_sequential,
 )
 
+from edgevad.videopre import resized_extent
+
 from helpers import SlowRunner, tiny_cfg
 
 
@@ -119,18 +121,38 @@ class TestPipelineRuns:
     def test_clip_buffers_allocated_once(self, monkeypatch):
         # queue_capacity + 1 + stage_workers buffers serve every snippet
         seen = set()
-        real = pl.preprocess_snippet
+        real = pl.prepare_clip
 
         def spy(*args, out=None, **kw):
             seen.add(out.__array_interface__["data"][0])
             return real(*args, out=out, **kw)
 
-        monkeypatch.setattr(pl, "preprocess_snippet", spy)
+        monkeypatch.setattr(pl, "prepare_clip", spy)
         cfg = tiny_cfg(frames=60, snippets=8, queue_capacity=1)
         res = run_pipeline(cfg)
-        assert len(seen) <= cfg.queue_capacity + 1 + cfg.stage_workers
-        monkeypatch.setattr(pl, "preprocess_snippet", real)
+        assert 1 <= len(seen) <= cfg.queue_capacity + 1 + cfg.stage_workers
+        monkeypatch.setattr(pl, "prepare_clip", real)
         assert [r.score for r in res.records] == [r.score for r in run_sequential(cfg).records]
+
+    def test_clip_buffers_hold_uncropped_clips(self, monkeypatch):
+        # the pipeline queues [3,L,H,W] clips; the extractor graph cuts the crops
+        shapes = set()
+        real = pl.prepare_clip
+
+        def spy(*args, out=None, **kw):
+            shapes.add(out.shape)
+            return real(*args, out=out, **kw)
+
+        monkeypatch.setattr(pl, "prepare_clip", spy)
+        cfg = tiny_cfg(frames=60, snippets=6, queue_capacity=2)
+        res = run_pipeline(cfg)
+        h, w = resized_extent(40, 48)  # tiny_cfg's frames are 48 wide and 40 high
+        assert shapes == {(3, cfg.frames_per_snippet, h, w)}
+        clip_bytes = 3 * cfg.frames_per_snippet * h * w * 4
+        buffers = cfg.queue_capacity + 1 + cfg.stage_workers
+        assert res.summary["clip_buffer_mib"] == round(buffers * clip_bytes / 2 ** 20, 3)
+        high_water = res.boundary_high_water["clips"]
+        assert res.summary["clips_high_water_mib"] == round(high_water * clip_bytes / 2 ** 20, 3)
 
     def test_unreadable_source_is_config_error(self):
         cfg = tiny_cfg()
@@ -173,14 +195,14 @@ class TestPipelineRuns:
         # snippet 0 is built last, yet the runner sees the clips in snippet
         # order: a clip buffer is refilled only after its last snippet ran
         filled = {}
-        real = pl.preprocess_snippet
+        real = pl.prepare_clip
 
         def spy(video, snips, i, *args, out=None, **kw):
             if i == 0:
                 time.sleep(0.3)
-            batch = real(video, snips, i, *args, out=out, **kw)
+            clip = real(video, snips, i, *args, out=out, **kw)
             filled[out.__array_interface__["data"][0]] = i
-            return batch
+            return clip
 
         seen = []
 
@@ -189,7 +211,7 @@ class TestPipelineRuns:
                 seen.append(filled[x.data.__array_interface__["data"][0]])
                 return super().run(x, *args, **kw)
 
-        monkeypatch.setattr(pl, "preprocess_snippet", spy)
+        monkeypatch.setattr(pl, "prepare_clip", spy)
         monkeypatch.setattr(pl, "GraphRunner", RecordingRunner)
         res = run_pipeline(tiny_cfg(frames=60, snippets=6, stage_workers=3))
         assert seen == list(range(6))
@@ -321,14 +343,14 @@ class TestFailurePaths:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("bad", [0, 3])
     def test_preprocess_raises_mid_run(self, monkeypatch, workers, bad):
-        real = pl.preprocess_snippet
+        real = pl.prepare_clip
 
         def flaky(video, snips, i, *args, **kw):
             if i == bad:
                 raise OSError(f"truncated frame in snippet {i}")
             return real(video, snips, i, *args, **kw)
 
-        monkeypatch.setattr(pl, "preprocess_snippet", flaky)
+        monkeypatch.setattr(pl, "prepare_clip", flaky)
         cfg = tiny_cfg(frames=60, snippets=6, queue_capacity=1, stage_workers=workers)
         err = run_bounded(cfg)
         assert isinstance(err, PipelineStageError)

@@ -293,6 +293,13 @@ class TestTraining:
         csv = res.loss_curve_csv()
         assert csv.startswith("epoch,loss") and csv.count("\n") == 5
 
+    @pytest.mark.parametrize("rows", [0, 13])
+    def test_anomaly_rows_outside_snippets_rejected(self, rows):
+        with pytest.raises(ValueError, match=r"anomaly_rows must lie in \[1, snippets=12\]"):
+            rtfm.make_magnitude_dataset(n_normal=2, n_abnormal=2, snippets=12, anomaly_rows=rows)
+        data, planted = rtfm.make_magnitude_dataset(n_normal=0, n_abnormal=2, snippets=12, anomaly_rows=12)
+        assert all(len(r) == 12 for r in planted)
+
     def test_single_class_dataset_rejected(self):
         with pytest.raises(ValueError, match="both"):
             rtfm.train([(np.zeros((4, 8)), 0)], TrainConfig(epochs=1))

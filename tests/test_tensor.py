@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from edgevad import tensor as tc
 from edgevad.tensor import F16, F32, ShapeError
+from edgevad.videopre import ten_crop
 
 from helpers import conv3d_rowmajor_ref, nonlocal_batched_ref
 
@@ -253,6 +254,52 @@ class TestKernelReferences:
         strided = np.empty((2, 2, 3, 4, 8), np.float32)[..., ::2]
         with pytest.raises(ShapeError, match="C-contiguous"):
             tc.conv3d_raw(x, w, None, (1, 1, 1), (1, 1, 1), (1, 1, 1), out=strided)
+
+
+class TestTenCropConv:
+    """conv3d_ten_crop_raw reads the ten crops of a clip in place and equals
+    conv3d_raw on ten_crop's output bit for bit."""
+
+    @staticmethod
+    def both(clip, w, b, stride, pad, size, relu=True):
+        crops = ten_crop(clip, size)
+        ref = tc.conv3d_raw(crops, w, b, stride, pad, (1, 1, 1), relu=relu)
+        ws = np.full(tc.conv3d_workspace_elems(crops.shape, ref.shape, w.shape[1], w.shape[2:], pad), np.nan,
+                     dtype=np.float32)
+        out = np.full(ref.shape, np.nan, dtype=np.float32)
+        got = tc.conv3d_ten_crop_raw(clip, w, b, stride, pad, (1, 1, 1), size, relu=relu, out=out, workspace=ws)
+        assert got is out
+        return ref, got
+
+    @pytest.mark.parametrize("hw", [(20, 20), (20, 31), (27, 20)])
+    @pytest.mark.parametrize("pad", [(0, 0, 0), (1, 2, 2), (0, 1, 2)])
+    @pytest.mark.parametrize("stride", [(1, 1, 1), (2, 2, 2), (1, 2, 1)])
+    def test_bitwise_equal_to_conv_of_crops(self, hw, pad, stride):
+        rng = np.random.default_rng(hw[1] + 3 * pad[2] + stride[1])
+        clip = rng.standard_normal((3, 5) + hw, dtype=np.float32)
+        w = rng.standard_normal((4, 3, 3, 3, 5), dtype=np.float32)
+        b = rng.standard_normal(4, dtype=np.float32)
+        for relu in (False, True):
+            ref, got = self.both(clip, w, b, stride, pad, 16, relu)
+            np.testing.assert_array_equal(got, ref)
+        ref, got = self.both(clip, w, None, stride, pad, 16)
+        np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("width", [256, 455])  # desk_default and ppm_long clips
+    def test_bitwise_on_desk_stem(self, width):
+        rng = np.random.default_rng(width)
+        clip = rng.standard_normal((3, 16, 256, width), dtype=np.float32)
+        w = rng.standard_normal((8, 3, 3, 5, 5), dtype=np.float32) * np.float32(0.1)
+        b = rng.standard_normal(8, dtype=np.float32)
+        ref, got = self.both(clip, w, b, (2, 4, 4), (1, 2, 2), 224)
+        np.testing.assert_array_equal(got, ref)
+
+    def test_rejects_small_clip_and_batched_input(self):
+        w = np.ones((2, 3, 1, 3, 3), np.float32)
+        with pytest.raises(ShapeError, match="smaller than crop"):
+            tc.conv3d_ten_crop_raw(np.ones((3, 2, 15, 20), np.float32), w, None, (1, 1, 1), (0, 1, 1), (1, 1, 1), 16)
+        with pytest.raises(ShapeError, match="4-D"):
+            tc.conv3d_ten_crop_raw(np.ones((1, 3, 2, 16, 16), np.float32), w, None, (1, 1, 1), (0, 1, 1), (1, 1, 1), 16)
 
 
 # ---------------------------------------------------------------------------

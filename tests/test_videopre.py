@@ -241,3 +241,27 @@ class TestPreprocessSnippet:
         batch = vp.preprocess_snippet(video, plan, 3)
         assert batch.start_frame == plan.start_indices[3]
         assert batch.timestamp_s == pytest.approx(plan.start_indices[3] / 16.0)
+
+
+class TestPrepareClip:
+    @pytest.mark.parametrize("hw", [(70, 90), (40, 40), (90, 56)])
+    def test_preprocess_snippet_is_ten_crop_of_prepare_clip(self, hw):
+        video = synthetic_video(20, h=hw[0], w=hw[1], seed=11)
+        plan = vp.segment_snippets(video, snippet_count=3)
+        for i in range(3):
+            clip = vp.prepare_clip(video, plan, i)
+            assert clip.shape == (3, 16) + vp.resized_extent(*hw)
+            assert clip.flags.c_contiguous and clip.dtype == np.float32
+            np.testing.assert_array_equal(vp.preprocess_snippet(video, plan, i).data.data, vp.ten_crop(clip))
+
+    def test_out_buffer_gets_the_same_clip(self):
+        video = synthetic_video(30, h=40, w=56, seed=12)
+        plan = vp.segment_snippets(video, snippet_count=3)
+        out = np.full((3, 16) + vp.resized_extent(40, 56), np.nan, dtype=np.float32)
+        for i in range(3):
+            assert vp.prepare_clip(video, plan, i, out=out) is out
+            np.testing.assert_array_equal(out, vp.prepare_clip(video, plan, i))
+
+    def test_resized_extent_is_resize_shorter_side_shape(self):
+        for h, w in ((40, 48), (180, 320), (320, 240), (256, 256), (99, 1000)):
+            assert vp.resize_shorter_side(np.zeros((h, w, 3), np.float32)).shape[:2] == vp.resized_extent(h, w)
