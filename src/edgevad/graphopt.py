@@ -76,7 +76,11 @@ class ComputeGraph:
     params: Dict[str, Tensor]
     name: str = "graph"
 
-    def validate(self) -> None:
+    def validate(self, infer_shapes: bool = True) -> None:
+        """Checks inputs have meta, each tensor is produced once before it is
+        read, params exist and outputs are produced; with `infer_shapes`,
+        also that each node's declared output shape is the inferred one
+        (GraphBuilder.build skips that: op() has just inferred it)."""
         produced = set(self.inputs)
         for t in self.inputs:
             if t not in self.meta:
@@ -90,10 +94,11 @@ class ComputeGraph:
             for slot, pname in n.params.items():
                 if pname not in self.params:
                     raise GraphError(f"node {n.name}: missing parameter {pname} for slot {slot}")
-            want = op_spec(n.kind).shape([self.meta[t].shape for t in n.inputs], n.attrs, self.param_shapes(n))
-            got = self.meta[n.output].shape
-            if tuple(want) != tuple(got):
-                raise GraphError(f"node {n.name}: declared output shape {got} != inferred {tuple(want)}")
+            if infer_shapes:
+                want = op_spec(n.kind).shape([self.meta[t].shape for t in n.inputs], n.attrs, self.param_shapes(n))
+                got = self.meta[n.output].shape
+                if tuple(want) != tuple(got):
+                    raise GraphError(f"node {n.name}: declared output shape {got} != inferred {tuple(want)}")
             produced.add(n.output)
         for t in self.outputs:
             if t not in produced:
@@ -504,7 +509,7 @@ class GraphBuilder:
             params=dict(self._params),
             name=self._name,
         )
-        g.validate()
+        g.validate(infer_shapes=False)
         return g
 
 

@@ -89,24 +89,47 @@ def _triple(v: Triple, name: str) -> tuple:
 # raw ndarray kernels (shared with the graph executor; accumulate in float32)
 # ---------------------------------------------------------------------------
 
+# Byte budget of one column slab. A conv fills and multiplies its column
+# buffer one slab of output positions at a time so that the buffer stays in
+# cache between the copy and the GEMM. 1 MiB keeps every desk GEMM's K and
+# operand layout at sizes where OpenBLAS sums in the same order as one
+# whole-item GEMM, so the outputs do not depend on the slab size there.
+COL_SLAB_BYTES = 1 << 20
+
+
+def _col_slab(k: int, od: int, oh: int, ow: int) -> tuple:
+    """(planes, rows) of one column slab of a conv with K = `k` and output
+    [od,oh,ow]: whole output planes while they fit in COL_SLAB_BYTES,
+    otherwise a block of rows of one plane (at least one row)."""
+    cols = COL_SLAB_BYTES // (4 * k)
+    if cols >= oh * ow:
+        return min(od, cols // (oh * ow)), oh
+    return 1, max(1, cols // ow)
+
+
 def conv3d_workspace_elems(in_shape: tuple, out_shape: tuple, c: int, kernel: tuple, pad: tuple) -> int:
-    """Scratch floats conv3d_raw wants: one padded batch item + one column buffer.
+    """Scratch floats conv3d_raw wants: one padded batch item + one column slab.
 
     The padded item is [C, D+2pd, H+2ph, W+2pw] and is absent when `pad` is all
-    zero; the column buffer is [C*kd*kh*kw, od*oh*ow]. Neither grows with N.
+    zero; the column slab is [C*kd*kh*kw, planes*rows*ow] (see _col_slab), at
+    most COL_SLAB_BYTES unless one output row alone is larger. Neither grows
+    with N.
     """
     _, _, d, h, w = in_shape
     _, _, od, oh, ow = out_shape
     pd, ph, pw = pad
+    k = c * int(np.prod(kernel))
+    planes, rows = _col_slab(k, od, oh, ow)
     padded = c * (d + 2 * pd) * (h + 2 * ph) * (w + 2 * pw) if any(pad) else 0
-    return padded + c * int(np.prod(kernel)) * od * oh * ow
+    return padded + k * planes * rows * ow
 
 
 def _conv3d_setup(x_shape: tuple, w: np.ndarray, b: Optional[np.ndarray], stride: tuple, pad: tuple,
                   dilation: tuple, out: Optional[np.ndarray], workspace: Optional[np.ndarray]):
     """Checks a conv3d call on input of shape `x_shape` [N,C,D,H,W] and cuts
     its buffers: (out, the zeroed padded item and the view of its interior,
-    both None without padding, the column buffer, the weight as [O,K])."""
+    both None without padding, the flat column slab, the weight as [O,K],
+    the taps shape [C,kd,kh,kw,od,oh,ow], the slab's (planes, rows))."""
     if len(x_shape) != 5:
         raise ShapeError(f"conv3d input must be 5-D [N,C,D,H,W], got {len(x_shape)}-D")
     if w.ndim != 5:
@@ -127,13 +150,15 @@ def _conv3d_setup(x_shape: tuple, w: np.ndarray, b: Optional[np.ndarray], stride
     for axis, extent in (("depth", od), ("height", oh), ("width", ow)):
         if extent < 1:
             raise ShapeError(f"conv3d output {axis} axis collapses to {extent} (< 1)")
-    rows, cols = od * oh * ow, c * kd * kh * kw
+    k = c * kd * kh * kw
+    slab = _col_slab(k, od, oh, ow)
+    col_elems = k * slab[0] * slab[1] * ow
     padded = (c, d + 2 * pd, h + 2 * ph, wid + 2 * pw) if (pd or ph or pw) else None
     pad_elems = int(np.prod(padded)) if padded else 0
     if workspace is None:
-        workspace = np.empty(pad_elems + rows * cols, dtype=np.float32)
-    elif workspace.size < pad_elems + rows * cols:
-        raise ShapeError(f"conv3d workspace holds {workspace.size} floats, needs {pad_elems + rows * cols}")
+        workspace = np.empty(pad_elems + col_elems, dtype=np.float32)
+    elif workspace.size < pad_elems + col_elems:
+        raise ShapeError(f"conv3d workspace holds {workspace.size} floats, needs {pad_elems + col_elems}")
     if out is None:
         out = np.empty((n, o, od, oh, ow), dtype=np.float32)
     elif out.shape != (n, o, od, oh, ow) or not out.flags.c_contiguous:
@@ -143,14 +168,18 @@ def _conv3d_setup(x_shape: tuple, w: np.ndarray, b: Optional[np.ndarray], stride
         xp = workspace[:pad_elems].reshape(padded)
         xp.fill(0.0)  # the border stays zero; each item overwrites only the interior
         interior = xp[:, pd:pd + d, ph:ph + h, pw:pw + wid]
-    col = workspace[pad_elems:pad_elems + rows * cols].reshape(c, kd, kh, kw, od, oh, ow)
-    return out, xp, interior, col, w.reshape(o, cols)  # K runs (c,kd,kh,kw), as col's rows do
+    col = workspace[pad_elems:pad_elems + col_elems]
+    # K runs (c,kd,kh,kw), as the column slab's rows do
+    return out, xp, interior, col, w.reshape(o, k), (c, kd, kh, kw, od, oh, ow), slab
 
 
-def _conv3d_item(src, col, wmat, y, stride, dilation, b, relu) -> None:
-    """One batch item: every tap of `src` [C,D,H,W] (already padded) into the
-    column buffer, then the GEMM into y [O, od*oh*ow], bias and ReLU in place."""
-    c, kd, kh, kw, od, oh, ow = col.shape
+def _conv3d_item(src, col, wmat, y, taps_shape, slab, stride, dilation, b, relu) -> None:
+    """One batch item of `src` [C,D,H,W] (already padded), one column slab
+    at a time: the slab's taps into the flat column buffer `col`, then the
+    GEMM into the slab's columns of y [O, od*oh*ow]; bias and ReLU in place
+    once the last slab is in."""
+    k = wmat.shape[1]
+    od, oh, ow = taps_shape[4:]
     sd, sh, sw = stride
     dd, dh, dw = dilation
     # every tap of every output position as one read-only strided view:
@@ -158,12 +187,20 @@ def _conv3d_item(src, col, wmat, y, stride, dilation, b, relu) -> None:
     s_c, s_d, s_h, s_w = src.strides
     taps = as_strided(
         src,
-        shape=col.shape,
+        shape=taps_shape,
         strides=(s_c, s_d * dd, s_h * dh, s_w * dw, s_d * sd, s_h * sh, s_w * sw),
         writeable=False,
     )
-    np.copyto(col, taps)
-    np.matmul(wmat, col.reshape(c * kd * kh * kw, od * oh * ow), out=y)
+    planes, rows = slab
+    for z in range(0, od, planes):
+        for r in range(0, oh, rows):
+            part = taps[..., z:z + planes, r:r + rows, :]
+            n = part.shape[4] * part.shape[5] * ow
+            cols = col[:k * n].reshape(part.shape)  # contiguous, also for a shorter last slab
+            np.copyto(cols, part)
+            start = (z * oh + r) * ow
+            # one contiguous column range of y: BLAS writes it through its leading dimension
+            np.matmul(wmat, cols.reshape(k, n), out=y[:, start:start + n])
     if b is not None:
         y += b[:, None]
     if relu:
@@ -183,26 +220,29 @@ def conv3d_raw(
 ) -> np.ndarray:
     """Direct 3-D cross-correlation with zero padding on [N,C,D,H,W] input.
 
-    Lowered to one GEMM per batch item over a tap-major column buffer
-    [C,kd,kh,kw, od,oh,ow], filled with one strided copy per batch item from
-    the item zero-padded in scratch. The GEMM writes [O, od*oh*ow] straight
-    into `out[i]`, and bias and ReLU are applied there in place. On the desk
-    convs this equals a row-major im2col times the transposed weight bit for
-    bit; BLAS may sum a small GEMM's products in an order that depends on
-    which operand is on the left, so on small shapes the two agree to float32
-    rounding.
+    Lowered to GEMMs over a tap-major column buffer, one column slab per GEMM:
+    a slab is whole output planes while they fit in COL_SLAB_BYTES, else a
+    block of rows of one plane. Each slab is filled with one strided copy from
+    the item zero-padded in scratch, and its GEMM writes [O, slab columns]
+    straight into its columns of `out[i]` viewed as [O, od*oh*ow]; bias and
+    ReLU are applied there in place after the item's last slab. On the desk
+    convs this equals one whole-item GEMM, and a row-major im2col times the
+    transposed weight, bit for bit; BLAS may sum a small GEMM's products in an
+    order that depends on its operands' sizes and which one is on the left,
+    so on small shapes these agree to float32 rounding.
 
     `workspace` (flat float32, at least conv3d_workspace_elems) holds the
-    padded item and the column buffer, so repeated calls allocate nothing; one
+    padded item and one column slab, so repeated calls allocate nothing; one
     is allocated when it is not given. `out`, when given, must be a
     C-contiguous [N,O,od,oh,ow] float32 array. Values do not depend on either.
     """
-    out, xp, interior, col, wmat = _conv3d_setup(x.shape, w, b, stride, pad, dilation, out, workspace)
+    out, xp, interior, col, wmat, taps_shape, slab = _conv3d_setup(
+        x.shape, w, b, stride, pad, dilation, out, workspace)
     for i in range(x.shape[0]):
         if xp is not None:
             interior[...] = x[i]
         _conv3d_item(x[i] if xp is None else xp, col, wmat, out[i].reshape(len(wmat), -1),
-                     stride, dilation, b, relu)
+                     taps_shape, slab, stride, dilation, b, relu)
     return out
 
 
@@ -245,13 +285,15 @@ def conv3d_ten_crop_raw(
     crops = base_crops(clip, size)
     c, d = clip.shape[:2]
     shape = (2 * len(crops), c, d, size, size)
-    out, xp, interior, col, wmat = _conv3d_setup(shape, w, b, stride, pad, dilation, out, workspace)
+    out, xp, interior, col, wmat, taps_shape, slab = _conv3d_setup(
+        shape, w, b, stride, pad, dilation, out, workspace)
     for j, crop in enumerate(crops):
         if xp is not None:
             interior[...] = crop
             crop = xp
         for k, src in ((j, crop), (j + len(crops), crop[..., ::-1])):
-            _conv3d_item(src, col, wmat, out[k].reshape(len(wmat), -1), stride, dilation, b, relu)
+            _conv3d_item(src, col, wmat, out[k].reshape(len(wmat), -1), taps_shape, slab,
+                         stride, dilation, b, relu)
     return out
 
 

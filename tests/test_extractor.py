@@ -9,6 +9,7 @@ import pytest
 from edgevad import extractor as ex
 from edgevad import graphopt as go
 from edgevad import pipeline as pl
+from edgevad import tensor as tc
 from edgevad.extractor import ExtractorConfig, NonLocalParams, desk_scale_config, full_scale_config
 from edgevad.tensor import Tensor
 from edgevad.videopre import ten_crop
@@ -219,6 +220,12 @@ class TestRunnerMemory:
         runner = go.GraphRunner(g, plan)
         # the arena plus one padded stem item and one stem column buffer
         assert runner.static_bytes < 64 * MIB
+        # the column buffer is one slab, not the stem item's whole im2col
+        stem = next(n for n in g.nodes if n.kind.startswith("conv3d"))
+        c, d, h, w = g.meta[stem.inputs[0]].shape[1:]
+        pd, ph, pw = stem.attrs["pad"]
+        padded_item = 4 * c * (d + 2 * pd) * (h + 2 * ph) * (w + 2 * pw)
+        assert runner.workspace.nbytes <= padded_item + tc.COL_SLAB_BYTES
         rng = np.random.default_rng(15)
         x = Tensor(rng.standard_normal(g.meta[g.inputs[0]].shape, dtype=np.float32))
         warm = runner.run(x)[0].data

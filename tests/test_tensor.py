@@ -302,6 +302,88 @@ class TestTenCropConv:
             tc.conv3d_ten_crop_raw(np.ones((1, 3, 2, 16, 16), np.float32), w, None, (1, 1, 1), (0, 1, 1), (1, 1, 1), 16)
 
 
+ONE_SLAB = 1 << 62  # a COL_SLAB_BYTES budget that holds every conv's whole column buffer
+
+
+def col_slab_count(k, out_shape):
+    od, oh, ow = out_shape[-3:]
+    planes, rows = tc._col_slab(k, od, oh, ow)
+    return -(-od // planes) * -(-oh // rows)
+
+
+class TestColumnSlabs:
+    """conv3d fills and multiplies its column buffer one slab of output rows
+    at a time; on the desk convs that is bitwise equal to one whole-item GEMM."""
+
+    def test_desk_stem_slabs_stay_in_budget(self):
+        item, wshape, stride, pad = DESK_CONVS["stem"]
+        k = int(np.prod(wshape[1:]))
+        out_shape = (10, 8, 8, 56, 56)
+        padded = 3 * 18 * 228 * 228
+        col = tc.conv3d_workspace_elems((10,) + item, out_shape, 3, wshape[2:], pad) - padded
+        assert 4 * col <= tc.COL_SLAB_BYTES
+        assert col_slab_count(k, out_shape) == 24  # 3 blocks of 20, 20 and 16 rows per plane
+
+    @pytest.mark.parametrize("width", [256, 455])  # desk_default and ppm_long clips
+    def test_desk_stem_bitwise_equal_to_one_slab(self, width, monkeypatch):
+        rng = np.random.default_rng(width + 1)
+        clip = rng.standard_normal((3, 16, 256, width), dtype=np.float32)
+        w = rng.standard_normal((8, 3, 3, 5, 5), dtype=np.float32) * np.float32(0.1)
+        b = rng.standard_normal(8, dtype=np.float32)
+        got = tc.conv3d_ten_crop_raw(clip, w, b, (2, 4, 4), (1, 2, 2), (1, 1, 1), 224, relu=True)
+        monkeypatch.setattr(tc, "COL_SLAB_BYTES", ONE_SLAB)
+        ref = tc.conv3d_ten_crop_raw(clip, w, b, (2, 4, 4), (1, 2, 2), (1, 1, 1), 224, relu=True)
+        np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("name", ["s0b0", "s1b0"])
+    def test_desk_block_bitwise_equal_to_one_slab(self, name, monkeypatch):
+        item, wshape, stride, pad = DESK_CONVS[name]
+        rng = np.random.default_rng(len(name) + 7)
+        x = rng.standard_normal((3,) + item, dtype=np.float32)
+        w = rng.standard_normal(wshape, dtype=np.float32) * np.float32(0.1)
+        b = rng.standard_normal(wshape[0], dtype=np.float32)
+        got = tc.conv3d_raw(x, w, b, stride, pad, (1, 1, 1), relu=True)
+        monkeypatch.setattr(tc, "COL_SLAB_BYTES", ONE_SLAB)
+        ref = tc.conv3d_raw(x, w, b, stride, pad, (1, 1, 1), relu=True)
+        np.testing.assert_array_equal(got, ref)
+
+    # budgets in bytes for x [2,3,5,9,7] and w [4,3,2,3,3] (K=54) at stride 1
+    # and pad (0,1,1), output [od,oh,ow] = [4,9,7]: 3 planes (and a last slab
+    # of 1 plane), 4 rows (and a last block of 1 row), and less than one row
+    # (1 row per slab)
+    @pytest.mark.parametrize("budget, slabs", [(4 * 54 * 189, 2), (4 * 54 * 28, 12), (4 * 54 * 3, 36)])
+    def test_short_last_slab_and_row_slabs(self, budget, slabs, monkeypatch):
+        rng = np.random.default_rng(budget)
+        x = rng.standard_normal((2, 3, 5, 9, 7), dtype=np.float32)
+        w = rng.standard_normal((4, 3, 2, 3, 3), dtype=np.float32)
+        b = rng.standard_normal(4, dtype=np.float32)
+        stride, pad, dil = (1, 1, 1), (0, 1, 1), (1, 1, 1)
+        one = tc.conv3d_raw(x, w, b, stride, pad, dil, relu=True)
+        monkeypatch.setattr(tc, "COL_SLAB_BYTES", budget)
+        assert col_slab_count(54, one.shape) == slabs
+        plain, pooled = conv3d_both_ways(x, w, b, stride, pad, dil, True, one.shape)
+        np.testing.assert_array_equal(plain, pooled)
+        # each slab's GEMM has another N, which may change a small GEMM's
+        # summation order: hold it to the reordering bound of a K-term sum
+        absconv = conv3d_rowmajor_ref(np.abs(x), np.abs(w), None, stride, pad, dil)
+        eps = np.finfo(np.float32).eps
+        assert np.all(np.abs(plain - one) <= 2 * eps * (54 * absconv + np.abs(one)))
+
+    def test_row_slabs_with_dilation_and_mirrored_crops(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        clip = rng.standard_normal((2, 6, 21, 25), dtype=np.float32)
+        w = rng.standard_normal((3, 2, 2, 3, 3), dtype=np.float32)
+        one = tc.conv3d_ten_crop_raw(clip, w, None, (1, 2, 1), (1, 2, 2), (2, 1, 2), 16)
+        monkeypatch.setattr(tc, "COL_SLAB_BYTES", 4 * 36 * 40)  # 2 of 9 rows per slab, the last 1
+        assert col_slab_count(36, one.shape) == one.shape[2] * 5
+        got = tc.conv3d_ten_crop_raw(clip, w, None, (1, 2, 1), (1, 2, 2), (2, 1, 2), 16)
+        ref = tc.conv3d_raw(ten_crop(clip, 16), w, None, (1, 2, 1), (1, 2, 2), (2, 1, 2))
+        np.testing.assert_array_equal(got, ref)
+        absconv = conv3d_rowmajor_ref(np.abs(ten_crop(clip, 16)), np.abs(w), None, (1, 2, 1), (1, 2, 2), (2, 1, 2))
+        eps = np.finfo(np.float32).eps
+        assert np.all(np.abs(got - one) <= 2 * eps * (36 * absconv + np.abs(one)))
+
+
 # ---------------------------------------------------------------------------
 # conv1d_dilated
 # ---------------------------------------------------------------------------
