@@ -711,9 +711,9 @@ class GraphRunner:
     """Reusable executor: with a plan, the arena and conv workspace are
     allocated once and reused across calls (ahead-of-time static memory).
     Conv and non-local nodes write straight into their arena slots; the
-    workspace holds one padded batch item and one column buffer of the
-    largest conv. One runner serves one execution context; calls are not
-    thread-safe."""
+    workspace holds one padded batch item and one column slab (at most
+    tensor.COL_SLAB_BYTES) of the largest conv. One runner serves one
+    execution context; calls are not thread-safe."""
 
     def __init__(self, graph: ComputeGraph, plan: Optional[MemoryPlan] = None):
         self.graph = graph

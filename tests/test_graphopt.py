@@ -1,5 +1,7 @@
 """Graph IR, pass safety, memory planning, and executor tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,23 @@ class TestGraphValidation:
         g = ComputeGraph([Node("a", "relu", ("x",), "y")], ["x"], ["y"], meta, {})
         with pytest.raises(GraphError, match="shape"):
             g.validate()
+
+    def test_builder_infers_each_shape_once(self, monkeypatch):
+        calls = []
+        spec = go.OPS["relu"]
+        counted = dataclasses.replace(spec, shape=lambda *a: calls.append(1) or spec.shape(*a))
+        monkeypatch.setitem(go.OPS, "relu", counted)
+        b = GraphBuilder()
+        b.output(b.relu(b.relu(b.input((2, 3)))))
+        b.build()
+        assert len(calls) == 2  # op() infers; build() keeps the other checks only
+
+    def test_builder_checks_outputs_produced(self):
+        b = GraphBuilder()
+        b.relu(b.input((2, 3)))
+        b.output("nowhere")
+        with pytest.raises(GraphError, match="never produced"):
+            b.build()
 
     def test_json_round_trip(self):
         g, xs = tiny_conv_chain(3)
