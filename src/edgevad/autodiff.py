@@ -49,19 +49,6 @@ class Var:
             if v._bwd is not None and v.grad is not None:
                 v._bwd(v.grad)
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
 

@@ -31,7 +31,6 @@ from .pipeline import (
     PipelineConfigError,
     PipelineStageError,
     _build_graph,
-    _resolve_extractor_config,
     run_pipeline,
 )
 from .serialize import save_params
@@ -270,8 +269,7 @@ def _read_labels(path) -> Dict[int, int]:
 
 def cmd_optimize(args) -> int:
     cfg = _pipeline_config(args)
-    ecfg = _resolve_extractor_config(cfg.extractor_profile)
-    graph = build_extractor(ecfg, seed=cfg.seed)
+    _, graph, _ = _build_graph(replace(cfg, fuse=False, fp16=False, memplan=False))
     before_nodes = len(graph.nodes)
     naive_plan = plan_memory(graph)
     opt, plan = optimize_passes(graph, do_fuse=cfg.fuse, do_fp16=cfg.fp16, do_memplan=True)

@@ -24,13 +24,18 @@ from .tensor import (
     ShapeError,
     Tensor,
     conv1d_raw,
+    conv1d_shape,
     conv3d_raw,
+    conv3d_shape,
     conv3d_ten_crop_raw,
     conv3d_workspace_elems,
     linear_raw,
+    linear_shape,
     maxpool3d_raw,
+    maxpool3d_shape,
     nonlocal_raw,
     round_f16,
+    ten_crop_shape,
 )
 from .videopre import ten_crop
 
@@ -95,10 +100,10 @@ class ComputeGraph:
                 if pname not in self.params:
                     raise GraphError(f"node {n.name}: missing parameter {pname} for slot {slot}")
             if infer_shapes:
-                want = op_spec(n.kind).shape([self.meta[t].shape for t in n.inputs], n.attrs, self.param_shapes(n))
+                want = _infer(n, [self.meta[t].shape for t in n.inputs], self.param_shapes(n))
                 got = self.meta[n.output].shape
-                if tuple(want) != tuple(got):
-                    raise GraphError(f"node {n.name}: declared output shape {got} != inferred {tuple(want)}")
+                if want != tuple(got):
+                    raise GraphError(f"node {n.name}: declared output shape {got} != inferred {want}")
             produced.add(n.output)
         for t in self.outputs:
             if t not in produced:
@@ -190,7 +195,7 @@ class OpSpec:
     `kind -> bias_add(bias_axis) -> relu` into `<kind>_bias_relu`, an entry
     derived from this one."""
 
-    shape: Callable  # (input shapes, attrs, param shapes) -> output shape; GraphError if inconsistent
+    shape: Callable  # (input shapes, attrs, param shapes) -> output shape; ShapeError if inconsistent
     run: Callable  # (input arrays, param arrays, attrs, out, workspace) -> result
     macs: Callable = lambda out, ps: 0  # (output shape, param shapes) -> multiply-accumulates
     # (input shapes, output shape, attrs, param shapes) -> scratch floats; the runner allocates the max
@@ -206,34 +211,18 @@ FUSED_SUFFIX = "_bias_relu"
 CROP_PREFIX = "ten_crop_"
 
 
-def _channels(c: int, cw: int) -> None:
-    if c != cw:
-        raise GraphError(f"channel axis mismatch: input C={c} vs weight C={cw}")
-
-
-def _conv3d_shape(xs, a, ps):
-    n, c, d, h, wid = xs[0]
-    o, cw, kd, kh, kw = ps["w"]
-    _channels(c, cw)
-    sd, sh, sw = a["stride"]
-    pd, ph, pw = a["pad"]
-    dd, dh, dw = a.get("dilation", (1, 1, 1))
-    od = (d + 2 * pd - ((kd - 1) * dd + 1)) // sd + 1
-    oh = (h + 2 * ph - ((kh - 1) * dh + 1)) // sh + 1
-    ow = (wid + 2 * pw - ((kw - 1) * dw + 1)) // sw + 1
-    if min(od, oh, ow) < 1:
-        raise GraphError(f"conv3d output collapses: {(od, oh, ow)}")
-    return (n, o, od, oh, ow)
+def _conv_geometry(a: dict) -> tuple:
+    """A conv3d node's (stride, pad, dilation)."""
+    return a["stride"], a["pad"], a.get("dilation", (1, 1, 1))
 
 
 def _conv3d(xs, p, a, out, ws, relu=False):
-    return conv3d_raw(xs[0], p["w"], p.get("b"), a["stride"], a["pad"], a.get("dilation", (1, 1, 1)),
-                      relu=relu, out=out, workspace=ws)
+    return conv3d_raw(xs[0], p["w"], p.get("b"), *_conv_geometry(a), relu=relu, out=out, workspace=ws)
 
 
 def _conv3d_ten_crop(xs, p, a, out, ws, relu=False):
-    return conv3d_ten_crop_raw(xs[0], p["w"], p.get("b"), a["stride"], a["pad"], a.get("dilation", (1, 1, 1)),
-                               a["size"], relu=relu, out=out, workspace=ws)
+    return conv3d_ten_crop_raw(xs[0], p["w"], p.get("b"), *_conv_geometry(a), a["size"],
+                               relu=relu, out=out, workspace=ws)
 
 
 def _conv3d_workspace(xs, out, a, ps):
@@ -241,35 +230,8 @@ def _conv3d_workspace(xs, out, a, ps):
     return conv3d_workspace_elems(xs[0], out, w[1], w[2:], a["pad"])
 
 
-def _ten_crop_shape(xs, a, ps):
-    if len(xs[0]) != 4:
-        raise GraphError(f"ten_crop input must be a 4-D [C,L,H,W] clip, got {tuple(xs[0])}")
-    c, d, h, w = xs[0]
-    size = a["size"]
-    if h < size or w < size:
-        raise GraphError(f"ten_crop: clip extent {h}x{w} smaller than crop {size}")
-    return (10, c, d, size, size)
-
-
-def _conv1d_shape(xs, a, ps):
-    c, t = xs[0]
-    o, cw, k = ps["w"]
-    _channels(c, cw)
-    if k % 2 == 0:
-        raise GraphError(f"even conv1d kernel k={k} unsupported (same-padding)")
-    return (o, t)
-
-
 def _conv1d(xs, p, a, out, ws, relu=False):
     return conv1d_raw(xs[0], p["w"], a["dilation"], b=p.get("b"), relu=relu, out=out)
-
-
-def _linear_shape(xs, a, ps):
-    x = tuple(xs[0])
-    o, i = ps["w"]
-    if x[-1] != i:
-        raise GraphError(f"trailing axis mismatch: input I={x[-1]} vs weight I={i}")
-    return x[:-1] + (o,)
 
 
 def _linear(xs, p, a, out, ws, relu=False):
@@ -284,7 +246,7 @@ def _weight_macs(out, ps):
 def _bias_shape(xs, a, ps):
     x, b, axis = tuple(xs[0]), ps["b"], a["axis"]
     if x[axis] != b[0]:
-        raise GraphError(f"bias extent {b[0]} != input axis {axis} extent {x[axis]}")
+        raise ShapeError(f"bias extent {b[0]} != input axis {axis} extent {x[axis]}")
     return x
 
 
@@ -302,7 +264,7 @@ def _same(xs, a, ps):
 def _add_shape(xs, a, ps):
     x, y = tuple(xs[0]), tuple(xs[1])
     if x != y:
-        raise GraphError(f"add shape mismatch {x} vs {y}")
+        raise ShapeError(f"add shape mismatch {x} vs {y}")
     return x
 
 
@@ -311,16 +273,6 @@ def _add(xs, p, a, out, ws):
     if x.shape != y.shape:
         raise ShapeError(f"add shape mismatch {x.shape} vs {y.shape}")
     return np.add(x, y, out=out)
-
-
-def _maxpool3d_shape(xs, a, ps):
-    n, c, d, h, w = xs[0]
-    kd, kh, kw = a["kernel"]
-    sd, sh, sw = a["stride"]
-    od, oh, ow = (d - kd) // sd + 1, (h - kh) // sh + 1, (w - kw) // sw + 1
-    if min(od, oh, ow) < 1:
-        raise GraphError(f"maxpool3d output collapses: {(od, oh, ow)}")
-    return (n, c, od, oh, ow)
 
 
 def _attention_macs(out, ps):
@@ -342,23 +294,28 @@ def _concat_shape(xs, a, ps):
     for s in xs:
         s = list(s)
         if s[:axis] + s[axis + 1:] != base[:axis] + base[axis + 1:]:
-            raise GraphError(f"concat shape mismatch on non-concat axes: {xs}")
+            raise ShapeError(f"concat shape mismatch on non-concat axes: {xs}")
         total += s[axis]
     base[axis] = total
     return tuple(base)
 
 
 OPS: Dict[str, OpSpec] = {
-    "conv3d": OpSpec(_conv3d_shape, _conv3d, _weight_macs, _conv3d_workspace, bias_axis=1,
-                     crop_run=_conv3d_ten_crop),
-    "ten_crop": OpSpec(_ten_crop_shape, lambda xs, p, a, out, ws: ten_crop(xs[0], a["size"], out=out)),
-    "conv1d": OpSpec(_conv1d_shape, _conv1d, _weight_macs, bias_axis=0),
-    "linear": OpSpec(_linear_shape, _linear, _weight_macs, bias_axis=-1),
+    # the kernel-backed kinds' shapes are their kernels' own rules (tensor.*_shape)
+    "conv3d": OpSpec(lambda xs, a, ps: conv3d_shape(xs[0], ps["w"], ps.get("b"), *_conv_geometry(a)),
+                     _conv3d, _weight_macs, _conv3d_workspace, bias_axis=1, crop_run=_conv3d_ten_crop),
+    "ten_crop": OpSpec(lambda xs, a, ps: ten_crop_shape(xs[0], a["size"]),
+                       lambda xs, p, a, out, ws: ten_crop(xs[0], a["size"], out=out)),
+    "conv1d": OpSpec(lambda xs, a, ps: conv1d_shape(xs[0], ps["w"], ps.get("b"), a["dilation"]),
+                     _conv1d, _weight_macs, bias_axis=0),
+    "linear": OpSpec(lambda xs, a, ps: linear_shape(xs[0], ps["w"], ps.get("b")),
+                     _linear, _weight_macs, bias_axis=-1),
     "bias_add": OpSpec(_bias_shape, _bias_add),
     "relu": OpSpec(_same, lambda xs, p, a, out, ws: np.maximum(xs[0], 0.0, out=out)),
     "sigmoid": OpSpec(_same, lambda xs, p, a, out, ws: 1.0 / (1.0 + np.exp(-xs[0]))),
     "add": OpSpec(_add_shape, _add),
-    "maxpool3d": OpSpec(_maxpool3d_shape, lambda xs, p, a, out, ws: maxpool3d_raw(xs[0], a["kernel"], a["stride"])),
+    "maxpool3d": OpSpec(lambda xs, a, ps: maxpool3d_shape(xs[0], a["kernel"], a["stride"]),
+                        lambda xs, p, a, out, ws: maxpool3d_raw(xs[0], a["kernel"], a["stride"])),
     "gap3d": OpSpec(lambda xs, a, ps: tuple(xs[0][:2]),
                     lambda xs, p, a, out, ws: np.mean(xs[0], axis=(2, 3, 4), dtype=np.float32)),
     "nonlocal3d": OpSpec(_same, lambda xs, p, a, out, ws: nonlocal_raw(
@@ -401,6 +358,16 @@ def op_spec(kind: str) -> OpSpec:
         raise UnknownNodeKind(f"unknown node kind {kind!r}") from None
 
 
+def _infer(n: Node, xs: List[tuple], ps: Dict[str, tuple]) -> tuple:
+    """`n`'s output shape from its input and parameter shapes by its kind's
+    rule; the rule's ShapeError becomes a GraphError naming the node."""
+    shape = op_spec(n.kind).shape
+    try:
+        return tuple(shape(xs, n.attrs, ps))
+    except ShapeError as e:
+        raise GraphError(f"node {n.name}: {e}") from e
+
+
 # ---------------------------------------------------------------------------
 # builder
 # ---------------------------------------------------------------------------
@@ -441,17 +408,14 @@ class GraphBuilder:
         params: Optional[dict] = None,
         name: Optional[str] = None,
     ) -> str:
-        attrs = attrs or {}
-        params = params or {}
         out = self._tid(kind)
-        shape = op_spec(kind).shape(
-            [self._meta[t].shape for t in inputs], attrs, {slot: self._params[p].shape for slot, p in params.items()}
-        )
+        n = Node(name=name or out, kind=kind, inputs=tuple(inputs), output=out, attrs=attrs or {},
+                 params=params or {})
+        shape = _infer(n, [self._meta[t].shape for t in inputs],
+                       {slot: self._params[p].shape for slot, p in n.params.items()})
         prec = self._meta[inputs[0]].precision if inputs else F32
-        self._meta[out] = TensorMeta(tuple(shape), prec)
-        self._nodes.append(
-            Node(name=name or out, kind=kind, inputs=tuple(inputs), output=out, attrs=attrs, params=params)
-        )
+        self._meta[out] = TensorMeta(shape, prec)
+        self._nodes.append(n)
         return out
 
     # convenience wrappers -------------------------------------------------
@@ -589,14 +553,12 @@ def fuse(graph: ComputeGraph) -> ComputeGraph:
 # pass 2: precision lowering
 # ---------------------------------------------------------------------------
 
-def lower_precision(graph: ComputeGraph, target: str = F16) -> ComputeGraph:
-    """Tag every activation and parameter with the target precision.
+def lower_precision(graph: ComputeGraph) -> ComputeGraph:
+    """Tag every activation and parameter as emulated binary16 (F16).
 
     Parameters are rounded through binary16 immediately; activations are rounded
     by the executor after each node. Accumulation inside kernels stays float32.
     """
-    if target != F16:
-        raise GraphError(f"unsupported lowering target {target!r}")
     meta = {t: TensorMeta(m.shape, F16) for t, m in graph.meta.items()}
     params = {k: Tensor(v.data, F16) for k, v in graph.params.items()}
     g = ComputeGraph(list(graph.nodes), list(graph.inputs), list(graph.outputs), meta, params, graph.name)

@@ -136,7 +136,10 @@ def _resolve_extractor_config(profile) -> ExtractorConfig:
     if isinstance(profile, ExtractorConfig):
         return profile
     if isinstance(profile, dict):
-        cfg = ExtractorConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in profile.items()})
+        try:
+            cfg = ExtractorConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in profile.items()})
+        except TypeError as e:  # an unknown or a missing key
+            raise PipelineConfigError(f"extractor_profile: {e}") from e
         cfg.validate()
         return cfg
     if profile == "desk":
@@ -148,11 +151,16 @@ def _resolve_extractor_config(profile) -> ExtractorConfig:
 
 def _build_graph(cfg: PipelineConfig, clip_hw: Optional[Tuple[int, int]] = None):
     """The optimized extractor: on [crops,3,L,s,s] crops, or, given the
-    clips' (H,W), on one uncropped [3,L,H,W] clip (see build_extractor)."""
-    ecfg = _resolve_extractor_config(cfg.extractor_profile)
-    graph = build_extractor(ecfg, seed=cfg.seed, clip_hw=clip_hw)
-    if cfg.extractor_params:
-        load_graph_params(graph, cfg.extractor_params)
+    clips' (H,W), on one uncropped [3,L,H,W] clip (see build_extractor). A
+    profile that a node's shape rule rejects, or an unreadable parameter
+    file, is a config error."""
+    try:
+        ecfg = _resolve_extractor_config(cfg.extractor_profile)
+        graph = build_extractor(ecfg, seed=cfg.seed, clip_hw=clip_hw)
+        if cfg.extractor_params:
+            load_graph_params(graph, cfg.extractor_params)
+    except (ValueError, OSError) as e:
+        raise PipelineConfigError(str(e)) from e
     graph, plan = optimize(graph, do_fuse=cfg.fuse, do_fp16=cfg.fp16, do_memplan=cfg.memplan)
     return ecfg, graph, plan
 

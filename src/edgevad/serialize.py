@@ -43,12 +43,8 @@ def load_params(path) -> Dict[str, np.ndarray]:
     return out
 
 
-def graph_params_to_arrays(params: Dict[str, Tensor]) -> Dict[str, np.ndarray]:
-    return {k: v.data for k, v in params.items()}
-
-
 def save_graph_params(graph, path) -> None:
-    save_params(path, graph_params_to_arrays(graph.params))
+    save_params(path, {k: v.data for k, v in graph.params.items()})
 
 
 def load_graph_params(graph, path) -> None:

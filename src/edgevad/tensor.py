@@ -57,12 +57,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.size == 1 else float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def astype(self, precision: str) -> "Tensor":
-        return Tensor(self.data, precision)
-
 
 def tensor(data, precision: str = F32) -> Tensor:
     return Tensor(np.asarray(data, dtype=np.float32), precision)
@@ -107,21 +101,62 @@ def _col_slab(k: int, od: int, oh: int, ow: int) -> tuple:
     return 1, max(1, cols // ow)
 
 
-def conv3d_workspace_elems(in_shape: tuple, out_shape: tuple, c: int, kernel: tuple, pad: tuple) -> int:
-    """Scratch floats conv3d_raw wants: one padded batch item + one column slab.
+def _channels(c: int, cw: int) -> None:
+    if c != cw:
+        raise ShapeError(f"channel axis mismatch: input C={c} vs weight C={cw}")
 
-    The padded item is [C, D+2pd, H+2ph, W+2pw] and is absent when `pad` is all
-    zero; the column slab is [C*kd*kh*kw, planes*rows*ow] (see _col_slab), at
-    most COL_SLAB_BYTES unless one output row alone is larger. Neither grows
-    with N.
-    """
-    _, _, d, h, w = in_shape
-    _, _, od, oh, ow = out_shape
+
+def _bias(o: int, b: Optional[tuple]) -> None:
+    if b is not None and tuple(b) != (o,):
+        raise ShapeError(f"bias axis mismatch: expected ({o},), got {tuple(b)}")
+
+
+def _window(op: str, sizes: tuple, kernel: tuple, stride: tuple, pad=(0, 0, 0), dilation=(1, 1, 1)) -> tuple:
+    """(depth, height, width) of `op`'s output over input extents `sizes`;
+    ShapeError unless kernel, stride and dilation are three ints >= 1, pad
+    three ints >= 0, and every output axis keeps at least one position."""
+    for name, v, low in (("kernel", kernel, 1), ("stride", stride, 1), ("dilation", dilation, 1), ("pad", pad, 0)):
+        if len(v) != 3 or min(v) < low:
+            raise ShapeError(f"{op} {name} must be 3 values >= {low}, got {tuple(v)}")
+    out = tuple((n + 2 * p - (k - 1) * dl - 1) // s + 1
+                for n, k, s, p, dl in zip(sizes, kernel, stride, pad, dilation))
+    for axis, extent in zip(("depth", "height", "width"), out):
+        if extent < 1:
+            raise ShapeError(f"{op} output {axis} axis collapses to {extent} (< 1)")
+    return out
+
+
+def conv3d_shape(x: tuple, w: tuple, b: Optional[tuple], stride: tuple, pad: tuple, dilation: tuple) -> tuple:
+    """The [N,O,od,oh,ow] output shape of conv3d_raw on an input of shape
+    `x` [N,C,D,H,W], a weight of shape `w` [O,C,kd,kh,kw] and a bias of
+    shape `b` (None without one); ShapeError where conv3d_raw rejects them."""
+    if len(x) != 5:
+        raise ShapeError(f"conv3d input must be 5-D [N,C,D,H,W], got {len(x)}-D")
+    if len(w) != 5:
+        raise ShapeError(f"conv3d weight must be 5-D [O,C,kd,kh,kw], got {len(w)}-D")
+    _channels(x[1], w[1])
+    _bias(w[0], b)
+    return (x[0], w[0]) + _window("conv3d", x[2:], w[2:], stride, pad, dilation)
+
+
+def _conv3d_scratch(in_shape: tuple, out_shape: tuple, k: int, pad: tuple) -> tuple:
+    """The scratch of a conv3d with K = `k`: (the padded item's shape
+    [C, D+2pd, H+2ph, W+2pw], None when `pad` is all zero; the (planes, rows)
+    of the column slab [K, planes*rows*ow], see _col_slab; the floats of each)."""
+    _, c, d, h, w = in_shape
+    od, oh, ow = out_shape[2:]
     pd, ph, pw = pad
-    k = c * int(np.prod(kernel))
+    padded = (c, d + 2 * pd, h + 2 * ph, w + 2 * pw) if any(pad) else None
     planes, rows = _col_slab(k, od, oh, ow)
-    padded = c * (d + 2 * pd) * (h + 2 * ph) * (w + 2 * pw) if any(pad) else 0
-    return padded + k * planes * rows * ow
+    return padded, (planes, rows), int(np.prod(padded)) if padded else 0, k * planes * rows * ow
+
+
+def conv3d_workspace_elems(in_shape: tuple, out_shape: tuple, c: int, kernel: tuple, pad: tuple) -> int:
+    """Scratch floats conv3d_raw wants: one padded batch item + one column
+    slab (see _conv3d_scratch). The slab is at most COL_SLAB_BYTES unless one
+    output row alone is larger; neither grows with N."""
+    _, _, pad_elems, col_elems = _conv3d_scratch(in_shape, out_shape, c * int(np.prod(kernel)), pad)
+    return pad_elems + col_elems
 
 
 def _conv3d_setup(x_shape: tuple, w: np.ndarray, b: Optional[np.ndarray], stride: tuple, pad: tuple,
@@ -130,47 +165,27 @@ def _conv3d_setup(x_shape: tuple, w: np.ndarray, b: Optional[np.ndarray], stride
     its buffers: (out, the zeroed padded item and the view of its interior,
     both None without padding, the flat column slab, the weight as [O,K],
     the taps shape [C,kd,kh,kw,od,oh,ow], the slab's (planes, rows))."""
-    if len(x_shape) != 5:
-        raise ShapeError(f"conv3d input must be 5-D [N,C,D,H,W], got {len(x_shape)}-D")
-    if w.ndim != 5:
-        raise ShapeError(f"conv3d weight must be 5-D [O,C,kd,kh,kw], got {w.ndim}-D")
-    n, c, d, h, wid = x_shape
-    o, cw, kd, kh, kw = w.shape
-    if c != cw:
-        raise ShapeError(f"channel axis mismatch: input C={c} vs weight C={cw}")
-    if b is not None and b.shape != (o,):
-        raise ShapeError(f"bias axis mismatch: expected ({o},), got {b.shape}")
-    sd, sh, sw = stride
-    pd, ph, pw = pad
-    dd, dh, dw = dilation
-    ed, eh, ew = (kd - 1) * dd + 1, (kh - 1) * dh + 1, (kw - 1) * dw + 1
-    od = (d + 2 * pd - ed) // sd + 1
-    oh = (h + 2 * ph - eh) // sh + 1
-    ow = (wid + 2 * pw - ew) // sw + 1
-    for axis, extent in (("depth", od), ("height", oh), ("width", ow)):
-        if extent < 1:
-            raise ShapeError(f"conv3d output {axis} axis collapses to {extent} (< 1)")
+    shape = conv3d_shape(x_shape, w.shape, None if b is None else b.shape, stride, pad, dilation)
+    o, c, kd, kh, kw = w.shape
     k = c * kd * kh * kw
-    slab = _col_slab(k, od, oh, ow)
-    col_elems = k * slab[0] * slab[1] * ow
-    padded = (c, d + 2 * pd, h + 2 * ph, wid + 2 * pw) if (pd or ph or pw) else None
-    pad_elems = int(np.prod(padded)) if padded else 0
+    padded, slab, pad_elems, col_elems = _conv3d_scratch(x_shape, shape, k, pad)
     if workspace is None:
         workspace = np.empty(pad_elems + col_elems, dtype=np.float32)
     elif workspace.size < pad_elems + col_elems:
         raise ShapeError(f"conv3d workspace holds {workspace.size} floats, needs {pad_elems + col_elems}")
     if out is None:
-        out = np.empty((n, o, od, oh, ow), dtype=np.float32)
-    elif out.shape != (n, o, od, oh, ow) or not out.flags.c_contiguous:
-        raise ShapeError(f"conv3d out must be C-contiguous {(n, o, od, oh, ow)}, got {out.shape}")
+        out = np.empty(shape, dtype=np.float32)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ShapeError(f"conv3d out must be C-contiguous {shape}, got {out.shape}")
     xp = interior = None
     if padded:
+        (pd, ph, pw), (d, h, wid) = pad, x_shape[2:]
         xp = workspace[:pad_elems].reshape(padded)
         xp.fill(0.0)  # the border stays zero; each item overwrites only the interior
         interior = xp[:, pd:pd + d, ph:ph + h, pw:pw + wid]
     col = workspace[pad_elems:pad_elems + col_elems]
     # K runs (c,kd,kh,kw), as the column slab's rows do
-    return out, xp, interior, col, w.reshape(o, k), (c, kd, kh, kw, od, oh, ow), slab
+    return out, xp, interior, col, w.reshape(o, k), (c, kd, kh, kw) + shape[2:], slab
 
 
 def _conv3d_item(src, col, wmat, y, taps_shape, slab, stride, dilation, b, relu) -> None:
@@ -246,13 +261,24 @@ def conv3d_raw(
     return out
 
 
-def base_crops(clip: np.ndarray, size: int) -> list:
-    """The five base crops of ten-crop, as views of the last two axes of
-    `clip`: top-left, top-right, bottom-left, bottom-right, center. Crop
-    `5 + j` of ten-crop is crop `j` mirrored along W."""
-    h, w = clip.shape[-2:]
+def ten_crop_shape(clip: tuple, size: int) -> tuple:
+    """The [10,C,L,size,size] shape of the ten crops of a clip of shape
+    `clip` [C,L,H,W]; ShapeError when the clip is not 4-D or a crop does
+    not fit in it."""
+    if len(clip) != 4:
+        raise ShapeError(f"ten-crop input must be a 4-D [C,L,H,W] clip, got {len(clip)}-D")
+    c, d, h, w = clip
     if h < size or w < size:
         raise ShapeError(f"frame extent {h}x{w} smaller than crop {size}; resize the shorter side first")
+    return (10, c, d, size, size)
+
+
+def base_crops(clip: np.ndarray, size: int) -> list:
+    """The five base crops of ten-crop, as views of the last two axes of a
+    clip that ten_crop_shape accepts: top-left, top-right, bottom-left,
+    bottom-right, center. Crop `5 + j` of ten-crop is crop `j` mirrored
+    along W."""
+    h, w = clip.shape[-2:]
     top, left = (h - size) // 2, (w - size) // 2
     origins = ((0, 0), (0, w - size), (h - size, 0), (h - size, w - size), (top, left))
     return [clip[..., y:y + size, x:x + size] for y, x in origins]
@@ -280,11 +306,8 @@ def conv3d_ten_crop_raw(
     conv3d_raw(ten_crop(clip, size)) bit for bit. `out` and `workspace` are
     as for conv3d_raw on the [10,C,D,size,size] crops.
     """
-    if clip.ndim != 4:
-        raise ShapeError(f"ten-crop conv3d input must be a 4-D [C,D,H,W] clip, got {clip.ndim}-D")
+    shape = ten_crop_shape(clip.shape, size)
     crops = base_crops(clip, size)
-    c, d = clip.shape[:2]
-    shape = (2 * len(crops), c, d, size, size)
     out, xp, interior, col, wmat, taps_shape, slab = _conv3d_setup(
         shape, w, b, stride, pad, dilation, out, workspace)
     for j, crop in enumerate(crops):
@@ -297,6 +320,26 @@ def conv3d_ten_crop_raw(
     return out
 
 
+def conv1d_shape(x: tuple, w: tuple, b: Optional[tuple], dilation: int) -> tuple:
+    """The [O,T] output shape of conv1d_raw on an input of shape `x` [C,T],
+    a weight of shape `w` [O,C,k] and a bias of shape `b` (None without
+    one); ShapeError where conv1d_raw rejects them."""
+    if len(x) != 2:
+        raise ShapeError(f"conv1d input must be 2-D [C,T], got {len(x)}-D")
+    if len(w) != 3:
+        raise ShapeError(f"conv1d weight must be 3-D [O,C,k], got {len(w)}-D")
+    (c, t), (o, cw, k) = x, w
+    _channels(c, cw)
+    _bias(o, b)
+    if k % 2 == 0:
+        raise ShapeError(f"even kernel size k={k}: symmetric same-padding undefined")
+    if t < 1:
+        raise ShapeError("temporal axis must have extent >= 1")
+    if dilation < 1:  # conv1d_raw's strided view reads in bounds only for dilation >= 1
+        raise ShapeError(f"dilation must be >= 1, got {dilation}")
+    return (o, t)
+
+
 def conv1d_raw(
     x: np.ndarray,
     w: np.ndarray,
@@ -306,20 +349,8 @@ def conv1d_raw(
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Same-length dilated cross-correlation on [C,T] input, weight [O,C,k], k odd."""
-    if x.ndim != 2:
-        raise ShapeError(f"conv1d input must be 2-D [C,T], got {x.ndim}-D")
-    if w.ndim != 3:
-        raise ShapeError(f"conv1d weight must be 3-D [O,C,k], got {w.ndim}-D")
-    c, t = x.shape
-    o, cw, k = w.shape
-    if c != cw:
-        raise ShapeError(f"channel axis mismatch: input C={c} vs weight C={cw}")
-    if k % 2 == 0:
-        raise ShapeError(f"even kernel size k={k}: symmetric same-padding undefined")
-    if t < 1:
-        raise ShapeError("temporal axis must have extent >= 1")
-    if dilation < 1:  # the strided view below reads in bounds only for dilation >= 1
-        raise ShapeError(f"dilation must be >= 1, got {dilation}")
+    o, t = conv1d_shape(x.shape, w.shape, None if b is None else b.shape, dilation)
+    c, k = w.shape[1:]
     half = (k - 1) * dilation // 2
     xp = np.zeros((c, t + 2 * half), dtype=x.dtype)
     xp[:, half:half + t] = x
@@ -338,6 +369,19 @@ def conv1d_raw(
     return np.ascontiguousarray(res)
 
 
+def linear_shape(x: tuple, w: tuple, b: Optional[tuple]) -> tuple:
+    """The [...,O] output shape of linear_raw on an input of shape `x`
+    [...,I], a weight of shape `w` [O,I] and a bias of shape `b` (None
+    without one); ShapeError where linear_raw rejects them."""
+    if len(w) != 2:
+        raise ShapeError(f"linear weight must be 2-D [O,I], got {len(w)}-D")
+    o, i = w
+    if tuple(x[-1:]) != (i,):
+        raise ShapeError(f"trailing axis mismatch: input shape {tuple(x)} vs weight I={i}")
+    _bias(o, b)
+    return tuple(x[:-1]) + (o,)
+
+
 def linear_raw(
     x: np.ndarray,
     w: np.ndarray,
@@ -346,13 +390,7 @@ def linear_raw(
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Affine map on the trailing axis: x[...,I] @ w[O,I]^T (+ b)."""
-    if w.ndim != 2:
-        raise ShapeError(f"linear weight must be 2-D [O,I], got {w.ndim}-D")
-    o, i = w.shape
-    if x.shape[-1] != i:
-        raise ShapeError(f"trailing axis mismatch: input I={x.shape[-1]} vs weight I={i}")
-    if b is not None and b.shape != (o,):
-        raise ShapeError(f"bias axis mismatch: expected ({o},), got {b.shape}")
+    linear_shape(x.shape, w.shape, None if b is None else b.shape)
     y = x @ w.T
     if b is not None:
         y += b
@@ -375,17 +413,18 @@ def softmax_raw(x: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> n
     return np.divide(e, np.sum(e, axis=axis, keepdims=True), out=e)
 
 
+def maxpool3d_shape(x: tuple, kernel: tuple, stride: tuple) -> tuple:
+    """The [N,C,od,oh,ow] output shape of maxpool3d_raw on an input of shape
+    `x` [N,C,D,H,W]; ShapeError where maxpool3d_raw rejects it."""
+    if len(x) != 5:
+        raise ShapeError(f"max_pool3d input must be 5-D, got {len(x)}-D")
+    return tuple(x[:2]) + _window("max_pool3d", x[2:], kernel, stride)
+
+
 def maxpool3d_raw(x: np.ndarray, kernel: tuple, stride: tuple) -> np.ndarray:
-    if x.ndim != 5:
-        raise ShapeError(f"max_pool3d input must be 5-D, got {x.ndim}-D")
-    kd, kh, kw = kernel
+    maxpool3d_shape(x.shape, kernel, stride)
+    win = sliding_window_view(x, tuple(kernel), axis=(2, 3, 4))
     sd, sh, sw = stride
-    n, c, d, h, w = x.shape
-    od, oh, ow = (d - kd) // sd + 1, (h - kh) // sh + 1, (w - kw) // sw + 1
-    for axis, extent in (("depth", od), ("height", oh), ("width", ow)):
-        if extent < 1:
-            raise ShapeError(f"max_pool3d output {axis} axis collapses to {extent} (< 1)")
-    win = sliding_window_view(x, (kd, kh, kw), axis=(2, 3, 4))
     win = win[:, :, ::sd, ::sh, ::sw]
     return np.ascontiguousarray(win.max(axis=(5, 6, 7)))
 

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, base_crops
+from .tensor import Tensor, base_crops, ten_crop_shape
 
 RESIZE_TARGET = 256
 CROP_SIZE = 224
@@ -135,17 +135,14 @@ def ten_crop(clip: np.ndarray, size: int = CROP_SIZE, out: Optional[np.ndarray] 
     The crops are written to `out` when it is given (a C-contiguous float32
     array of the output shape), else to a fresh array; the values are the same.
     """
-    if clip.ndim != 4:
-        raise ValueError(f"ten_crop expects a [3,L,H,W] clip, got {clip.ndim}-D")
-    base = base_crops(clip, size)
+    shape = ten_crop_shape(clip.shape, size)
     # explicit C-contiguous output: np.stack of strided views would keep the
     # source memory order and force a second full relayout downstream
-    shape = (10,) + base[0].shape
     if out is None:
         out = np.empty(shape, dtype=np.float32)
     elif out.shape != shape or out.dtype != np.float32 or not out.flags.c_contiguous:
         raise ValueError(f"ten_crop out must be C-contiguous float32 {shape}, got {out.dtype} {out.shape}")
-    for j, c in enumerate(base):
+    for j, c in enumerate(base_crops(clip, size)):
         out[j] = c
         out[5 + j] = c[..., ::-1]
     return out
@@ -229,19 +226,12 @@ def preprocess_snippet(
     plan: SnippetPlan,
     index: int,
     consts: NormConstants = NormConstants(),
-    out: Optional[np.ndarray] = None,
 ) -> ClipBatch:
     """Full per-snippet pipeline in fixed order; output is [10,3,L,224,224]:
-    ten_crop of prepare_clip.
-
-    With `out` (a C-contiguous float32 [10,3,L,224,224] array) the crops are
-    written there and the batch holds a read-only view of it; `out` stays
-    writable, so a caller can reuse it once the batch is no longer read.
-    """
-    data = ten_crop(prepare_clip(video, plan, index, consts), out=out)
+    ten_crop of prepare_clip."""
     start = plan.start_indices[index]
     return ClipBatch(
-        data=Tensor(data.view()),  # Tensor freezes the array it is given; freeze a view
+        data=Tensor(ten_crop(prepare_clip(video, plan, index, consts))),
         snippet_index=index,
         start_frame=start,
         timestamp_s=start / video.fps if video.fps > 0 else 0.0,

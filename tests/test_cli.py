@@ -185,6 +185,19 @@ class TestConfigErrorsExit2:
         err = capsys.readouterr().err
         assert "config error" in err and setting.split("=")[0] in err
 
+    @pytest.mark.parametrize("command", ["run", "bench", "optimize"])
+    @pytest.mark.parametrize("setting, phrase", [
+        ("extractor_profile.stem_stride=[0,8,8]", "node stem: conv3d stride"),
+        ("extractor_profile.stem_pad=[-1,2,2]", "node stem: conv3d pad"),
+        ("extractor_profile.bogus=1", "extractor_profile: "),
+    ])
+    def test_bad_extractor_profile(self, tiny_config, tmp_path, capsys, command, setting, phrase):
+        # the graph checks each node with its kernel's shape rule when it is built
+        code = main([command, "--config", str(tiny_config), "--out", str(tmp_path / "out"), "--set", setting])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {phrase}" in err and "Traceback" not in err
+
     def test_train_too_few_snippets_names_anomaly_rows(self, capsys):
         # the default anomaly_rows (8) does not fit in 2 snippets
         assert main(["train", "--epochs", "1", "--set", "snippets=2"]) == 2

@@ -4,11 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from edgevad import graphopt as go
+from edgevad import tensor as tc
 from edgevad.bench import count_params_flops
 from edgevad.graphopt import ComputeGraph, GraphBuilder, GraphError, Node, TensorMeta
-from edgevad.tensor import F16, Tensor
+from edgevad.tensor import F16, ShapeError, Tensor
 from edgevad.videopre import ten_crop
 
 from helpers import check_plan_no_overlap, random_graph
@@ -89,6 +92,123 @@ class TestGraphValidation:
         a = go.execute(g, xs)[0].data
         b = go.execute(g2, xs)[0].data
         np.testing.assert_array_equal(a, b)
+
+
+# Operand extents and attrs for the shape-rule parity test: mostly valid,
+# with the invalid values each rule must reject mixed in.
+EXTENT = st.sampled_from([1, 2, 3, 4, 6, 8])
+STRIDE = st.sampled_from([1, 1, 1, 1, 1, 2, 2, 3, 0])
+PAD = st.sampled_from([0, 0, 0, 1, 1, 1, 2, 2, -1])
+DILATION = st.sampled_from([1, 1, 1, 1, 1, 1, 2, 2, 0])
+OFF = st.sampled_from([0, 0, 0, 0, 0, 0, 0, 0, 1, -1])  # a channel or bias length off by this much
+
+
+def three(s):
+    return st.tuples(s, s, s)
+
+
+@st.composite
+def conv3d_case(draw):
+    """conv3d or conv3d_bias_relu on crops, or either one reading the ten
+    crops of a clip in place."""
+    fused, cropped = draw(st.booleans()), draw(st.booleans())
+    c, o = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    w = (o, max(1, c + draw(OFF))) + draw(three(st.integers(1, 3)))
+    attrs = {"stride": draw(three(STRIDE)), "pad": draw(three(PAD)), "dilation": draw(three(DILATION))}
+    params = {"w": w, "b": (max(0, o + draw(OFF)),)} if fused else {"w": w}
+    relu = {"relu": True} if fused else {}
+    kind = "conv3d_bias_relu" if fused else "conv3d"
+    if cropped:
+        attrs["size"] = size = draw(st.integers(1, 6))
+        x = (c, draw(EXTENT), size + draw(st.integers(-1, 3)), size + draw(st.integers(-1, 3)))
+        return go.CROP_PREFIX + kind, [x], params, attrs, lambda xs, ps: tc.conv3d_ten_crop_raw(
+            xs[0], ps["w"], ps.get("b"), attrs["stride"], attrs["pad"], attrs["dilation"], attrs["size"], **relu)
+    x = (draw(st.integers(1, 2)), c) + draw(three(EXTENT))
+    return kind, [x], params, attrs, lambda xs, ps: tc.conv3d_raw(
+        xs[0], ps["w"], ps.get("b"), attrs["stride"], attrs["pad"], attrs["dilation"], **relu)
+
+
+@st.composite
+def ten_crop_case(draw):
+    attrs = {"size": draw(st.integers(1, 6))}
+    clip = (3, 2, attrs["size"] + draw(st.integers(-1, 3)), attrs["size"] + draw(st.integers(-1, 3)))
+    if draw(OFF):
+        clip = (1,) + clip  # a batched clip: not 4-D
+    return "ten_crop", [clip], {}, attrs, lambda xs, ps: ten_crop(xs[0], attrs["size"])
+
+
+@st.composite
+def conv1d_case(draw):
+    fused = draw(st.booleans())
+    c, o = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    x, w = (c, draw(st.integers(0, 6))), (o, max(1, c + draw(OFF)), draw(st.integers(1, 4)))
+    attrs = {"dilation": draw(DILATION)}
+    params = {"w": w, "b": (max(0, o + draw(OFF)),)} if fused else {"w": w}
+    return ("conv1d_bias_relu" if fused else "conv1d"), [x], params, attrs, lambda xs, ps: tc.conv1d_raw(
+        xs[0], ps["w"], attrs["dilation"], b=ps.get("b"), relu=fused)
+
+
+@st.composite
+def linear_case(draw):
+    fused = draw(st.booleans())
+    x = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    o = draw(st.integers(1, 3))
+    params = {"w": (o, max(1, x[-1] + draw(OFF)))}
+    if fused:
+        params["b"] = (max(0, o + draw(OFF)),)
+    return ("linear_bias_relu" if fused else "linear"), [x], params, {}, lambda xs, ps: tc.linear_raw(
+        xs[0], ps["w"], b=ps.get("b"), relu=fused)
+
+
+@st.composite
+def maxpool3d_case(draw):
+    x = (draw(st.integers(1, 2)), draw(st.integers(1, 3))) + draw(three(EXTENT))
+    attrs = {"kernel": draw(three(st.sampled_from([1, 1, 2, 2, 3, 0]))), "stride": draw(three(STRIDE))}
+    return "maxpool3d", [x], {}, attrs, lambda xs, ps: tc.maxpool3d_raw(xs[0], attrs["kernel"], attrs["stride"])
+
+
+class TestShapeRules:
+    """Each kernel-backed kind has one shape rule, which its kernel and its
+    op-table entry both call: the graph rejects at build time exactly what
+    the kernel rejects at run time, and otherwise infers the kernel's shape."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None,
+              phases=(Phase.generate, Phase.shrink))
+    @given(case=st.one_of(conv3d_case(), conv3d_case(), ten_crop_case(), conv1d_case(), linear_case(),
+                          maxpool3d_case()))
+    def test_builder_rejects_exactly_what_the_kernel_rejects(self, case):
+        kind, inputs, params, attrs, kernel = case
+        try:
+            want = kernel([np.zeros(s, np.float32) for s in inputs],
+                          {slot: np.zeros(s, np.float32) for slot, s in params.items()}).shape
+        except ShapeError as e:
+            want = e
+        b = GraphBuilder()
+        xs = [b.input(s) for s in inputs]
+        for slot, s in params.items():
+            b.param(slot, Tensor(np.zeros(s, np.float32)))
+        try:
+            out = b.op(kind, xs, attrs, {slot: slot for slot in params}, name="probe")
+        except GraphError as e:
+            assert isinstance(want, ShapeError), f"the graph rejects what the kernel runs: {e}"
+            assert str(e) == f"node probe: {want}"
+            return
+        assert not isinstance(want, ShapeError), f"the graph accepts what the kernel rejects: {want}"
+        b.output(out)
+        assert b.build().meta[out].shape == want
+
+    @pytest.mark.parametrize("attr, value, phrase", [
+        ("stride", [0, 1, 1], "stride must be 3 values >= 1"),
+        ("pad", [0, -1, 1], "pad must be 3 values >= 0"),
+        ("dilation", [1, 1, 0], "dilation must be 3 values >= 1"),
+    ])
+    def test_from_json_rejects_what_the_kernel_rejects(self, attr, value, phrase):
+        g, _ = tiny_conv_chain(12)
+        doc = g.to_json()
+        (conv,) = [n for n in doc["nodes"] if n["kind"] == "conv3d"]
+        conv["attrs"][attr] = value
+        with pytest.raises(GraphError, match=f"node {conv['name']}: conv3d {phrase}"):
+            ComputeGraph.from_json(doc, g.params)
 
 
 class TestFusion:

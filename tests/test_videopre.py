@@ -195,16 +195,6 @@ class TestPreprocessSnippet:
         manual = vp.normalize(vp.ten_crop(clip))
         np.testing.assert_array_equal(batch.data.data, manual.astype(np.float32))
 
-    def test_out_buffer_reused_across_snippets(self):
-        video = synthetic_video(30, h=40, w=56, seed=9)
-        plan = vp.segment_snippets(video, snippet_count=3)
-        out = np.empty((10, 3, 16, 224, 224), dtype=np.float32)
-        for i in range(3):
-            batch = vp.preprocess_snippet(video, plan, i, out=out)
-            assert np.shares_memory(batch.data.data, out)
-            assert not batch.data.data.flags.writeable and out.flags.writeable
-            np.testing.assert_array_equal(batch.data.data, vp.preprocess_snippet(video, plan, i).data.data)
-
     def test_stage_order_crop_before_resize_differs(self):
         # cropping 224 from the raw frame and resizing afterwards samples different
         # content than resize-256 -> crop-224: pins the pipeline stage order
