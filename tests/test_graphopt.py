@@ -132,7 +132,7 @@ def conv3d_case(draw):
 def ten_crop_case(draw):
     attrs = {"size": draw(st.integers(1, 6))}
     clip = (3, 2, attrs["size"] + draw(st.integers(-1, 3)), attrs["size"] + draw(st.integers(-1, 3)))
-    if draw(OFF):
+    if draw(st.integers(0, 4)) == 0:
         clip = (1,) + clip  # a batched clip: not 4-D
     return "ten_crop", [clip], {}, attrs, lambda xs, ps: ten_crop(xs[0], attrs["size"])
 
