@@ -11,13 +11,14 @@ block starts as an exact residual identity.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .graphopt import ComputeGraph, GraphBuilder
-from .tensor import Tensor, nonlocal_raw
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,12 @@ class ExtractorConfig:
     spatial: int = 224
 
     def validate(self) -> None:
+        # sizes and counts; the graph's shape rules check kernels, strides and pads
+        for fname in ("stem_channels", "stage_widths", "stage_blocks", "output_dim", "crops", "in_channels",
+                      "frames", "spatial"):
+            val = getattr(self, fname)
+            if any(not isinstance(v, numbers.Integral) or v < 1 for v in (val if isinstance(val, tuple) else (val,))):
+                raise ValueError(f"config {self.name}: {fname} must be ints >= 1, got {val!r}")
         n = len(self.stage_widths)
         for fname, val in (
             ("stage_blocks", self.stage_blocks),
@@ -55,8 +62,6 @@ class ExtractorConfig:
                 raise ValueError(f"config {self.name}: stage {s} inflate pattern length {len(infl)} != {blocks} blocks")
             if any(i >= blocks for i in nl):
                 raise ValueError(f"config {self.name}: stage {s} non-local index out of range (< {blocks})")
-        if self.output_dim < 1:
-            raise ValueError(f"config {self.name}: output_dim must be >= 1")
         if self.block not in ("plain", "bottleneck"):
             raise ValueError(f"config {self.name}: unknown block style {self.block!r}")
         if "nl" in self.name.replace("non-local", "nl") and not any(self.nonlocal_blocks):
@@ -206,30 +211,3 @@ def build_extractor(
     cur = b.gap3d(cur, name="gap")
     b.output(cur)
     return b.build()
-
-
-@dataclass(frozen=True)
-class NonLocalParams:
-    wt: np.ndarray
-    wp: np.ndarray
-    wg: np.ndarray
-    wo: np.ndarray
-
-    @classmethod
-    def init(cls, channels: int, seed: int = 0, zero_out: bool = True) -> "NonLocalParams":
-        rng = np.random.default_rng(seed)
-        inter = max(1, channels // 2)
-        s = np.sqrt(1.0 / channels)
-        return cls(
-            wt=rng.normal(scale=s, size=(channels, inter)).astype(np.float32),
-            wp=rng.normal(scale=s, size=(channels, inter)).astype(np.float32),
-            wg=rng.normal(scale=s, size=(channels, inter)).astype(np.float32),
-            wo=np.zeros((inter, channels), dtype=np.float32)
-            if zero_out
-            else rng.normal(scale=s, size=(inter, channels)).astype(np.float32),
-        )
-
-
-def nonlocal_block(x: Tensor, params: NonLocalParams) -> Tensor:
-    """Standalone residual softmax-attention block on [N,C,D,H,W]."""
-    return Tensor(nonlocal_raw(x.data, params.wt, params.wp, params.wg, params.wo), x.precision)

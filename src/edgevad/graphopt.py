@@ -714,7 +714,6 @@ class GraphRunner:
     def run(
         self,
         inputs: Union[Dict[str, Tensor], Sequence[Tensor], Tensor],
-        alloc_stats: Optional[dict] = None,
     ) -> List[Tensor]:
         graph, pool = self.graph, self.pool
         if isinstance(inputs, Tensor):
@@ -730,8 +729,6 @@ class GraphRunner:
             if tuple(v.shape) != m.shape:
                 raise GraphError(f"input {t}: shape {tuple(v.shape)} != declared {m.shape}")
             env[t] = Tensor(v.data, m.precision).data
-        if alloc_stats is not None and pool is not None:
-            alloc_stats["pool_bytes"] = alloc_stats.get("pool_bytes", 0) + self.static_bytes
 
         out_set = set(graph.outputs)
         for i, (n, dst) in enumerate(zip(graph.nodes, self._dst)):
@@ -745,8 +742,6 @@ class GraphRunner:
             if dst is not None and res is not dst:
                 dst[...] = res
                 res = dst
-            if alloc_stats is not None and dst is None:
-                alloc_stats["fresh_bytes"] = alloc_stats.get("fresh_bytes", 0) + res.nbytes
             env[n.output] = res
             if pool is None:
                 for t in n.inputs:
@@ -766,7 +761,6 @@ def execute(
     graph: ComputeGraph,
     inputs: Union[Dict[str, Tensor], Sequence[Tensor], Tensor],
     plan: Optional[MemoryPlan] = None,
-    alloc_stats: Optional[dict] = None,
 ) -> List[Tensor]:
     """One-shot evaluation in topological order; results are independent of plan.
 
@@ -774,7 +768,7 @@ def execute(
     each node allocates fresh and dead intermediates are dropped eagerly. Use
     GraphRunner directly to amortize buffer setup across repeated calls.
     """
-    return GraphRunner(graph, plan).run(inputs, alloc_stats=alloc_stats)
+    return GraphRunner(graph, plan).run(inputs)
 
 
 def optimize(

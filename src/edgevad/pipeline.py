@@ -58,6 +58,16 @@ def _admitted(hint) -> Tuple[tuple, str]:
     return tuple(runtime.get(a, a) for a in args), names
 
 
+def _check_types(cfg, prefix: str = "") -> None:
+    """PipelineConfigError naming the first field of the dataclass `cfg`
+    whose value is not of a type its annotation admits."""
+    hints = typing.get_type_hints(type(cfg))
+    for f in fields(cfg):
+        value, (types, names) = getattr(cfg, f.name), _admitted(hints[f.name])
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise PipelineConfigError(f"{prefix}{f.name} must be {names}, got {type(value).__name__} {value!r}")
+
+
 @dataclass
 class PipelineConfig:
     source: Dict
@@ -75,11 +85,7 @@ class PipelineConfig:
     memplan: bool = True
 
     def validate(self) -> None:
-        hints = typing.get_type_hints(PipelineConfig)
-        for f in fields(self):  # before the comparisons below, which assume the types
-            value, (types, names) = getattr(self, f.name), _admitted(hints[f.name])
-            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-                raise PipelineConfigError(f"{f.name} must be {names}, got {type(value).__name__} {value!r}")
+        _check_types(self)  # before the comparisons below, which assume the types
         if self.queue_capacity < 1:
             raise PipelineConfigError("queue_capacity must be >= 1")
         if self.stage_workers < 1:
@@ -140,6 +146,7 @@ def _resolve_extractor_config(profile) -> ExtractorConfig:
             cfg = ExtractorConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in profile.items()})
         except TypeError as e:  # an unknown or a missing key
             raise PipelineConfigError(f"extractor_profile: {e}") from e
+        _check_types(cfg, "extractor_profile.")
         cfg.validate()
         return cfg
     if profile == "desk":

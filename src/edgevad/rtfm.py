@@ -119,7 +119,8 @@ class RtfmModel:
 
 
 # ---------------------------------------------------------------------------
-# forward pieces on the float64 autodiff tape: training, and the tests' oracle
+# the head on the float64 autodiff tape: rtfm_loss trains through it, and the
+# tests hold head_graph's float32 inference to it
 # ---------------------------------------------------------------------------
 
 def mstn_forward_var(pv: Dict[str, Var], cfg: MstnConfig, feats) -> Var:
@@ -159,41 +160,12 @@ def dropout_mask(rng: np.random.Generator, shape, p_drop: float) -> np.ndarray:
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
-def mstn_forward(model: RtfmModel, feats: np.ndarray) -> np.ndarray:
-    return mstn_forward_var(model.param_vars(), model.mstn, feats).value
-
-
-def snippet_scores(model: RtfmModel, x, mode: str = "infer",
-                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Per-snippet scores in [0,1] from temporal features [T, out_dim]."""
-    pv = model.param_vars()
-    xv = ad.as_var(np.asarray(x, dtype=np.float64))
-    mask = None
-    if mode == "train":
-        rng = rng or np.random.default_rng(0)
-        mask = dropout_mask(rng, (xv.value.shape[0], model.head.hidden[1]), model.head.dropout)
-    elif mode != "infer":
-        raise ValueError(f"unknown mode {mode!r}")
-    logits = snippet_logits_var(pv, model.head, xv, mask)
-    return ad.sigmoid(logits).value[:, 0]
-
-
-def snippet_logits(model: RtfmModel, x, mask: Optional[np.ndarray] = None) -> np.ndarray:
-    return snippet_logits_var(model.param_vars(), model.head, ad.as_var(np.asarray(x, np.float64)), mask).value[:, 0]
-
-
-def topk_magnitude(x: np.ndarray, k: int) -> Tuple[float, List[int]]:
-    """Mean of the k largest row magnitudes; ties break to the lowest index."""
-    x = np.asarray(x, dtype=np.float64)
-    t = x.shape[0]
+def topk_indices(mags: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest of the T values in `mags`, largest first; ties
+    break to the lowest index. ValueError unless 1 <= k <= T."""
+    t = len(mags)
     if not 1 <= k <= t:
         raise ValueError(f"k={k} out of range [1, {t}]")
-    mags = np.sqrt((x ** 2).sum(axis=1))
-    idx = np.argsort(-mags, kind="stable")[:k]
-    return float(mags[idx].mean()), [int(i) for i in idx]
-
-
-def _topk_indices(mags: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-mags, kind="stable")[:k]
 
 
@@ -217,7 +189,7 @@ def rtfm_loss(
     """
     if len(normal_batch) == 0 or len(abnormal_batch) == 0:
         raise ValueError("both normal and abnormal batches must be nonempty")
-    pv = {k: Var(v) for k, v in model.params.items()}
+    pv = model.param_vars()
     videos = list(normal_batch) + list(abnormal_batch)
     labels = [0] * len(normal_batch) + [1] * len(abnormal_batch)
     if masks is None and dropout_rng is not None:
@@ -229,12 +201,9 @@ def rtfm_loss(
     topk_means: List[Var] = []
     bce_terms: List[Var] = []
     for i, (feats, label) in enumerate(zip(videos, labels)):
-        feats = np.asarray(feats, dtype=np.float64)
-        if cfg.k > feats.shape[0]:
-            raise ValueError(f"k={cfg.k} exceeds snippet count {feats.shape[0]}")
-        x = mstn_forward_var(pv, model.mstn, feats)
+        x = mstn_forward_var(pv, model.mstn, np.asarray(feats, dtype=np.float64))
         mags = ad.l2_rows(x)
-        idx = _topk_indices(mags.value, cfg.k)
+        idx = topk_indices(mags.value, cfg.k)
         topk_means.append(ad.mean(ad.gather_rows(mags, idx)))
         logits = snippet_logits_var(pv, model.head, x, masks[i] if masks else None)
         scores = ad.sigmoid(logits)
@@ -302,7 +271,7 @@ def video_anomaly_score(feats: np.ndarray, model: RtfmModel, k: int = 3) -> floa
 
 def _topk_magnitude_score(scores: np.ndarray, xs: np.ndarray, k: int) -> float:
     mags = np.sqrt((xs.astype(np.float64) ** 2).sum(axis=2)).mean(axis=0)
-    idx = _topk_indices(mags, min(k, len(mags)))
+    idx = topk_indices(mags, min(k, len(mags)))
     return float(scores.mean(axis=0, dtype=np.float64)[idx].mean())
 
 

@@ -18,18 +18,9 @@ class SourceError(ValueError):
     pass
 
 
-def load_video_source(spec) -> RawVideo:
-    """spec: {"kind": "ppm_dir"|"raw_rgb24"|"synthetic", ...} or a path string.
-
-    A bare path is treated as a PPM directory or, with a .rgb suffix, a raw
-    RGB24 file whose sidecar sits next to it as <stem>.json.
-    """
-    if isinstance(spec, (str, Path)):
-        p = Path(spec)
-        if p.suffix == ".rgb":
-            spec = {"kind": "raw_rgb24", "path": str(p)}
-        else:
-            spec = {"kind": "ppm_dir", "path": str(p)}
+def load_video_source(spec: dict) -> RawVideo:
+    """spec: {"kind": "ppm_dir"|"raw_rgb24"|"synthetic", ...}; a raw RGB24
+    file's sidecar defaults to <stem>.json next to it."""
     kind = spec.get("kind")
     if kind == "ppm_dir":
         return load_ppm_dir(spec["path"], fps=spec.get("fps", 30.0))

@@ -1,24 +1,26 @@
-"""Minimal dense tensor engine: the kernels behind the extractor and the scoring head.
+"""The float32 kernels behind the extractor and the scoring head, and the Tensor
+that carries a graph's inputs, parameters and outputs.
 
-Tensors are immutable, row-major float32 buffers with a precision tag. F16 is
-emulated: values are stored widened to float32 but rounded through IEEE binary16
-on construction and after every op, so precision lowering has deterministic,
-hardware-independent semantics. All ops are pure functions returning new tensors.
+Each `*_raw` kernel works on plain ndarrays and accumulates in float32; the graph
+executor (`graphopt.OPS`) is its caller. Each `*_shape` function is the shape
+rule of its kernel, checked by both the kernel and the graph. A Tensor is an
+immutable float32 array with a precision tag. F16 is emulated: values are
+rounded through IEEE binary16 on construction, and the executor rounds each F16
+node output the same way, so precision lowering is deterministic and
+hardware-independent.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 F32 = "f32"
 F16 = "f16"
-
-Triple = Union[int, Sequence[int]]
 
 
 class ShapeError(ValueError):
@@ -53,30 +55,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return int(self.data.size)
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.size == 1 else float(self.data)
-
-
-def tensor(data, precision: str = F32) -> Tensor:
-    return Tensor(np.asarray(data, dtype=np.float32), precision)
-
-
-def zeros(shape, precision: str = F32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float32), precision)
-
-
-def _out_precision(*ts: Tensor) -> str:
-    return F16 if any(t.precision == F16 for t in ts) else F32
-
-
-def _triple(v: Triple, name: str) -> tuple:
-    if isinstance(v, int):
-        return (v, v, v)
-    t = tuple(int(x) for x in v)
-    if len(t) != 3:
-        raise ValueError(f"{name} must be an int or a 3-tuple, got {v!r}")
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +395,8 @@ def maxpool3d_shape(x: tuple, kernel: tuple, stride: tuple) -> tuple:
     """The [N,C,od,oh,ow] output shape of maxpool3d_raw on an input of shape
     `x` [N,C,D,H,W]; ShapeError where maxpool3d_raw rejects it."""
     if len(x) != 5:
-        raise ShapeError(f"max_pool3d input must be 5-D, got {len(x)}-D")
-    return tuple(x[:2]) + _window("max_pool3d", x[2:], kernel, stride)
+        raise ShapeError(f"maxpool3d input must be 5-D, got {len(x)}-D")
+    return tuple(x[:2]) + _window("maxpool3d", x[2:], kernel, stride)
 
 
 def maxpool3d_raw(x: np.ndarray, kernel: tuple, stride: tuple) -> np.ndarray:
@@ -466,90 +444,3 @@ def nonlocal_raw(
         y = (attn @ g) @ w_out  # [P,c]
         np.add(x[i], y.T.reshape(x.shape[1:]), out=out[i])
     return out
-
-
-# ---------------------------------------------------------------------------
-# public Tensor ops
-# ---------------------------------------------------------------------------
-
-def _wrap(raw: np.ndarray, precision: str) -> Tensor:
-    return Tensor(raw, precision)
-
-
-def conv3d(
-    x: Tensor,
-    w: Tensor,
-    bias: Optional[Tensor] = None,
-    stride: Triple = 1,
-    pad: Triple = 0,
-    dilation: Triple = 1,
-) -> Tensor:
-    prec = _out_precision(*(t for t in (x, w, bias) if t is not None))
-    raw = conv3d_raw(
-        x.data, w.data, None if bias is None else bias.data,
-        _triple(stride, "stride"), _triple(pad, "pad"), _triple(dilation, "dilation"),
-    )
-    return _wrap(raw, prec)
-
-
-def conv1d_dilated(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
-    return _wrap(conv1d_raw(x.data, w.data, dilation), _out_precision(x, w))
-
-
-def linear(x: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    prec = _out_precision(*(t for t in (x, w, bias) if t is not None))
-    return _wrap(linear_raw(x.data, w.data, None if bias is None else bias.data), prec)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise ShapeError(f"softmax axis {axis} out of range for {x.data.ndim}-D input")
-    return _wrap(softmax_raw(x.data, axis), x.precision)
-
-
-def l2_magnitude(f: Tensor) -> Tensor:
-    """Row magnitudes of a [T,D] matrix: sqrt of the per-row sum of squares."""
-    if f.data.ndim != 2:
-        raise ShapeError(f"l2_magnitude expects a 2-D [T,D] input, got {f.data.ndim}-D")
-    return _wrap(np.sqrt(np.sum(f.data.astype(np.float32) ** 2, axis=1)), f.precision)
-
-
-def topk(values: Tensor, k: int) -> tuple:
-    """The k largest entries, descending; ties broken by lowest index first."""
-    v = values.data.reshape(-1)
-    t = v.shape[0]
-    if not 1 <= k <= t:
-        raise ValueError(f"k={k} out of range [1, {t}]")
-    order = np.argsort(-v, kind="stable")[:k]
-    return [int(i) for i in order], [float(v[i]) for i in order]
-
-
-def relu(x: Tensor) -> Tensor:
-    return _wrap(np.maximum(x.data, 0.0), x.precision)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise ShapeError(f"add requires equal shapes or a scalar, got {a.shape} vs {b.shape}")
-    return _wrap(a.data + b.data, _out_precision(a, b))
-
-
-def mul_scalar(x: Tensor, s: float) -> Tensor:
-    return _wrap(x.data * np.float32(s), x.precision)
-
-
-def mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
-    return _wrap(np.mean(x.data, axis=axis, dtype=np.float32), x.precision)
-
-
-def max_pool3d(x: Tensor, kernel: Triple, stride: Optional[Triple] = None) -> Tensor:
-    k = _triple(kernel, "kernel")
-    s = k if stride is None else _triple(stride, "stride")
-    return _wrap(maxpool3d_raw(x.data, k, s), x.precision)
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """[N,C,D,H,W] -> [N,C] average over all spatiotemporal positions."""
-    if x.data.ndim != 5:
-        raise ShapeError(f"global_avg_pool expects 5-D input, got {x.data.ndim}-D")
-    return _wrap(np.mean(x.data, axis=(2, 3, 4), dtype=np.float32), x.precision)

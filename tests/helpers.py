@@ -143,6 +143,16 @@ def nonlocal_batched_ref(x, w_theta, w_phi, w_g, w_out):
     return np.ascontiguousarray(x + y.transpose(0, 2, 1).reshape(x.shape))
 
 
+def nonlocal_weights(channels, seed=0, zero_out=True):
+    """nonlocal_raw's (w_theta, w_phi, w_g, w_out) for `channels` channels and
+    C/2 inner ones; w_out is zero when `zero_out`, as the extractor initializes it."""
+    rng = np.random.default_rng(seed)
+    inner, s = max(1, channels // 2), np.sqrt(1.0 / channels)
+    ws = [rng.normal(scale=s, size=(channels, inner)).astype(np.float32) for _ in range(3)]
+    wo = np.zeros((inner, channels), np.float32) if zero_out else rng.normal(scale=s, size=(inner, channels))
+    return (*ws, wo.astype(np.float32))
+
+
 TINY_PROFILE = dict(
     name="tiny-nl",
     stem_channels=4,

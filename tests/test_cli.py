@@ -190,9 +190,12 @@ class TestConfigErrorsExit2:
         ("extractor_profile.stem_stride=[0,8,8]", "node stem: conv3d stride"),
         ("extractor_profile.stem_pad=[-1,2,2]", "node stem: conv3d pad"),
         ("extractor_profile.bogus=1", "extractor_profile: "),
+        ("extractor_profile.stem_stride=2", "extractor_profile.stem_stride must be tuple, got int 2"),
+        ('extractor_profile.stem_channels="x"', "extractor_profile.stem_channels must be int, got str"),
+        ("extractor_profile.stage_widths=[0]", "config tiny-nl: stage_widths must be ints >= 1"),
     ])
     def test_bad_extractor_profile(self, tiny_config, tmp_path, capsys, command, setting, phrase):
-        # the graph checks each node with its kernel's shape rule when it is built
+        # field types are checked first, then sizes, then each node with its kernel's shape rule
         code = main([command, "--config", str(tiny_config), "--out", str(tmp_path / "out"), "--set", setting])
         assert code == 2
         err = capsys.readouterr().err

@@ -10,11 +10,11 @@ from edgevad import extractor as ex
 from edgevad import graphopt as go
 from edgevad import pipeline as pl
 from edgevad import tensor as tc
-from edgevad.extractor import ExtractorConfig, NonLocalParams, desk_scale_config, full_scale_config
+from edgevad.extractor import ExtractorConfig, desk_scale_config, full_scale_config
 from edgevad.tensor import Tensor
 from edgevad.videopre import ten_crop
 
-from helpers import tiny_cfg
+from helpers import nonlocal_weights, tiny_cfg
 
 MIB = 2 ** 20
 
@@ -136,17 +136,13 @@ class TestConfigs:
 
 class TestNonLocalBlock:
     def test_zero_output_projection_is_identity(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(2, 4, 2, 3, 3)).astype(np.float32))
-        params = NonLocalParams.init(4, seed=1, zero_out=True)
-        out = ex.nonlocal_block(x, params)
-        np.testing.assert_array_equal(out.data, x.data)
+        x = np.random.default_rng(0).normal(size=(2, 4, 2, 3, 3)).astype(np.float32)
+        np.testing.assert_array_equal(tc.nonlocal_raw(x, *nonlocal_weights(4, seed=1)), x)
 
     def test_constant_input_keeps_constant_shift(self):
         # constant input -> uniform attention -> every position shifts identically
-        params = NonLocalParams.init(4, seed=2, zero_out=False)
-        x = Tensor(np.full((1, 4, 2, 2, 2), 1.5, dtype=np.float32))
-        out = ex.nonlocal_block(x, params).data
+        x = np.full((1, 4, 2, 2, 2), 1.5, dtype=np.float32)
+        out = tc.nonlocal_raw(x, *nonlocal_weights(4, seed=2, zero_out=False))
         for c in range(4):
             vals = out[0, c].reshape(-1)
             np.testing.assert_allclose(vals, vals[0], rtol=1e-6)
@@ -154,10 +150,8 @@ class TestNonLocalBlock:
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 4, 2, 3, 3)).astype(np.float32)
-        params = NonLocalParams.init(4, seed=4, zero_out=False)
-        got = ex.nonlocal_block(Tensor(x), params).data
-        want = nonlocal_oracle(x, params.wt, params.wp, params.wg, params.wo)
-        assert np.max(np.abs(got - want)) <= 1e-5
+        ws = nonlocal_weights(4, seed=4, zero_out=False)
+        assert np.max(np.abs(tc.nonlocal_raw(x, *ws) - nonlocal_oracle(x, *ws))) <= 1e-5
 
 
 class TestExtractFeatures:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from edgevad import autodiff as ad
 from edgevad import rtfm
 from edgevad.rtfm import (
     HeadConfig,
@@ -11,7 +12,7 @@ from edgevad.rtfm import (
     TrainConfig,
     init_params,
     rtfm_loss,
-    topk_magnitude,
+    topk_indices,
 )
 
 
@@ -44,27 +45,48 @@ def identity_model(dim=2):
     return RtfmModel(mstn=mstn, head=head, params=p)
 
 
+def tape_temporal(model, feats):
+    """The encoder on the tape, as rtfm_loss runs it."""
+    return rtfm.mstn_forward_var(model.param_vars(), model.mstn, feats).value
+
+
+def tape_logits(model, x, mask=None):
+    """Per-snippet pre-sigmoid logits on the tape; `mask` is inverted dropout."""
+    return rtfm.snippet_logits_var(model.param_vars(), model.head, ad.as_var(np.asarray(x, np.float64)), mask).value[:, 0]
+
+
+def tape_scores(model, x, mask=None):
+    return ad.sigmoid(tape_logits(model, x, mask)).value
+
+
+def loss_topk(x, k):
+    """The loss's selection: the mean of the k largest l2 row magnitudes, and their rows."""
+    mags = ad.l2_rows(np.asarray(x, np.float64)).value
+    idx = topk_indices(mags, k)
+    return float(mags[idx].mean()), idx.tolist()
+
+
 class TestMstn:
     def test_zero_input_zero_biases_gives_zero(self):
         m = small_model(seed=1)
-        x = rtfm.mstn_forward(m, np.zeros((5, 8)))
+        x = tape_temporal(m, np.zeros((5, 8)))
         np.testing.assert_allclose(x, 0.0, atol=1e-12)
 
     def test_output_shape_contract(self):
         m = small_model(seed=2)
-        x = rtfm.mstn_forward(m, np.random.default_rng(0).normal(size=(7, 8)))
+        x = tape_temporal(m, np.random.default_rng(0).normal(size=(7, 8)))
         assert x.shape == (7, 6)
         assert np.all(np.isfinite(x))
 
     def test_single_branch_delta_kernel_passthrough(self):
         m = identity_model(dim=3)
         f = np.abs(np.random.default_rng(1).normal(size=(6, 3)))
-        np.testing.assert_allclose(rtfm.mstn_forward(m, f), f, atol=1e-12)
+        np.testing.assert_allclose(tape_temporal(m, f), f, atol=1e-12)
 
     def test_dim_mismatch_rejected(self):
         m = small_model()
         with pytest.raises(ValueError, match="T,8"):
-            rtfm.mstn_forward(m, np.zeros((4, 5)))
+            tape_temporal(m, np.zeros((4, 5)))
 
 
 class TestSnippetScores:
@@ -74,14 +96,15 @@ class TestSnippetScores:
             if k.startswith("fc"):
                 m.params[k] = np.zeros_like(m.params[k])
         x = np.random.default_rng(2).normal(size=(5, 6))
-        np.testing.assert_allclose(rtfm.snippet_scores(m, x, mode="train"), 0.5)
-        np.testing.assert_allclose(rtfm.snippet_scores(m, x, mode="infer"), 0.5)
+        mask = rtfm.dropout_mask(np.random.default_rng(0), (5, m.head.hidden[1]), m.head.dropout)
+        np.testing.assert_allclose(tape_scores(m, x, mask), 0.5)
+        np.testing.assert_allclose(tape_scores(m, x), 0.5)
 
     def test_infer_deterministic(self):
         m = small_model(seed=4)
         x = np.random.default_rng(3).normal(size=(6, 6))
-        a = rtfm.snippet_scores(m, x, mode="infer")
-        b = rtfm.snippet_scores(m, x, mode="infer")
+        a = tape_scores(m, x)
+        b = tape_scores(m, x)
         np.testing.assert_array_equal(a, b)
         assert np.all((a >= 0) & (a <= 1))
 
@@ -91,12 +114,12 @@ class TestSnippetScores:
         m = small_model(seed=5)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(4, 6))
-        ref = rtfm.snippet_logits(m, x)
+        ref = tape_logits(m, x)
         draws = 10000
         samples = np.empty((draws, 4))
         for i in range(draws):
             mask = rtfm.dropout_mask(rng, (4, m.head.hidden[1]), m.head.dropout)
-            samples[i] = rtfm.snippet_logits(m, x, mask)
+            samples[i] = tape_logits(m, x, mask)
         mc_mean = samples.mean(axis=0)
         mc_sem = samples.std(axis=0, ddof=1) / np.sqrt(draws)
         assert np.all(np.abs(mc_mean - ref) <= 3 * mc_sem + 1e-9)
@@ -106,20 +129,20 @@ class TestTopkMagnitude:
     def test_three_four_five(self):
         x = np.zeros((4, 2))
         x[2] = [3.0, 4.0]
-        val, idx = topk_magnitude(x, 1)
+        val, idx = loss_topk(x, 1)
         assert val == pytest.approx(5.0) and idx == [2]
 
     def test_all_rows_equal(self):
         x = np.tile([1.0, 2.0, 2.0], (6, 1))
         for k in (1, 3, 6):
-            val, _ = topk_magnitude(x, k)
+            val, _ = loss_topk(x, k)
             assert val == pytest.approx(3.0)
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(12, 7))
         mags = sorted((float(np.sqrt((r * r).sum())) for r in x), reverse=True)
-        val, idx = topk_magnitude(x, 3)
+        val, idx = loss_topk(x, 3)
         assert val == pytest.approx(np.mean(mags[:3]))
         assert len(idx) == 3
 
@@ -127,21 +150,21 @@ class TestTopkMagnitude:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(9, 5))
         perm = rng.permutation(9)
-        v1, _ = topk_magnitude(x, 4)
-        v2, _ = topk_magnitude(x[perm], 4)
+        v1, _ = loss_topk(x, 4)
+        v2, _ = loss_topk(x[perm], 4)
         assert v1 == pytest.approx(v2)
 
     def test_positive_scaling_keeps_index_set_and_scales_value(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(8, 6))
-        v1, i1 = topk_magnitude(x, 3)
-        v2, i2 = topk_magnitude(2.5 * x, 3)
+        v1, i1 = loss_topk(x, 3)
+        v2, i2 = loss_topk(2.5 * x, 3)
         assert set(i1) == set(i2)
         assert v2 == pytest.approx(2.5 * v1)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            topk_magnitude(np.zeros((3, 2)), 4)
+            loss_topk(np.zeros((3, 2)), 4)
 
 
 class TestLoss:
@@ -346,14 +369,14 @@ class TestVideoScore:
                 if name.endswith("_b") or name == "tsa_o":  # zero at init; make them count
                     m.params[name] = rng.normal(scale=0.5, size=v.shape)
             crops = rng.normal(size=(3, 12, 8)) * rng.uniform(0.5, 3.0, size=(1, 12, 1))
-            xs = [rtfm.mstn_forward(m, c) for c in crops]
+            xs = [tape_temporal(m, c) for c in crops]
             mags = np.mean([np.sqrt((x ** 2).sum(axis=1)) for x in xs], axis=0)
             top = np.sort(mags)[::-1]
             if top[k - 1] - top[k] <= 1e-3:
                 continue
             checked += 1
             want_idx = np.argsort(-mags, kind="stable")[:k]
-            scores = np.mean([rtfm.snippet_scores(m, x) for x in xs], axis=0)
+            scores = np.mean([tape_scores(m, x) for x in xs], axis=0)
             assert abs(rtfm.video_anomaly_score(crops, m, k=k) - scores[want_idx].mean()) <= 1e-5
             _, gxs = rtfm._head_forward(crops, m)
             gmags = np.sqrt((gxs.astype(np.float64) ** 2).sum(axis=2)).mean(axis=0)
@@ -411,8 +434,8 @@ class TestHeadGraph:
         opt, plan = go.optimize(g, do_fuse=True, do_memplan=True)
         assert {"conv1d_bias_relu", "linear_bias_relu"} <= {n.kind for n in opt.nodes}
         fused = [o.data for o in go.GraphRunner(opt, plan).run(x)]
-        temporal = rtfm.mstn_forward(model, feats)
-        np.testing.assert_allclose(plain[0][:, 0], rtfm.snippet_scores(model, temporal), rtol=0, atol=1e-5)
+        temporal = tape_temporal(model, feats)
+        np.testing.assert_allclose(plain[0][:, 0], tape_scores(model, temporal), rtol=0, atol=1e-5)
         np.testing.assert_allclose(plain[1], temporal, rtol=1e-6, atol=1e-5)
         for a, b in zip(fused, plain):
             np.testing.assert_array_equal(a, b)

@@ -64,7 +64,7 @@ class TestRawRgb24:
         path = tmp_path / "clip.rgb"
         path.write_bytes(b"\x07" * (w * h * 3 * n))
         (tmp_path / "clip.json").write_text(json.dumps({"width": w, "height": h, "fps": 30, "frame_count": n}))
-        video = load_video_source(str(path))
+        video = load_video_source({"kind": "raw_rgb24", "path": str(path)})
         assert video.frame_count == 100
         assert video.frames[0].shape == (240, 320, 3)
 
