@@ -7,11 +7,12 @@
 Each side runs from the committed files of its commit, unpacked with
 `git archive` into a fresh directory. Pair i of the j-th workload runs both
 sides at seed `seed + 100*j + i`; even pairs run the parent first and odd
-pairs the change, so a host that drifts during the session drifts on both
+pairs the change, so a host that drifts over the runs drifts on both
 sides. Each run is `perfbench/run.py --workload W --seed S --seconds 50
 --trace 0`, and the file gets one {workload, seed, side, commit, result}
 entry per run, `result` being the run's last output line (its JSON object).
-The file is rewritten after every run, so a stopped session keeps its runs.
+The file is rewritten after every run, so an interrupted driver keeps the
+runs it finished.
 """
 
 from __future__ import annotations

@@ -60,8 +60,8 @@ class ExtractorConfig:
         for s, (blocks, infl, nl) in enumerate(zip(self.stage_blocks, self.inflate, self.nonlocal_blocks)):
             if len(infl) != blocks:
                 raise ValueError(f"config {self.name}: stage {s} inflate pattern length {len(infl)} != {blocks} blocks")
-            if any(i >= blocks for i in nl):
-                raise ValueError(f"config {self.name}: stage {s} non-local index out of range (< {blocks})")
+            if any(not 0 <= i < blocks for i in nl):
+                raise ValueError(f"config {self.name}: stage {s} non-local index out of range [0, {blocks})")
         if self.block not in ("plain", "bottleneck"):
             raise ValueError(f"config {self.name}: unknown block style {self.block!r}")
         if "nl" in self.name.replace("non-local", "nl") and not any(self.nonlocal_blocks):

@@ -123,9 +123,10 @@ class TestConfigs:
         bad = ExtractorConfig(**{**cfg.__dict__, "inflate": ((1, 1),)})
         with pytest.raises(ValueError, match="inflate"):
             bad.validate()
-        bad = ExtractorConfig(**{**cfg.__dict__, "nonlocal_blocks": ((5,),)})
-        with pytest.raises(ValueError, match="non-local"):
-            bad.validate()
+        for index in (5, -1):  # a negative index would place no block
+            bad = ExtractorConfig(**{**cfg.__dict__, "nonlocal_blocks": ((index,),)})
+            with pytest.raises(ValueError, match="non-local index out of range"):
+                bad.validate()
 
     def test_nonlocal_label_requires_block(self):
         cfg = desk_scale_config()
