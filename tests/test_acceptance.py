@@ -9,9 +9,9 @@ import time
 import numpy as np
 import pytest
 
+from edgevad import autodiff as ad
 from edgevad import bench as bench_mod
 from edgevad import graphopt as go
-from edgevad import autodiff as ad
 from edgevad import rtfm
 from edgevad import tensor as tc
 from edgevad.extractor import build_extractor, desk_scale_config, full_scale_config
