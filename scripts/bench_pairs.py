@@ -37,9 +37,9 @@ def unpack(commit: str, dest: Path) -> Path:
     return dest
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def bench(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", "50", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     try:
         return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -54,7 +54,6 @@ def main() -> int:
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--pairs", nargs="+", default=["desk_default=10", "ppm_long=5"], help="WORKLOAD=PAIRS")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=int, default=50)
     args = ap.parse_args()
     commits = {side: git("rev-parse", f"{rev}^{{commit}}").decode().strip()
                for side, rev in (("parent", args.parent), ("change", args.change))}
@@ -66,7 +65,7 @@ def main() -> int:
             for i in range(int(n)):
                 seed = args.seed + 100 * j + i
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    result = bench(trees[side], workload, seed, args.seconds)
+                    result = bench(trees[side], workload, seed)
                     entries.append({"workload": workload, "seed": seed, "side": side,
                                     "commit": commits[side], "result": result})
                     args.out.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")

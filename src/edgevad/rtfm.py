@@ -271,7 +271,7 @@ def video_anomaly_score(feats: np.ndarray, model: RtfmModel, k: int = 3) -> floa
 
 def _topk_magnitude_score(scores: np.ndarray, xs: np.ndarray, k: int) -> float:
     mags = np.sqrt((xs.astype(np.float64) ** 2).sum(axis=2)).mean(axis=0)
-    idx = topk_indices(mags, min(k, len(mags)))
+    idx = topk_indices(mags, k)
     return float(scores.mean(axis=0, dtype=np.float64)[idx].mean())
 
 

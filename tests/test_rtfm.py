@@ -383,6 +383,16 @@ class TestVideoScore:
             np.testing.assert_array_equal(np.argsort(-gmags, kind="stable")[:k], want_idx)
         assert checked >= 8
 
+    def test_anomaly_score_rejects_k_above_snippet_count(self):
+        """The video score takes k through topk_indices, as the loss does: no clamp to T."""
+        m = small_model(seed=13)
+        feats = np.random.default_rng(13).normal(size=(2, 8))
+        assert np.isfinite(rtfm.video_anomaly_score(feats, m, k=2))
+        with pytest.raises(ValueError, match=r"k=3 out of range \[1, 2\]"):
+            rtfm.video_anomaly_score(feats, m, k=3)
+        with pytest.raises(ValueError, match=r"k=5 out of range \[1, 2\]"):
+            rtfm.training_auc(m, [(feats, 0), (feats, 1)], k=5)
+
     def test_inference_never_runs_the_tape(self, monkeypatch):
         from edgevad.pipeline import run_sequential
 
