@@ -13,6 +13,11 @@ sides. Each run is `perfbench/run.py --workload W --seed S --seconds 50
 entry per run, `result` being the run's last output line (its JSON object).
 The file is rewritten after every run, so an interrupted driver keeps the
 runs it finished.
+
+After the runs it prints, for each workload and each end-to-end metric that
+BENCHMARK.json declares, both sides' median and quartiles and the number of
+pairs the change won (ties count for neither side). `--summarize` prints
+that summary for an existing file without running anything.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 
 def git(*args: str) -> bytes:
@@ -47,6 +54,27 @@ def bench(tree: Path, workload: str, seed: int) -> dict:
         return {"correct": False, "returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
 
 
+def summarize(entries: list, end_to_end: list) -> None:
+    """Per workload and metric: each side's median [q1, q3] over its correct
+    runs, and how many seed pairs the change won."""
+    for workload in dict.fromkeys(e["workload"] for e in entries):
+        runs = {(e["seed"], e["side"]): e["result"] for e in entries
+                if e["workload"] == workload and e["result"].get("correct")}
+        seeds = sorted({seed for seed, _ in runs})
+        for spec in end_to_end:
+            name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
+            value = {key: r["metrics"][name]["value"] for key, r in runs.items()}
+            cols = []
+            for side in ("parent", "change"):
+                vals = [v for (_, s), v in value.items() if s == side]
+                q1, q2, q3 = np.percentile(vals, [25, 50, 75]) if vals else (np.nan,) * 3
+                cols.append(f"{side} {q2:.4g} [{q1:.4g}, {q3:.4g}] of {len(vals)} runs")
+            pairs = [seed for seed in seeds if (seed, "parent") in value and (seed, "change") in value]
+            won = sum(sign * (value[seed, "change"] - value[seed, "parent"]) > 0 for seed in pairs)
+            print(f"{workload} {name} ({spec['unit']}, {spec['better']} is better): {'; '.join(cols)}; "
+                  f"change won {won} of {len(pairs)} pairs")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", default="HEAD~1")
@@ -54,7 +82,12 @@ def main() -> int:
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--pairs", nargs="+", default=["desk_default=10", "ppm_long=5"], help="WORKLOAD=PAIRS")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--summarize", action="store_true", help="print the summary of --out and run nothing")
     args = ap.parse_args()
+    end_to_end = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.summarize:
+        summarize(json.loads(args.out.read_text()), end_to_end)
+        return 0
     commits = {side: git("rev-parse", f"{rev}^{{commit}}").decode().strip()
                for side, rev in (("parent", args.parent), ("change", args.change))}
     entries = []
@@ -71,6 +104,7 @@ def main() -> int:
                     args.out.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
                     fps = result.get("metrics", {}).get("fps", {}).get("value")
                     print(f"{workload} seed {seed} {side}: correct={result['correct']} fps={fps}", file=sys.stderr)
+    summarize(entries, end_to_end)
     return 0 if all(e["result"]["correct"] for e in entries) else 1
 
 

@@ -21,6 +21,10 @@ from .graphopt import ComputeGraph, GraphBuilder
 from .tensor import Tensor
 
 
+def _is_seq(v, n: Optional[int] = None) -> bool:
+    return isinstance(v, (tuple, list)) and (n is None or len(v) == n)
+
+
 @dataclass(frozen=True)
 class ExtractorConfig:
     name: str
@@ -57,7 +61,13 @@ class ExtractorConfig:
         ):
             if len(val) != n:
                 raise ValueError(f"config {self.name}: {fname} has {len(val)} entries for {n} stages")
+        pool = self.stem_pool
+        if pool is not None and not (_is_seq(pool, 2) and all(
+                _is_seq(p, 3) and all(isinstance(v, numbers.Integral) and v >= 1 for v in p) for p in pool)):
+            raise ValueError(f"config {self.name}: stem_pool must be None or two 3-int tuples of ints >= 1, got {pool!r}")
         for s, (blocks, infl, nl) in enumerate(zip(self.stage_blocks, self.inflate, self.nonlocal_blocks)):
+            if not _is_seq(infl) or any(not isinstance(i, numbers.Integral) or i not in (0, 1) for i in infl):
+                raise ValueError(f"config {self.name}: stage {s} inflate entries must be 0 or 1, got {infl!r}")
             if len(infl) != blocks:
                 raise ValueError(f"config {self.name}: stage {s} inflate pattern length {len(infl)} != {blocks} blocks")
             if any(not 0 <= i < blocks for i in nl):

@@ -123,15 +123,15 @@ def load_raw_rgb24(path, sidecar=None) -> RawVideo:
             raise SourceError(f"{side}: sidecar missing key {key!r}")
     w, h, n = int(meta["width"]), int(meta["height"]), int(meta["frame_count"])
     fps = float(meta.get("fps", 30.0))
-    blob = p.read_bytes()
-    expected = w * h * 3 * n
-    if len(blob) != expected:
+    size, expected = p.stat().st_size, w * h * 3 * n
+    if size != expected:
         raise SourceError(
-            f"{path}: raw size mismatch at byte offset {min(len(blob), expected)}: "
-            f"expected {expected} bytes, got {len(blob)}"
+            f"{path}: raw size mismatch at byte offset {min(size, expected)}: "
+            f"expected {expected} bytes, got {size}"
         )
-    data = np.frombuffer(blob, dtype=np.uint8).reshape(n, h, w, 3)
-    return RawVideo(frames=[data[i].copy() for i in range(n)], fps=fps, source_id=str(p))
+    # one read into one [n,h,w,3] array; the frames are views of it
+    data = np.fromfile(p, dtype=np.uint8, count=expected).reshape(n, h, w, 3)
+    return RawVideo(frames=list(data), fps=fps, source_id=str(p))
 
 
 def write_raw_rgb24(video: RawVideo, path, sidecar=None) -> None:

@@ -7,10 +7,21 @@ constants live on the 0-255 pixel scale, so frames are never pre-scaled to [0,1]
 `preprocess_snippet` is `ten_crop` of it. Normalization is elementwise, so
 normalizing before the crops are cut gives the same bits. The pipeline queues
 `prepare_clip`'s clips and lets the extractor graph cut the crops.
+
+The resize is separable: `resize_frames` resizes each channel's [L,h,w] planes
+as Rh @ (X @ Rw.T), two matmuls on a contiguous float32 stack with cached
+read-only lerp matrices, written straight into the [3,L,H,W] clip. matmul
+runs one GEMM per plane, of the same shape for one frame as for a clip, so
+the per-frame API (`resize_bilinear`, `resize_shorter_side`, the same
+function on one frame) and `prepare_clip` give the same bits. The GEMMs round
+with fused multiply-adds: where the weights are dyadic (64x64 frames scaled
+by 4) the result is exact in any order; elsewhere it can differ from a
+per-pixel lerp in the last bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -101,19 +112,57 @@ def _axis_lerp_coords(in_len: int, out_len: int):
     return lo_c, hi_c, frac
 
 
+@functools.lru_cache(maxsize=32)
+def _lerp_matrix(in_len: int, out_len: int, transpose: bool = False) -> np.ndarray:
+    """The two-tap lerp of `_axis_lerp_coords` as a read-only float32 matrix:
+    [out_len, in_len], or its C-contiguous transpose [in_len, out_len]."""
+    lo, hi, frac = _axis_lerp_coords(in_len, out_len)
+    m = np.zeros((out_len, in_len), dtype=np.float32)
+    rows = np.arange(out_len)
+    np.add.at(m, (rows, lo), 1 - frac)  # clamped edges put both taps on one pixel
+    np.add.at(m, (rows, hi), frac)
+    if transpose:
+        m = np.ascontiguousarray(m.T)
+    m.flags.writeable = False
+    return m
+
+
+def resize_frames(frames: Sequence[np.ndarray], out_h: int, out_w: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Bilinear resample of L HxWx3 frames into the channels-first clip
+    [3, L, out_h, out_w], written to `out` when it is given (a C-contiguous
+    float32 array of that shape), else to a fresh array.
+
+    Each channel's [L,h,w] planes are copied to one contiguous float32 stack
+    and resized as Rh @ (X @ Rw.T) with the `_lerp_matrix` pair, one matmul
+    per pass; an axis whose length does not change is copied, not multiplied.
+    Every plane runs GEMMs of the same shape whatever L is, so a clip equals
+    its frames resized one at a time, bit for bit.
+    """
+    n, (h, w) = len(frames), frames[0].shape[:2]
+    shape = (3, n, out_h, out_w)
+    if out is None:
+        out = np.empty(shape, dtype=np.float32)
+    elif out.shape != shape or out.dtype != np.float32 or not out.flags.c_contiguous:
+        raise ValueError(f"resize out must be C-contiguous float32 {shape}, got {out.dtype} {out.shape}")
+    # one channel's scratch at a time: its planes, and them after the width pass
+    x = np.empty((n, h, w), dtype=np.float32)
+    xw = x if w == out_w else np.empty((n, h, out_w), dtype=np.float32)
+    for c in range(3):
+        for j, f in enumerate(frames):
+            x[j] = f[:, :, c]
+        if w != out_w:
+            np.matmul(x, _lerp_matrix(w, out_w, transpose=True), out=xw)
+        if h != out_h:
+            np.matmul(_lerp_matrix(h, out_h), xw, out=out[c])
+        else:
+            out[c] = xw
+    return out
+
+
 def resize_bilinear(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample of an HxWx3 frame to out_h x out_w."""
-    img = np.asarray(frame, dtype=np.float32)
-    h, w = img.shape[:2]
-    if (h, w) == (out_h, out_w):
-        return img.copy()
-    y0, y1, fy = _axis_lerp_coords(h, out_h)
-    x0, x1, fx = _axis_lerp_coords(w, out_w)
-    rows0 = img[y0]
-    rows1 = img[y1]
-    top = rows0[:, x0] * (1 - fx)[None, :, None] + rows0[:, x1] * fx[None, :, None]
-    bot = rows1[:, x0] * (1 - fx)[None, :, None] + rows1[:, x1] * fx[None, :, None]
-    return top * (1 - fy)[:, None, None] + bot * fy[:, None, None]
+    """Bilinear resample of an HxWx3 frame to out_h x out_w: `resize_frames`
+    of the one frame, as an HxWx3 view of its [3,1,H,W] clip."""
+    return resize_frames([np.asarray(frame)], out_h, out_w)[:, 0].transpose(1, 2, 0)
 
 
 def resized_extent(h: int, w: int, target: int = RESIZE_TARGET) -> Tuple[int, int]:
@@ -208,16 +257,11 @@ def prepare_clip(
     """Snippet `index` resized, stacked channels-first and normalized: the
     uncropped [3,L,H,W] clip, with (H,W) = resized_extent of the frames.
 
-    The clip is written to `out` when it is given (a float32 array of that
-    shape), else to a fresh array, and normalized there in place.
+    The clip is written to `out` when it is given (a C-contiguous float32
+    array of that shape), else to a fresh array, and normalized there in place.
     """
     frames = gather_snippet_frames(video, plan, index)
-    resized = [resize_shorter_side(np.asarray(f, dtype=np.float32)) for f in frames]
-    # channels-first and contiguous, so the crops read unit-stride rows
-    if out is None:
-        h, w = resized[0].shape[:2]
-        out = np.empty((3, len(resized), h, w), dtype=np.float32)
-    np.stack([r.transpose(2, 0, 1) for r in resized], axis=1, out=out)
+    out = resize_frames(frames, *resized_extent(*frames[0].shape[:2]), out=out)
     return normalize(out, consts, inplace=True)
 
 

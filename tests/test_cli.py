@@ -193,6 +193,10 @@ class TestConfigErrorsExit2:
         ("extractor_profile.stem_stride=2", "extractor_profile.stem_stride must be tuple, got int 2"),
         ('extractor_profile.stem_channels="x"', "extractor_profile.stem_channels must be int, got str"),
         ("extractor_profile.stage_widths=[0]", "config tiny-nl: stage_widths must be ints >= 1"),
+        ("extractor_profile.stem_pool=[[1,2,2]]", "config tiny-nl: stem_pool must be None or two 3-int tuples"),
+        ("extractor_profile.stem_pool=[[1,2,2],[1,0,2]]", "config tiny-nl: stem_pool must be None or two 3-int"),
+        ('extractor_profile.inflate=[["a"]]', "config tiny-nl: stage 0 inflate entries must be 0 or 1"),
+        ("extractor_profile.inflate=[[2]]", "config tiny-nl: stage 0 inflate entries must be 0 or 1"),
     ])
     def test_bad_extractor_profile(self, tiny_config, tmp_path, capsys, command, setting, phrase):
         # field types are checked first, then sizes, then each node with its kernel's shape rule

@@ -1,6 +1,7 @@
 """Video source tests: PPM parsing, raw RGB24 validation, synthetic generator."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ class TestRawRgb24:
         video = small_video(n=3, seed=1)
         sources.write_raw_rgb24(video, tmp_path / "v.rgb")
         loaded = sources.load_raw_rgb24(tmp_path / "v.rgb")
+        for a, b in zip(loaded.frames, video.frames):
+            np.testing.assert_array_equal(a, b)
+
+    def test_load_holds_the_video_once(self, tmp_path):
+        # one read into one array: the load's peak stays near the file size
+        video = small_video(n=40, h=90, w=120, seed=2)
+        sources.write_raw_rgb24(video, tmp_path / "v.rgb")
+        size = (tmp_path / "v.rgb").stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = sources.load_raw_rgb24(tmp_path / "v.rgb")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * size
         for a, b in zip(loaded.frames, video.frames):
             np.testing.assert_array_equal(a, b)
 

@@ -1,10 +1,13 @@
 """Preprocessing tests: scale arithmetic, crop geometry, constants, stage order."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgevad import pipeline as pl
 from edgevad import videopre as vp
 from edgevad.videopre import NormConstants, RawVideo
 
@@ -53,6 +56,81 @@ class TestResize:
         out = vp.resize_bilinear(frame, 2, 4)
         assert out[0, 0, 0] == 0.0 and out[0, 3, 0] == 100.0
         assert 0.0 < out[0, 1, 0] < out[0, 2, 0] < 100.0
+
+
+def two_tap_lerp_oracle(frames, out_h, out_w):
+    # independent float64 reference: half-pixel centers, edge clamping,
+    # rows then columns, one output sample at a time
+    x = np.stack(frames).astype(np.float64)  # [L,h,w,3]
+
+    def taps(n_in, n_out):
+        for i in range(n_out):
+            s = (i + 0.5) * n_in / n_out - 0.5
+            i0 = math.floor(s)
+            yield min(max(i0, 0), n_in - 1), min(max(i0 + 1, 0), n_in - 1), s - i0
+
+    x = np.stack([(1 - f) * x[:, a] + f * x[:, b] for a, b, f in taps(x.shape[1], out_h)], axis=1)
+    x = np.stack([(1 - f) * x[:, :, a] + f * x[:, :, b] for a, b, f in taps(x.shape[2], out_w)], axis=2)
+    return x.transpose(3, 0, 1, 2)  # [3,L,H,W]
+
+
+def per_frame_clip(frames):
+    # resize_shorter_side one frame at a time, stacked channels-first
+    return np.stack([vp.resize_shorter_side(np.asarray(f, dtype=np.float32)) for f in frames]).transpose(3, 0, 1, 2)
+
+
+class TestClipResize:
+    @given(
+        st.integers(1, 3), st.integers(2, 40), st.integers(2, 40), st.integers(1, 60), st.integers(1, 60),
+        st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_float64_two_tap_oracle(self, n, h, w, out_h, out_w, seed):
+        rng = np.random.default_rng(seed)
+        frames = [rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8) for _ in range(n)]
+        clip = vp.resize_frames(frames, out_h, out_w)
+        assert clip.shape == (3, n, out_h, out_w) and clip.dtype == np.float32
+        np.testing.assert_allclose(clip, two_tap_lerp_oracle(frames, out_h, out_w), rtol=1e-6, atol=1e-4)
+
+    @pytest.mark.parametrize("hw", [(40, 56), (70, 90), (180, 320)])
+    def test_prepare_clip_equals_per_frame_composition(self, hw):
+        video = synthetic_video(6, h=hw[0], w=hw[1], seed=13)
+        plan = vp.segment_snippets(video, snippet_count=2, frames_per_snippet=4)
+        for i in range(2):
+            manual = vp.normalize(per_frame_clip(vp.gather_snippet_frames(video, plan, i)))
+            np.testing.assert_array_equal(vp.prepare_clip(video, plan, i), manual)
+
+    @pytest.mark.parametrize("hw", [(256, 256), (256, 300), (300, 256)])
+    def test_identity_when_already_target(self, hw):
+        frames = synthetic_video(3, h=hw[0], w=hw[1], seed=14).frames
+        assert vp.resized_extent(*hw) == hw
+        clip = vp.resize_frames(frames, *hw)
+        np.testing.assert_array_equal(clip, np.stack(frames).transpose(3, 0, 1, 2).astype(np.float32))
+
+    @pytest.mark.parametrize("hw", [(40, 56), (70, 90), (180, 320)])
+    def test_same_bits_at_one_and_two_blas_threads(self, hw):
+        # the pipeline resizes at 1 OpenBLAS thread, the benchmark's traced replay at 2
+        fns = pl._openblas()
+        if fns is None:
+            pytest.skip("OpenBLAS thread count cannot be set")
+        set_fn, get_fn = fns
+        frames = synthetic_video(4, h=hw[0], w=hw[1], seed=15).frames
+        old = get_fn()
+        try:
+            clips = []
+            for n in (1, 2):
+                set_fn(n)
+                clips.append(vp.resize_frames(frames, *vp.resized_extent(*hw)))
+        finally:
+            set_fn(old)
+        np.testing.assert_array_equal(clips[0], clips[1])
+
+    def test_out_of_wrong_layout_rejected(self):
+        frames = synthetic_video(2, h=8, w=8).frames
+        with pytest.raises(ValueError, match="out"):
+            vp.resize_frames(frames, 16, 16, out=np.empty((3, 2, 16, 16), dtype=np.float64))
+        with pytest.raises(ValueError, match="out"):
+            vp.resize_frames(frames, 16, 16, out=np.empty((3, 2, 16, 32), dtype=np.float32)[..., ::2])
 
 
 class TestTenCrop:
