@@ -16,8 +16,7 @@ runs it finished.
 
 After the runs it prints, for each workload and each end-to-end metric that
 BENCHMARK.json declares, both sides' median and quartiles and the number of
-pairs the change won (ties count for neither side). `--summarize` prints
-that summary for an existing file without running anything.
+pairs the change won (ties count for neither side).
 """
 
 from __future__ import annotations
@@ -25,13 +24,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
+import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 
 def git(*args: str) -> bytes:
@@ -54,6 +53,13 @@ def bench(tree: Path, workload: str, seed: int) -> dict:
         return {"correct": False, "returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
 
 
+def quartiles(vals: list) -> list:
+    """[q1, median, q3], interpolated linearly between the sorted values."""
+    if len(vals) < 2:
+        return vals * 3 if vals else [math.nan] * 3
+    return statistics.quantiles(vals, n=4, method="inclusive")
+
+
 def summarize(entries: list, end_to_end: list) -> None:
     """Per workload and metric: each side's median [q1, q3] over its correct
     runs, and how many seed pairs the change won."""
@@ -67,7 +73,7 @@ def summarize(entries: list, end_to_end: list) -> None:
             cols = []
             for side in ("parent", "change"):
                 vals = [v for (_, s), v in value.items() if s == side]
-                q1, q2, q3 = np.percentile(vals, [25, 50, 75]) if vals else (np.nan,) * 3
+                q1, q2, q3 = quartiles(vals)
                 cols.append(f"{side} {q2:.4g} [{q1:.4g}, {q3:.4g}] of {len(vals)} runs")
             pairs = [seed for seed in seeds if (seed, "parent") in value and (seed, "change") in value]
             won = sum(sign * (value[seed, "change"] - value[seed, "parent"]) > 0 for seed in pairs)
@@ -82,12 +88,8 @@ def main() -> int:
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--pairs", nargs="+", default=["desk_default=10", "ppm_long=5"], help="WORKLOAD=PAIRS")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--summarize", action="store_true", help="print the summary of --out and run nothing")
     args = ap.parse_args()
     end_to_end = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["end_to_end"]
-    if args.summarize:
-        summarize(json.loads(args.out.read_text()), end_to_end)
-        return 0
     commits = {side: git("rev-parse", f"{rev}^{{commit}}").decode().strip()
                for side, rev in (("parent", args.parent), ("change", args.change))}
     entries = []

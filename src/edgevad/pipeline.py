@@ -244,10 +244,14 @@ def _blas_threads() -> Optional[int]:
 
 @contextlib.contextmanager
 def _blas_pool(cfg: PipelineConfig):
-    """Give the extractor's GEMMs the CPUs the preprocess workers leave free:
-    max(1, usable CPUs - stage_workers) OpenBLAS threads, restored on exit.
-    Yields the count set, or None when OpenBLAS's count cannot be set. The
-    count is process-wide, so concurrent runs in one process share it."""
+    """Size OpenBLAS to the CPUs the preprocess workers leave free:
+    max(1, usable CPUs - stage_workers) threads, restored on exit. Yields the
+    count set, or None when OpenBLAS's count cannot be set. The count is
+    process-wide: the workers' resize GEMMs run on the same pool as the
+    extractor's, and concurrent runs in one process share it. With two or more
+    threads the two stages' GEMMs can contend for them, and a pthreads
+    OpenBLAS serializes concurrent threaded level-3 calls; that overlap is
+    unmeasured (a 2-CPU box gets one thread)."""
     fns = _openblas()
     if fns is None:
         yield None
@@ -327,8 +331,9 @@ def run_pipeline(
 
     The preprocess pool's workers are the only threads; the caller's thread
     extracts the clips in snippet order, then scores the video and emits the
-    records. Those threads own the CPUs: while they run, OpenBLAS gets only
-    the CPUs the preprocess workers leave free (see `_blas_pool`). Whether the
+    records. Those threads own the CPUs: while they run, OpenBLAS is sized to
+    the CPUs the preprocess workers leave free, and both stages' GEMMs use it
+    (see `_blas_pool`). Whether the
     run ends, fails or is interrupted, the snippets not yet started are
     cancelled and the workers joined before it returns."""
     t_start = time.perf_counter()

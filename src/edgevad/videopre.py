@@ -13,7 +13,9 @@ as Rh @ (X @ Rw.T), two matmuls on a contiguous float32 stack with cached
 read-only lerp matrices, written straight into the [3,L,H,W] clip. matmul
 runs one GEMM per plane, of the same shape for one frame as for a clip, so
 the per-frame API (`resize_bilinear`, `resize_shorter_side`, the same
-function on one frame) and `prepare_clip` give the same bits. The GEMMs round
+function on one frame) and `prepare_clip` give the same bits when both run at
+the same OpenBLAS thread count. That count can change the bits at extreme
+aspect ratios (7x500 frames differ between 1 and 2 threads). The GEMMs round
 with fused multiply-adds: where the weights are dyadic (64x64 frames scaled
 by 4) the result is exact in any order; elsewhere it can differ from a
 per-pixel lerp in the last bit.
@@ -136,7 +138,8 @@ def resize_frames(frames: Sequence[np.ndarray], out_h: int, out_w: int, out: Opt
     and resized as Rh @ (X @ Rw.T) with the `_lerp_matrix` pair, one matmul
     per pass; an axis whose length does not change is copied, not multiplied.
     Every plane runs GEMMs of the same shape whatever L is, so a clip equals
-    its frames resized one at a time, bit for bit.
+    its frames resized one at a time at the same OpenBLAS thread count, bit
+    for bit.
     """
     n, (h, w) = len(frames), frames[0].shape[:2]
     shape = (3, n, out_h, out_w)

@@ -1,5 +1,6 @@
 """Preprocessing tests: scale arithmetic, crop geometry, constants, stage order."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -79,6 +80,21 @@ def per_frame_clip(frames):
     return np.stack([vp.resize_shorter_side(np.asarray(f, dtype=np.float32)) for f in frames]).transpose(3, 0, 1, 2)
 
 
+@contextlib.contextmanager
+def blas_threads(n):
+    # OpenBLAS at n threads for the block; the test is skipped where the count cannot be set
+    fns = pl._openblas()
+    if fns is None:
+        pytest.skip("OpenBLAS thread count cannot be set")
+    set_fn, get_fn = fns
+    old = get_fn()
+    set_fn(n)
+    try:
+        yield
+    finally:
+        set_fn(old)
+
+
 class TestClipResize:
     @given(
         st.integers(1, 3), st.integers(2, 40), st.integers(2, 40), st.integers(1, 60), st.integers(1, 60),
@@ -100,6 +116,18 @@ class TestClipResize:
             manual = vp.normalize(per_frame_clip(vp.gather_snippet_frames(video, plan, i)))
             np.testing.assert_array_equal(vp.prepare_clip(video, plan, i), manual)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("hw", [(7, 500), (500, 7)])
+    def test_clip_equals_its_frames_at_extreme_aspect(self, hw, threads):
+        # these sizes give different bits at 1 and 2 OpenBLAS threads, so
+        # the clip and its frames are resized at the one count
+        frames = synthetic_video(4, h=hw[0], w=hw[1], seed=16).frames
+        out_hw = vp.resized_extent(*hw, target=16)
+        with blas_threads(threads):
+            clip = vp.resize_frames(frames, *out_hw)
+            per_frame = np.stack([vp.resize_bilinear(f, *out_hw) for f in frames]).transpose(3, 0, 1, 2)
+        np.testing.assert_array_equal(clip, per_frame)
+
     @pytest.mark.parametrize("hw", [(256, 256), (256, 300), (300, 256)])
     def test_identity_when_already_target(self, hw):
         frames = synthetic_video(3, h=hw[0], w=hw[1], seed=14).frames
@@ -110,19 +138,11 @@ class TestClipResize:
     @pytest.mark.parametrize("hw", [(40, 56), (70, 90), (180, 320)])
     def test_same_bits_at_one_and_two_blas_threads(self, hw):
         # the pipeline resizes at 1 OpenBLAS thread, the benchmark's traced replay at 2
-        fns = pl._openblas()
-        if fns is None:
-            pytest.skip("OpenBLAS thread count cannot be set")
-        set_fn, get_fn = fns
         frames = synthetic_video(4, h=hw[0], w=hw[1], seed=15).frames
-        old = get_fn()
-        try:
-            clips = []
-            for n in (1, 2):
-                set_fn(n)
+        clips = []
+        for n in (1, 2):
+            with blas_threads(n):
                 clips.append(vp.resize_frames(frames, *vp.resized_extent(*hw)))
-        finally:
-            set_fn(old)
         np.testing.assert_array_equal(clips[0], clips[1])
 
     def test_out_of_wrong_layout_rejected(self):
