@@ -13,7 +13,7 @@ from .extractor import ExtractorConfig, desk_scale_config, full_scale_config
 from .graphopt import ComputeGraph, GraphRunner, MemoryPlan, execute, fuse, lower_precision, optimize, plan_memory
 from .rtfm import HeadConfig, MstnConfig, RtfmModel, TrainConfig
 from .pipeline import PipelineConfig, ScoreRecord, run_pipeline, run_sequential
-from .metrics import LabeledScores, roc_auc, video_verdict
+from .metrics import roc_auc, video_verdict
 from .bench import BenchReport, count_params_flops, measure
 
 __version__ = "0.1.0"
@@ -26,6 +26,6 @@ __all__ = [
     "optimize", "plan_memory",
     "HeadConfig", "MstnConfig", "RtfmModel", "TrainConfig",
     "PipelineConfig", "ScoreRecord", "run_pipeline", "run_sequential",
-    "LabeledScores", "roc_auc", "video_verdict",
+    "roc_auc", "video_verdict",
     "BenchReport", "count_params_flops", "measure",
 ]

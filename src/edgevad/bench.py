@@ -6,6 +6,7 @@ informational references (different hardware; never asserted against).
 from __future__ import annotations
 
 import json
+import resource
 import threading
 import time
 from dataclasses import dataclass, field
@@ -74,19 +75,16 @@ class BenchReport:
 _measure_lock = threading.Lock()
 
 
-def _rss_bytes() -> int:
-    try:
-        import psutil
+SAMPLE_PERIOD_MS = 50.0
 
-        return int(psutil.Process().memory_info().rss)
-    except Exception:
-        with open("/proc/self/statm") as f:
-            return int(f.read().split()[1]) * 4096
+
+def _rss_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * resource.getpagesize()
 
 
 def measure(
     workload: Callable[[], object],
-    sample_period_ms: float = 50.0,
     clock: Callable[[], float] = time.perf_counter,
     params: int = 0,
     flops: int = 0,
@@ -97,7 +95,7 @@ def measure(
     """Time a workload, sampling resident memory concurrently.
 
     The workload returns a frame count or a WorkloadResult. Peak memory is the
-    highest RSS sampled (every `sample_period_ms` and at the end). Not reentrant:
+    highest RSS sampled (every SAMPLE_PERIOD_MS and at the end). Not reentrant:
     concurrent measures in one process would corrupt each other's sampling.
     """
     if not _measure_lock.acquire(blocking=False):
@@ -109,7 +107,7 @@ def measure(
         def sampler():
             while not stop.is_set():
                 samples.append(_rss_bytes())
-                stop.wait(sample_period_ms / 1e3)
+                stop.wait(SAMPLE_PERIOD_MS / 1e3)
 
         thread = threading.Thread(target=sampler, name="rss-sampler")
         thread.start()

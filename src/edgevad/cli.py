@@ -30,7 +30,7 @@ from .pipeline import (
     PipelineConfig,
     PipelineConfigError,
     PipelineStageError,
-    _build_graph,
+    _startup,
     run_pipeline,
 )
 from .serialize import save_params
@@ -102,14 +102,6 @@ def _pipeline_config(args) -> PipelineConfig:
     cfg = _load_config(args, allowed, {"source": DEFAULT_SOURCE})
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "no_fuse", False):
-        cfg["fuse"] = False
-    if getattr(args, "fp16", False):
-        cfg["fp16"] = True
-    if getattr(args, "no_fp16", False):
-        cfg["fp16"] = False
-    if getattr(args, "no_memplan", False):
-        cfg["memplan"] = False
     return PipelineConfig(**cfg)
 
 
@@ -146,7 +138,7 @@ def cmd_bench(args) -> int:
     cfg = _pipeline_config(args)
     base_cfg = replace(cfg, fuse=False, fp16=False, memplan=False)
     opt_cfg = cfg
-    _, base_graph, _ = _build_graph(base_cfg)
+    _, base_graph, *_ = _startup(base_cfg)
     params, flops = bench_mod.count_params_flops(base_graph)
     fingerprint = f"{base_graph.fingerprint()}-s{cfg.seed}-t{cfg.snippet_count}"
 
@@ -190,7 +182,7 @@ def cmd_bench(args) -> int:
 def cmd_train(args) -> int:
     data_keys = {"n_normal", "n_abnormal", "snippets", "dim", "scale", "anomaly_rows"}
     train_keys = {f.name for f in dc_fields(rtfm.TrainConfig)} - {"seed"}
-    cfg = _load_config(args, data_keys | train_keys, {"epochs": args.epochs})
+    cfg = _load_config(args, data_keys | train_keys, {})
     seed = args.seed if args.seed is not None else 0
     tc = rtfm.TrainConfig(seed=seed, **{k: v for k, v in cfg.items() if k in train_keys})
     try:  # the dataset's generator and train check the config's values
@@ -260,8 +252,10 @@ def _read_labels(path) -> Dict[int, int]:
         line = line.strip()
         if not line or line.lower().startswith("snippet"):
             continue
-        idx, lab = line.split(",")
-        labels[int(idx)] = int(lab)
+        idx, lab = (int(v) for v in line.split(","))
+        if lab not in (0, 1):
+            raise ValueError(f"{path}: snippet {idx}'s label must be 0 or 1, got {lab}")
+        labels[idx] = lab
     if not labels:
         raise ValueError(f"{path}: no labels found")
     return labels
@@ -269,7 +263,7 @@ def _read_labels(path) -> Dict[int, int]:
 
 def cmd_optimize(args) -> int:
     cfg = _pipeline_config(args)
-    _, graph, _ = _build_graph(replace(cfg, fuse=False, fp16=False, memplan=False))
+    _, graph, *_ = _startup(replace(cfg, fuse=False, fp16=False, memplan=False))  # the graph run_pipeline runs
     before_nodes = len(graph.nodes)
     naive_plan = plan_memory(graph)
     opt, plan = optimize_passes(graph, do_fuse=cfg.fuse, do_fp16=cfg.fp16, do_memplan=True)
@@ -314,16 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_opt_flags=True):
+    def common(sp):
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config key (dotted paths allowed)")
         sp.add_argument("--seed", type=int, default=None)
-        if with_opt_flags:
-            sp.add_argument("--no-fuse", action="store_true", help="disable operator fusion")
-            sp.add_argument("--fp16", action="store_true", help="lower the extractor to emulated FP16")
-            sp.add_argument("--no-fp16", action="store_true", help="(default) keep F32")
-            sp.add_argument("--no-memplan", action="store_true", help="disable static memory planning")
 
     sp = sub.add_parser("run", help="run the detection pipeline, emit ScoreRecord JSONL")
     common(sp)
@@ -339,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("train", help="desk-scale training on the synthetic magnitude dataset")
-    common(sp, with_opt_flags=False)
-    sp.add_argument("--epochs", type=int, default=200)
+    common(sp)
     sp.add_argument("--out", help="parameter file stem (writes .bin + .json)")
     sp.add_argument("--curve", help="loss curve CSV path")
     sp.add_argument("--metrics", help="training metrics JSON path")

@@ -711,21 +711,16 @@ class GraphRunner:
         total = self.pool.nbytes if self.pool is not None else 0
         return total + (self.workspace.nbytes if self.workspace is not None else 0)
 
-    def run(
-        self,
-        inputs: Union[Dict[str, Tensor], Sequence[Tensor], Tensor],
-    ) -> List[Tensor]:
+    def run(self, inputs: Union[Sequence[Tensor], Tensor]) -> List[Tensor]:
+        """The graph's outputs on its inputs, given in `graph.inputs` order."""
         graph, pool = self.graph, self.pool
         if isinstance(inputs, Tensor):
             inputs = [inputs]
-        if not isinstance(inputs, dict):
-            if len(inputs) != len(graph.inputs):
-                raise GraphError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
-            inputs = dict(zip(graph.inputs, inputs))
+        if len(inputs) != len(graph.inputs):
+            raise GraphError(f"expected {len(graph.inputs)} inputs, got {len(inputs)}")
         env: Dict[str, np.ndarray] = {}
-        for t in graph.inputs:
+        for t, v in zip(graph.inputs, inputs):
             m = graph.meta[t]
-            v = inputs[t]
             if tuple(v.shape) != m.shape:
                 raise GraphError(f"input {t}: shape {tuple(v.shape)} != declared {m.shape}")
             env[t] = Tensor(v.data, m.precision).data
@@ -759,7 +754,7 @@ class GraphRunner:
 
 def execute(
     graph: ComputeGraph,
-    inputs: Union[Dict[str, Tensor], Sequence[Tensor], Tensor],
+    inputs: Union[Sequence[Tensor], Tensor],
     plan: Optional[MemoryPlan] = None,
 ) -> List[Tensor]:
     """One-shot evaluation in topological order; results are independent of plan.

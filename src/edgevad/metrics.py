@@ -2,23 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-
-@dataclass(frozen=True)
-class LabeledScores:
-    scores: Tuple[float, ...]
-    labels: Tuple[int, ...]
-    unit: str = "snippet"  # "snippet" | "frame"
-
-    def __post_init__(self) -> None:
-        if len(self.scores) != len(self.labels):
-            raise ValueError(f"{len(self.scores)} scores vs {len(self.labels)} labels")
-        if any(l not in (0, 1) for l in self.labels):
-            raise ValueError("labels must be 0 or 1")
-        if self.unit not in ("snippet", "frame"):
-            raise ValueError(f"unknown unit {self.unit!r}")
+from typing import Sequence
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -49,10 +33,6 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
         neg_below += tied_neg
         i = j
     return wins2 / (2.0 * pos * neg)
-
-
-def roc_auc_labeled(data: LabeledScores) -> float:
-    return roc_auc(data.scores, data.labels)
 
 
 def video_verdict(records: Sequence, rule: str = "any-alert", n: int = 2) -> bool:

@@ -39,6 +39,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+# Clips that may wait, built, for the extractor behind the one it is running.
+# A deeper queue bought no measured fps on a 2-CPU box; each clip costs memory.
+QUEUE_CAPACITY = 4
+
 
 class PipelineConfigError(ValueError):
     pass
@@ -72,7 +76,6 @@ def _check_types(cfg, prefix: str = "") -> None:
 class PipelineConfig:
     source: Dict
     threshold: float = 0.7
-    queue_capacity: int = 4
     stage_workers: int = 1  # preprocess-stage parallelism; other stages stay single
     snippet_count: int = 32
     frames_per_snippet: int = 16
@@ -86,8 +89,6 @@ class PipelineConfig:
 
     def validate(self) -> None:
         _check_types(self)  # before the comparisons below, which assume the types
-        if self.queue_capacity < 1:
-            raise PipelineConfigError("queue_capacity must be >= 1")
         if self.stage_workers < 1:
             raise PipelineConfigError("stage_workers must be >= 1")
         if not 0.0 <= self.threshold <= 1.0:
@@ -154,29 +155,6 @@ def _resolve_extractor_config(profile) -> ExtractorConfig:
     if profile == "full":
         return full_scale_config()
     raise PipelineConfigError(f"unknown extractor profile {profile!r}")
-
-
-def _build_graph(cfg: PipelineConfig, clip_hw: Optional[Tuple[int, int]] = None):
-    """The optimized extractor: on [crops,3,L,s,s] crops, or, given the
-    clips' (H,W), on one uncropped [3,L,H,W] clip (see build_extractor). A
-    profile that a node's shape rule rejects, or an unreadable parameter
-    file, is a config error."""
-    try:
-        ecfg = _resolve_extractor_config(cfg.extractor_profile)
-        graph = build_extractor(ecfg, seed=cfg.seed, clip_hw=clip_hw)
-        if cfg.extractor_params:
-            load_graph_params(graph, cfg.extractor_params)
-    except (ValueError, OSError) as e:
-        raise PipelineConfigError(str(e)) from e
-    graph, plan = optimize(graph, do_fuse=cfg.fuse, do_fp16=cfg.fp16, do_memplan=cfg.memplan)
-    return ecfg, graph, plan
-
-
-def _load_model(cfg: PipelineConfig, feature_dim: int) -> rtfm.RtfmModel:
-    model = rtfm.RtfmModel(mstn=rtfm.MstnConfig(in_dim=feature_dim), head=rtfm.HeadConfig(), seed=cfg.seed)
-    if cfg.head_params:
-        model.params = {k: np.asarray(v, dtype=np.float64) for k, v in load_params(cfg.head_params).items()}
-    return model
 
 
 @dataclass
@@ -273,23 +251,30 @@ def _clip_buffer(cfg: PipelineConfig, clip_hw: Tuple[int, int]) -> np.ndarray:
     return buf
 
 
-def _frozen(clip: np.ndarray) -> Tensor:
-    """The clip as the graph's input: Tensor freezes the array it is given,
-    so it gets a view and the buffer stays writable for the next snippet."""
-    return Tensor(clip.view())
-
-
 def _startup(cfg: PipelineConfig):
-    """The source, the extractor on its uncropped clips, the head and the
-    snippet plan; also the clips' (H,W)."""
+    """The source, the optimized extractor on its uncropped [3,L,H,W] clips,
+    the head and the snippet plan; also the clips' (H,W). A bad value or
+    profile and an unreadable source or parameter file raise
+    PipelineConfigError."""
     cfg.validate()
     try:
+        ecfg = _resolve_extractor_config(cfg.extractor_profile)
+        if cfg.frames_per_snippet != ecfg.frames:
+            raise PipelineConfigError(
+                f"frames_per_snippet={cfg.frames_per_snippet} differs from frames={ecfg.frames} "
+                f"of extractor profile {ecfg.name!r}"
+            )
         video = load_video_source(cfg.source)
         clip_hw = resized_extent(*video.frames[0].shape[:2])
-        ecfg, graph, plan = _build_graph(cfg, clip_hw)
-        model = _load_model(cfg, ecfg.output_dim)
-    except (PipelineConfigError, ValueError, OSError) as e:
+        graph = build_extractor(ecfg, seed=cfg.seed, clip_hw=clip_hw)
+        if cfg.extractor_params:
+            load_graph_params(graph, cfg.extractor_params)
+        model = rtfm.RtfmModel(mstn=rtfm.MstnConfig(in_dim=ecfg.output_dim), head=rtfm.HeadConfig(), seed=cfg.seed)
+        if cfg.head_params:
+            model.params = {k: np.asarray(v, dtype=np.float64) for k, v in load_params(cfg.head_params).items()}
+    except (ValueError, OSError) as e:
         raise PipelineConfigError(str(e)) from e
+    graph, plan = optimize(graph, do_fuse=cfg.fuse, do_fp16=cfg.fp16, do_memplan=cfg.memplan)
     snips = segment_snippets(video, cfg.snippet_count, cfg.frames_per_snippet)
     return video, graph, plan, model, snips, clip_hw
 
@@ -349,7 +334,7 @@ def run_pipeline(
     # and is submitted only once snippet i - ahead has been extracted, so a
     # buffer is never refilled while the extractor may still read it.
     # The clips are uncropped; the extractor graph cuts the ten crops.
-    clips = [_clip_buffer(cfg, clip_hw) for _ in range(min(cfg.queue_capacity + 1 + cfg.stage_workers, n))]
+    clips = [_clip_buffer(cfg, clip_hw) for _ in range(min(QUEUE_CAPACITY + 1 + cfg.stage_workers, n))]
     ahead = len(clips)
 
     def build(i: int):
@@ -371,13 +356,13 @@ def run_pipeline(
                     raise PipelineStageError(f"stage 'preprocess' failed: snippet {i}: {e}") from e
                 t0 = time.perf_counter()
                 try:
-                    rows.append(runner.run(_frozen(clip))[0].data)  # [crops, D]
+                    rows.append(runner.run(Tensor(clip))[0].data)  # [crops, D]
                 except Exception as e:
                     raise PipelineStageError(f"stage 'extract' failed: snippet {i}: {e}") from e
                 ext_ms = (time.perf_counter() - t0) * 1e3
                 # clips resident: this one and those built among the next
-                # queue_capacity snippets
-                built = sum(f.done() for f in futures[i + 1 : i + 1 + cfg.queue_capacity])
+                # QUEUE_CAPACITY snippets
+                built = sum(f.done() for f in futures[i + 1 : i + 1 + QUEUE_CAPACITY])
                 clips_high_water = max(clips_high_water, built + 1)
                 latencies.append({"preprocess": pre_ms, "extract": ext_ms})
                 if i + ahead < n:
@@ -419,7 +404,7 @@ def run_sequential(cfg: PipelineConfig) -> PipelineResult:
     rows = []
     with _blas_pool(cfg) as blas:  # the pipeline's count, so its GEMMs sum alike
         for i in range(snips.snippet_count):
-            rows.append(runner.run(_frozen(prepare_clip(video, snips, i, consts, out=clip)))[0].data)
+            rows.append(runner.run(Tensor(prepare_clip(video, snips, i, consts, out=clip)))[0].data)
         feats, records = _score(cfg, model, snips, rows)
     summary = _summary(cfg, video.frame_count, records, time.perf_counter() - t_start, blas)
     return PipelineResult(records, summary, {}, feats)

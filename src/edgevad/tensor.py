@@ -45,6 +45,7 @@ class Tensor:
         arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float32))
         if self.precision == F16:
             arr = round_f16(arr)
+        arr = arr.view()  # freeze a view, so the caller's array stays writable
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 

@@ -16,7 +16,7 @@ from edgevad import rtfm
 from edgevad import tensor as tc
 from edgevad.extractor import build_extractor, desk_scale_config, full_scale_config
 from edgevad.metrics import roc_auc
-from edgevad.pipeline import PipelineConfig, alert_check, run_pipeline, run_sequential
+from edgevad.pipeline import QUEUE_CAPACITY, PipelineConfig, alert_check, run_pipeline, run_sequential
 from edgevad.tensor import Tensor
 from edgevad.videopre import preprocess_snippet, segment_snippets
 from edgevad.sources import synthesize
@@ -249,7 +249,7 @@ def test_criterion_08_pipeline_equivalence_and_alerting():
     assert [r.alert for r in piped.records] == [r.alert for r in seq.records]
     assert [r.start_frame for r in piped.records] == [r.start_frame for r in seq.records]
     for name, peak in piped.boundary_high_water.items():
-        assert peak <= cfg.queue_capacity + 1, f"boundary {name} residency {peak}"
+        assert peak <= QUEUE_CAPACITY + 1, f"boundary {name} residency {peak}"
     assert alert_check(0.71, 0.7) is True
     assert alert_check(0.69, 0.7) is False
     assert alert_check(0.70, 0.7) is False

@@ -1,11 +1,15 @@
 """CLI tests: exit codes, JSONL output, config round-trip, subcommand flows."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from edgevad import pipeline
+from edgevad.bench import count_params_flops
 from edgevad.cli import main
+from edgevad.graphopt import GraphRunner
 
 TINY_PROFILE = {
     "name": "tiny-nl",
@@ -85,10 +89,14 @@ class TestRun:
                      "--set", 'source={"kind":"ppm_dir","path":"/nonexistent"}'])
         assert code == 2
 
-    def test_midstream_error_exits_3(self, tiny_config, tmp_path):
-        code = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "r.jsonl"),
-                     "--set", "frames_per_snippet=6"])
+    def test_midstream_error_exits_3(self, tiny_config, tmp_path, monkeypatch, capsys):
+        def truncated(video, snips, i, *args, **kw):
+            raise OSError(f"truncated frame in snippet {i}")
+
+        monkeypatch.setattr(pipeline, "prepare_clip", truncated)
+        code = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "r.jsonl")])
         assert code == 3
+        assert "runtime error: stage 'preprocess' failed: snippet 0" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -129,6 +137,14 @@ class TestEval:
         labels.write_text("0,1\n1,1\n")
         assert main(["eval", "--records", str(records), "--labels", str(labels)]) == 2
 
+    def test_label_other_than_0_or_1_exits_2(self, tmp_path, capsys):
+        # a 7 is neither class; it must not count as a negative
+        records = self._records(tmp_path, [0.1, 0.9])
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0,7\n1,1\n")
+        assert main(["eval", "--records", str(records), "--labels", str(labels)]) == 2
+        assert "snippet 0's label must be 0 or 1, got 7" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_train_writes_params_and_curve(self, tmp_path):
@@ -136,7 +152,7 @@ class TestTrain:
         curve = tmp_path / "loss.csv"
         metrics = tmp_path / "train.json"
         code = main([
-            "train", "--epochs", "3", "--out", str(out), "--curve", str(curve),
+            "train", "--set", "epochs=3", "--out", str(out), "--curve", str(curve),
             "--metrics", str(metrics), "--seed", "1",
             "--set", "n_normal=4", "--set", "n_abnormal=4", "--set", "snippets=8",
             "--set", "dim=8", "--set", "batch_size=4",
@@ -150,7 +166,7 @@ class TestTrain:
     def test_trained_params_load_into_pipeline(self, tmp_path, tiny_config):
         out = tmp_path / "params"
         main([
-            "train", "--epochs", "2", "--out", str(out), "--seed", "2",
+            "train", "--set", "epochs=2", "--out", str(out), "--seed", "2",
             "--set", "n_normal=4", "--set", "n_abnormal=4", "--set", "snippets=8",
             "--set", "dim=8", "--set", "batch_size=4",
         ])
@@ -172,12 +188,12 @@ class TestConfigErrorsExit2:
 
     @pytest.mark.parametrize("setting", ["epochs=0", "k=100", "anomaly_rows=9"])
     def test_train(self, capsys, setting):
-        code = main(["train", "--epochs", "1", "--set", "n_normal=4", "--set", "n_abnormal=4",
+        code = main(["train", "--set", "epochs=1", "--set", "n_normal=4", "--set", "n_abnormal=4",
                      "--set", "snippets=8", "--set", "dim=8", "--set", setting])
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ['queue_capacity="x"', "queue_capacity=true", "fuse=1",
+    @pytest.mark.parametrize("setting", ['stage_workers="x"', "stage_workers=true", "fuse=1",
                                          'threshold="0.5"', "source=[1]", "head_params=3"])
     def test_run_value_of_wrong_type_names_key(self, tiny_config, tmp_path, capsys, setting):
         code = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "r.jsonl"), "--set", setting])
@@ -205,9 +221,25 @@ class TestConfigErrorsExit2:
         err = capsys.readouterr().err
         assert f"config error: {phrase}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "optimize"])
+    def test_snippet_length_differs_from_profile(self, tiny_config, tmp_path, capsys, command):
+        # the tiny profile's graph takes 4-frame clips
+        code = main([command, "--config", str(tiny_config), "--out", str(tmp_path / "out"),
+                     "--set", "frames_per_snippet=8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: frames_per_snippet=8 differs from frames=4" in err
+
+    def test_optimize_unreadable_source(self, tiny_config, capsys):
+        # optimize reads the source for the size of the clips the graph takes
+        code = main(["optimize", "--config", str(tiny_config),
+                     "--set", 'source={"kind":"ppm_dir","path":"/nonexistent"}'])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_train_too_few_snippets_names_anomaly_rows(self, capsys):
         # the default anomaly_rows (8) does not fit in 2 snippets
-        assert main(["train", "--epochs", "1", "--set", "snippets=2"]) == 2
+        assert main(["train", "--set", "epochs=1", "--set", "snippets=2"]) == 2
         assert "anomaly_rows" in capsys.readouterr().err
 
 
@@ -221,6 +253,29 @@ class TestOptimizeAndCount:
         doc = json.loads(graph_path.read_text())
         assert {"nodes", "inputs", "outputs", "meta", "param_manifest"} <= set(doc)
         assert "peak" in plan_path.read_text()
+
+    def test_optimize_reports_the_graph_the_pipeline_runs(self, tiny_config, capsys, monkeypatch):
+        plans = []
+
+        class PlanSpy(GraphRunner):
+            def __init__(self, graph, plan=None):
+                plans.append((graph, plan))
+                super().__init__(graph, plan)
+
+        assert main(["optimize", "--config", str(tiny_config)]) == 0
+        out = capsys.readouterr().out
+        monkeypatch.setattr(pipeline, "GraphRunner", PlanSpy)
+        assert main(["run", "--config", str(tiny_config), "--out", "-"]) == 0
+        (graph, plan), = plans
+        assert f"-> {len(graph.nodes)} (fuse=on" in out
+        assert f"| peak {plan.peak_bytes:,} | arena {plan.arena_bytes:,}" in out
+
+    def test_optimize_default_config(self, capsys):
+        # the desk graph on the default 64x64 source's [3,16,256,256] clips
+        assert main(["optimize"]) == 0
+        out = capsys.readouterr().out
+        assert "nodes: 15 -> 6 (fuse=on, fp16=off)" in out
+        assert "naive 144,045,312 | peak 20,611,072 | arena 10,035,200" in out
 
     def test_count_prints_published_references(self, capsys):
         assert main(["count", "--profile", "desk"]) == 0
@@ -237,5 +292,10 @@ class TestOptimizeAndCount:
         for key in ("params", "flops", "fingerprint"):
             assert doc1["optimized"][key] == doc2["optimized"][key]
         assert doc1["optimized"]["fingerprint"] == doc1["baseline"]["fingerprint"]
+        # counted and fingerprinted: the unoptimized graph run_pipeline builds
+        cfg = pipeline.PipelineConfig(**json.loads(tiny_config.read_text()))
+        _, graph, *_ = pipeline._startup(replace(cfg, fuse=False, fp16=False, memplan=False))
+        assert doc1["baseline"]["fingerprint"].startswith(graph.fingerprint())
+        assert (doc1["baseline"]["params"], doc1["baseline"]["flops"]) == count_params_flops(graph)
         out = capsys.readouterr().out
         assert "informational" in out

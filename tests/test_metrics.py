@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgevad.metrics import LabeledScores, roc_auc, roc_auc_labeled, video_verdict
+from edgevad.metrics import roc_auc, video_verdict
 
 
 def pairwise_auc_oracle(scores, labels):
@@ -70,12 +70,6 @@ class TestRocAuc:
         auc = roc_auc(scores.tolist(), labels)
         flipped = roc_auc((1 - scores).tolist(), labels)
         assert flipped == pytest.approx(1 - auc, abs=1e-12)
-
-    def test_labeled_wrapper_validates(self):
-        with pytest.raises(ValueError):
-            LabeledScores(scores=(0.5,), labels=(2,))
-        data = LabeledScores(scores=(0.2, 0.8), labels=(0, 1), unit="frame")
-        assert roc_auc_labeled(data) == 1.0
 
 
 class TestVideoVerdict:

@@ -26,6 +26,18 @@ from edgevad.videopre import resized_extent
 from helpers import SlowRunner, tiny_cfg
 
 
+def cut_clip_at(monkeypatch, bad):
+    """Make preprocessing hand the extractor a clip two frames short at
+    snippet `bad`, so that its extraction fails on the input's shape."""
+    real = pl.prepare_clip
+
+    def cut(video, snips, i, *args, **kw):
+        clip = real(video, snips, i, *args, **kw)
+        return clip[:, :2] if i == bad else clip
+
+    monkeypatch.setattr(pl, "prepare_clip", cut)
+
+
 class TestAlertRule:
     def test_strictly_greater(self):
         assert alert_check(0.71, 0.7) is True
@@ -70,7 +82,7 @@ class TestBoundary:
         # with one snippet, nothing is built behind the clip being extracted,
         # so the gauge counts that clip alone
         monkeypatch.setattr(pl, "GraphRunner", SlowRunner)
-        cfg = tiny_cfg(snippets=1, queue_capacity=2)
+        cfg = tiny_cfg(snippets=1)
         assert run_pipeline(cfg).boundary_high_water["clips"] == 1
 
 
@@ -105,21 +117,20 @@ class TestPipelineRuns:
         assert logged[-1].startswith("summary")
 
     def test_backpressure_bounded_residency(self):
-        cfg = tiny_cfg(frames=60, snippets=6, queue_capacity=2)
-        res = run_pipeline(cfg)
+        res = run_pipeline(tiny_cfg(frames=60, snippets=6))
         for name, peak in res.boundary_high_water.items():
-            assert peak <= cfg.queue_capacity + 1, f"boundary {name} hit {peak}"
+            assert peak <= pl.QUEUE_CAPACITY + 1, f"boundary {name} hit {peak}"
         assert res.boundary_high_water["clips"] >= 1
 
     def test_clip_gauge_fills_behind_slow_extractor(self, monkeypatch):
         # while each extraction takes 0.3 s, the worker fills the clip queue:
-        # queue_capacity clips queued plus the one being extracted
+        # QUEUE_CAPACITY clips queued plus the one being extracted
         monkeypatch.setattr(pl, "GraphRunner", SlowRunner)
-        cfg = tiny_cfg(frames=60, snippets=6, queue_capacity=2)
-        assert run_pipeline(cfg).boundary_high_water["clips"] == cfg.queue_capacity + 1
+        cfg = tiny_cfg(frames=60, snippets=6)
+        assert run_pipeline(cfg).boundary_high_water["clips"] == pl.QUEUE_CAPACITY + 1
 
     def test_clip_buffers_allocated_once(self, monkeypatch):
-        # queue_capacity + 1 + stage_workers buffers serve every snippet
+        # QUEUE_CAPACITY + 1 + stage_workers buffers serve every snippet
         seen = set()
         real = pl.prepare_clip
 
@@ -128,9 +139,9 @@ class TestPipelineRuns:
             return real(*args, out=out, **kw)
 
         monkeypatch.setattr(pl, "prepare_clip", spy)
-        cfg = tiny_cfg(frames=60, snippets=8, queue_capacity=1)
+        cfg = tiny_cfg(frames=60, snippets=8)
         res = run_pipeline(cfg)
-        assert 1 <= len(seen) <= cfg.queue_capacity + 1 + cfg.stage_workers
+        assert 1 <= len(seen) <= pl.QUEUE_CAPACITY + 1 + cfg.stage_workers
         monkeypatch.setattr(pl, "prepare_clip", real)
         assert [r.score for r in res.records] == [r.score for r in run_sequential(cfg).records]
 
@@ -144,12 +155,12 @@ class TestPipelineRuns:
             return real(*args, out=out, **kw)
 
         monkeypatch.setattr(pl, "prepare_clip", spy)
-        cfg = tiny_cfg(frames=60, snippets=6, queue_capacity=2)
+        cfg = tiny_cfg(frames=60, snippets=6)
         res = run_pipeline(cfg)
         h, w = resized_extent(40, 48)  # tiny_cfg's frames are 48 wide and 40 high
         assert shapes == {(3, cfg.frames_per_snippet, h, w)}
         clip_bytes = 3 * cfg.frames_per_snippet * h * w * 4
-        buffers = cfg.queue_capacity + 1 + cfg.stage_workers
+        buffers = pl.QUEUE_CAPACITY + 1 + cfg.stage_workers
         assert res.summary["clip_buffer_mib"] == round(buffers * clip_bytes / 2 ** 20, 3)
         high_water = res.boundary_high_water["clips"]
         assert res.summary["clips_high_water_mib"] == round(high_water * clip_bytes / 2 ** 20, 3)
@@ -165,18 +176,20 @@ class TestPipelineRuns:
         with pytest.raises(PipelineConfigError):
             run_pipeline(cfg)
 
-    def test_mid_stream_shape_error_is_stage_error(self):
-        cfg = tiny_cfg()
-        cfg.frames_per_snippet = 6  # clips become [10,3,6,...] vs graph [10,3,4,...]
+    def test_mid_stream_shape_error_is_stage_error(self, monkeypatch):
+        cut_clip_at(monkeypatch, 2)
         with pytest.raises(PipelineStageError, match="extract") as err:
-            run_pipeline(cfg)
-        assert "snippet 0" in str(err.value)
+            run_pipeline(tiny_cfg())
+        assert "snippet 2" in str(err.value)
 
-    def test_validation_rejects_bad_capacity(self):
+    @pytest.mark.parametrize("run", [run_pipeline, run_sequential])
+    def test_snippet_length_must_match_profile(self, run):
+        # the profile's frames fix the graph's clip length, so a different
+        # frames_per_snippet is refused at start-up, naming both values
         cfg = tiny_cfg()
-        cfg.queue_capacity = 0
-        with pytest.raises(PipelineConfigError):
-            run_pipeline(cfg)
+        cfg.frames_per_snippet = 6
+        with pytest.raises(PipelineConfigError, match="frames_per_snippet=6 .* frames=4"):
+            run(cfg)
 
     def test_optimization_flags_do_not_change_scores(self):
         base = tiny_cfg(fuse=False, memplan=False)
@@ -262,12 +275,11 @@ class TestBlasThreads:
         run_pipeline(tiny_cfg())
         assert pl._blas_threads() == before
 
-    def test_count_restored_after_stage_error(self):
+    def test_count_restored_after_stage_error(self, monkeypatch):
         before = pl._blas_threads()
-        cfg = tiny_cfg()
-        cfg.frames_per_snippet = 6  # the mid-stream shape error above
+        cut_clip_at(monkeypatch, 2)  # the mid-stream shape error above
         with pytest.raises(PipelineStageError, match="extract"):
-            run_pipeline(cfg)
+            run_pipeline(tiny_cfg())
         assert pl._blas_threads() == before
 
     def test_count_restored_when_body_raises(self):
@@ -324,7 +336,7 @@ class TestConcurrency:
         # more workers than CPUs on a small board (and, in the second case,
         # than snippets), with the interpreter switching threads every 10 us:
         # every snippet arrives once and the run equals the plain loop
-        cfg = tiny_cfg(frames=60, snippets=snippets, queue_capacity=1, stage_workers=workers)
+        cfg = tiny_cfg(frames=60, snippets=snippets, stage_workers=workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -351,7 +363,7 @@ class TestFailurePaths:
             return real(video, snips, i, *args, **kw)
 
         monkeypatch.setattr(pl, "prepare_clip", flaky)
-        cfg = tiny_cfg(frames=60, snippets=6, queue_capacity=1, stage_workers=workers)
+        cfg = tiny_cfg(frames=60, snippets=6, stage_workers=workers)
         err = run_bounded(cfg)
         assert isinstance(err, PipelineStageError)
         assert "preprocess" in str(err) and "truncated frame" in str(err)
@@ -387,5 +399,5 @@ class TestFailurePaths:
                 return super().run(*args, **kw)
 
         monkeypatch.setattr(pl, "GraphRunner", InterruptedRunner)
-        err = run_bounded(tiny_cfg(frames=60, snippets=6, queue_capacity=1, stage_workers=3))
+        err = run_bounded(tiny_cfg(frames=60, snippets=6, stage_workers=3))
         assert isinstance(err, KeyboardInterrupt)

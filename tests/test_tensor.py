@@ -599,6 +599,15 @@ class TestPrecision:
         with pytest.raises(ValueError):
             t.data[0] = 5.0
 
+    def test_tensor_leaves_callers_array_writable(self):
+        # Tensor freezes a view of a C-contiguous float32 array, not the array
+        a = f32([1.0, 2.0])
+        t = Tensor(a)
+        assert a.flags.writeable and not t.data.flags.writeable
+        assert np.shares_memory(t.data, a)
+        a[0] = 5.0
+        assert t.data[0] == 5.0
+
     def test_f16_construction_rounds(self):
         t = Tensor(f32([0.1]), F16)
         assert t.data[0] == np.float32(np.float16(0.1))
