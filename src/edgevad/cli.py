@@ -269,7 +269,7 @@ def cmd_optimize(args) -> int:
     opt, plan = optimize_passes(graph, do_fuse=cfg.fuse, do_fp16=cfg.fp16, do_memplan=True)
     print(f"nodes: {before_nodes} -> {len(opt.nodes)} (fuse={'on' if cfg.fuse else 'off'}, "
           f"fp16={'on' if cfg.fp16 else 'off'})")
-    print(f"activation bytes: naive {naive_plan.naive_bytes:,} | peak {plan.peak_bytes:,} "
+    print(f"planned bytes: naive {naive_plan.naive_bytes:,} | peak {plan.peak_bytes:,} "
           f"| arena {plan.arena_bytes:,}")
     if args.out:
         Path(args.out).write_text(json.dumps(opt.to_json(), indent=1))

@@ -3,10 +3,11 @@
 A ComputeGraph is a static single-producer DAG of kernel nodes over tensor ids.
 Three passes mirror a deployment-engine builder: operator fusion
 (conv/linear -> bias -> relu chains collapse to one node, and a convolution
-reads the ten crops of its clip in place), precision lowering
-to emulated binary16, and static memory planning (lifetime analysis plus greedy
-best-fit offset assignment into one arena). Passes are pure graph -> graph
-functions and never change execution results beyond the documented F16 rounding.
+reads the ten crops of its clip in place), precision lowering to emulated
+binary16, and static memory planning (lifetime analysis plus greedy best-fit
+offset assignment of node outputs and kernel scratch into one arena). Passes
+are pure graph -> graph functions and never change execution results beyond
+the documented F16 rounding.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ class GraphError(ValueError):
     pass
 
 
+# every tensor and scratch float is held as float32; F16 is a rounding rule, not a width
+FLOAT_BYTES = 4
+
+
 @dataclass(frozen=True)
 class TensorMeta:
     shape: Tuple[int, ...]
@@ -54,12 +59,8 @@ class TensorMeta:
         return int(np.prod(self.shape)) if self.shape else 1
 
     @property
-    def bytes_per_elem(self) -> int:
-        return 2 if self.precision == F16 else 4
-
-    @property
     def nbytes(self) -> int:
-        return self.elems * self.bytes_per_elem
+        return self.elems * FLOAT_BYTES
 
 
 @dataclass(frozen=True)
@@ -149,31 +150,6 @@ class ComputeGraph:
             doc["name"] = self.name
         return doc
 
-    @classmethod
-    def from_json(cls, doc: dict, params: Dict[str, Tensor]) -> "ComputeGraph":
-        meta = {t: TensorMeta(tuple(m["shape"]), m["precision"]) for t, m in doc["meta"].items()}
-        nodes = [
-            Node(
-                name=n["name"],
-                kind=n["kind"],
-                inputs=tuple(n["inputs"]),
-                output=n["output"],
-                attrs={k: (tuple(v) if isinstance(v, list) else v) for k, v in n["attrs"].items()},
-                params=dict(n["params"]),
-            )
-            for n in doc["nodes"]
-        ]
-        g = cls(
-            nodes=nodes,
-            inputs=[i["id"] for i in doc["inputs"]],
-            outputs=list(doc["outputs"]),
-            meta=meta,
-            params=params,
-            name=doc.get("name", "graph"),
-        )
-        g.validate()
-        return g
-
 
 def _jsonable_attrs(attrs: dict) -> dict:
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in attrs.items()}
@@ -198,7 +174,7 @@ class OpSpec:
     shape: Callable  # (input shapes, attrs, param shapes) -> output shape; ShapeError if inconsistent
     run: Callable  # (input arrays, param arrays, attrs, out, workspace) -> result
     macs: Callable = lambda out, ps: 0  # (output shape, param shapes) -> multiply-accumulates
-    # (input shapes, output shape, attrs, param shapes) -> scratch floats; the runner allocates the max
+    # (input shapes, output shape, attrs, param shapes) -> scratch floats, planned by plan_memory
     workspace: Callable = lambda xs, out, a, ps: 0
     bias_axis: Optional[int] = None
     # (the uncropped clip, param arrays, attrs with the crop "size", out, workspace)
@@ -282,8 +258,12 @@ def _attention_macs(out, ps):
     return n * (3 * p * c * ci + p * ci * c + 2 * p * p * ci)
 
 
+def _nonlocal(xs, p, a, out, ws):
+    return nonlocal_raw(xs[0], p["wt"], p["wp"], p["wg"], p["wo"], out=out, workspace=ws)
+
+
 def _nonlocal1d(xs, p, a, out, ws):
-    y = nonlocal_raw(xs[0][None], p["wt"], p["wp"], p["wg"], p["wo"], out=None if out is None else out[None])
+    y = _nonlocal([xs[0][None]], p, a, None if out is None else out[None], ws)
     return y[0] if out is None else out
 
 
@@ -318,8 +298,8 @@ OPS: Dict[str, OpSpec] = {
                         lambda xs, p, a, out, ws: maxpool3d_raw(xs[0], a["kernel"], a["stride"])),
     "gap3d": OpSpec(lambda xs, a, ps: tuple(xs[0][:2]),
                     lambda xs, p, a, out, ws: np.mean(xs[0], axis=(2, 3, 4), dtype=np.float32)),
-    "nonlocal3d": OpSpec(_same, lambda xs, p, a, out, ws: nonlocal_raw(
-        xs[0], p["wt"], p["wp"], p["wg"], p["wo"], out=out), _attention_macs),
+    # one item's [P,P] logits at a time
+    "nonlocal3d": OpSpec(_same, _nonlocal, _attention_macs, lambda xs, out, a, ps: int(np.prod(out[2:])) ** 2),
     "nonlocal1d": OpSpec(_same, _nonlocal1d, lambda out, ps: _attention_macs((1,) + tuple(out), ps)),
     "transpose2d": OpSpec(lambda xs, a, ps: (xs[0][1], xs[0][0]),
                           lambda xs, p, a, out, ws: np.ascontiguousarray(xs[0].T)),
@@ -570,33 +550,34 @@ def lower_precision(graph: ComputeGraph) -> ComputeGraph:
 # pass 3: static memory planning
 # ---------------------------------------------------------------------------
 
+def scratch_id(n: Node) -> str:
+    """The plan's entry for `n`'s kernel scratch."""
+    return f"{n.output}:scratch"
+
+
 @dataclass
 class MemoryPlan:
-    """Static assignment of node-output tensors to offsets in one arena buffer.
+    """Static placement of node outputs and kernel scratch in one float32 arena.
 
-    Offsets/sizes are tracked in elements; byte figures use each tensor's
-    precision width (F32=4, F16=2). peak_bytes is the max over execution steps
-    of live activation bytes (graph inputs included, parameters excluded).
+    Each node output, and each node's scratch (`scratch_id`, live only at its
+    node's step), is one entry with a lifetime and an element offset; every
+    float is FLOAT_BYTES. peak_bytes is the max over execution steps of live
+    bytes (graph inputs included, parameters excluded).
     """
 
-    buffers: List[int]                       # element size per buffer (single arena)
-    assignment: Dict[str, Tuple[int, int]]   # tensor id -> (buffer id, element offset)
+    offsets: Dict[str, int]                  # planned entry -> element offset in the arena
     peak_bytes: int
     naive_bytes: int
     arena_bytes: int
-    lifetime: Dict[str, Tuple[int, int]]     # tensor id -> (birth step, death step)
+    lifetime: Dict[str, Tuple[int, int]]     # entry -> (birth step, death step)
     elems: Dict[str, int]
-    tensor_bytes: Dict[str, int]
 
     def render_table(self) -> str:
-        lines = [f"{'tensor':<24} {'elems':>10} {'bytes':>12} {'life':>9} {'buf':>4} {'offset':>10}"]
+        lines = [f"{'tensor':<24} {'elems':>10} {'bytes':>12} {'life':>9} {'offset':>10}"]
         for t in sorted(self.lifetime, key=lambda t: self.lifetime[t]):
-            b, off = self.assignment.get(t, (-1, -1))
             lo, hi = self.lifetime[t]
-            lines.append(
-                f"{t:<24} {self.elems[t]:>10} {self.tensor_bytes[t]:>12} {f'{lo}..{hi}':>9} "
-                f"{b if b >= 0 else '-':>4} {off if off >= 0 else 'input':>10}"
-            )
+            lines.append(f"{t:<24} {self.elems[t]:>10} {self.elems[t] * FLOAT_BYTES:>12} "
+                         f"{f'{lo}..{hi}':>9} {self.offsets.get(t, 'input'):>10}")
         lines.append(
             f"peak {self.peak_bytes} B | naive {self.naive_bytes} B | arena {self.arena_bytes} B"
         )
@@ -604,36 +585,34 @@ class MemoryPlan:
 
 
 def plan_memory(graph: ComputeGraph) -> MemoryPlan:
-    """Lifetime analysis plus greedy best-fit placement of node outputs."""
+    """Lifetime analysis plus greedy best-fit placement of node outputs and
+    the scratch each node's op entry declares."""
     for t, m in graph.meta.items():
         if any(int(e) <= 0 for e in m.shape):
             raise GraphError(f"dynamic or empty extent on tensor {t}: {m.shape}")
-    n_steps = len(graph.nodes)
-    last_step = max(0, n_steps - 1)
+    last_step = max(0, len(graph.nodes) - 1)
     birth: Dict[str, int] = {t: 0 for t in graph.inputs}
     death: Dict[str, int] = {t: 0 for t in graph.inputs}
+    elems = {t: graph.meta[t].elems for t in graph.inputs}
     for i, n in enumerate(graph.nodes):
-        birth[n.output] = i
-        death[n.output] = i
         for t in n.inputs:
             death[t] = max(death[t], i)
+        scratch = op_spec(n.kind).workspace([graph.meta[t].shape for t in n.inputs], graph.meta[n.output].shape,
+                                            n.attrs, graph.param_shapes(n))
+        for t, size in ((n.output, graph.meta[n.output].elems), (scratch_id(n), scratch)):
+            if size:
+                birth[t], death[t], elems[t] = i, i, size
     for t in graph.outputs:
         death[t] = last_step
-    elems = {t: graph.meta[t].elems for t in birth}
-    tbytes = {t: graph.meta[t].nbytes for t in birth}
 
-    live_per_step = [0] * max(1, n_steps)
+    live_per_step = [0] * (last_step + 1)
     for t in birth:
         for s in range(birth[t], death[t] + 1):
-            live_per_step[s] += tbytes[t]
-    peak = max(live_per_step) if live_per_step else 0
-    naive = sum(tbytes.values())
+            live_per_step[s] += elems[t] * FLOAT_BYTES
 
-    planned = [n.output for n in graph.nodes]
-    planned.sort(key=lambda t: (birth[t], -elems[t], t))
-    placed: List[Tuple[int, int, str]] = []  # (offset, end, tid)
-    assignment: Dict[str, Tuple[int, int]] = {}
-    arena_elems = 0
+    planned = sorted((t for t in birth if t not in graph.inputs), key=lambda t: (birth[t], -elems[t], t))
+    placed: List[Tuple[int, int, str]] = []  # (offset, end, entry)
+    offsets: Dict[str, int] = {}
     for t in planned:
         conflicts = sorted(
             (off, end)
@@ -647,21 +626,16 @@ def plan_memory(graph: ComputeGraph) -> MemoryPlan:
             if off - cursor >= size and (best is None or off - cursor < best[0]):
                 best = (off - cursor, cursor)
             cursor = max(cursor, end)
-        chosen = best[1] if best is not None else cursor
-        placed.append((chosen, chosen + size, t))
-        assignment[t] = (0, chosen)
-        arena_elems = max(arena_elems, chosen + size)
+        offsets[t] = best[1] if best is not None else cursor
+        placed.append((offsets[t], offsets[t] + size, t))
 
-    width = max((graph.meta[t].bytes_per_elem for t in planned), default=4)
     return MemoryPlan(
-        buffers=[arena_elems],
-        assignment=assignment,
-        peak_bytes=peak,
-        naive_bytes=naive,
-        arena_bytes=arena_elems * width,
+        offsets=offsets,
+        peak_bytes=max(live_per_step),
+        naive_bytes=sum(elems.values()) * FLOAT_BYTES,
+        arena_bytes=max((end for _, end, _ in placed), default=0) * FLOAT_BYTES,
         lifetime={t: (birth[t], death[t]) for t in birth},
         elems=elems,
-        tensor_bytes=tbytes,
     )
 
 
@@ -670,37 +644,30 @@ def plan_memory(graph: ComputeGraph) -> MemoryPlan:
 # ---------------------------------------------------------------------------
 
 class GraphRunner:
-    """Reusable executor: with a plan, the arena and conv workspace are
-    allocated once and reused across calls (ahead-of-time static memory).
-    Conv and non-local nodes write straight into their arena slots; the
-    workspace holds one padded batch item and one column slab (at most
-    tensor.COL_SLAB_BYTES) of the largest conv. One runner serves one
-    execution context; calls are not thread-safe."""
+    """Reusable executor: with a plan, its arena is allocated once as `pool`
+    and reused across calls (ahead-of-time static memory). Each node writes
+    into its output slot where its kernel can, and conv and non-local nodes
+    keep their scratch in theirs; scratch is one padded batch item and one
+    column slab (at most tensor.COL_SLAB_BYTES) per conv, one item's [P,P]
+    logits per non-local block. Without a plan, nodes allocate fresh. One
+    runner serves one execution context; calls are not thread-safe."""
 
     def __init__(self, graph: ComputeGraph, plan: Optional[MemoryPlan] = None):
         self.graph = graph
         self.pool: Optional[np.ndarray] = None
-        self.workspace: Optional[np.ndarray] = None
-        # each node's output slot in the arena, cut once: the plan and pool never change
+        # each node's output slot and scratch in the arena, cut once: the plan and pool never change
         self._dst: List[Optional[np.ndarray]] = [None] * len(graph.nodes)
+        self._scratch: List[Optional[np.ndarray]] = [None] * len(graph.nodes)
         if plan is not None:
-            self.pool = np.empty(plan.buffers[0], dtype=np.float32)
+            self.pool = np.empty(plan.arena_bytes // FLOAT_BYTES, dtype=np.float32)
+
+            def slot(t):
+                return self.pool[plan.offsets[t]:plan.offsets[t] + plan.elems[t]]
+
             for i, n in enumerate(graph.nodes):
-                if n.output in plan.assignment:
-                    m, (_, off) = graph.meta[n.output], plan.assignment[n.output]
-                    self._dst[i] = self.pool[off:off + m.elems].reshape(m.shape)
-            ws_elems = max(
-                (
-                    op_spec(n.kind).workspace(
-                        [graph.meta[t].shape for t in n.inputs], graph.meta[n.output].shape,
-                        n.attrs, graph.param_shapes(n),
-                    )
-                    for n in graph.nodes
-                ),
-                default=0,
-            )
-            if ws_elems:
-                self.workspace = np.empty(ws_elems, dtype=np.float32)
+                self._dst[i] = slot(n.output).reshape(graph.meta[n.output].shape)
+                if scratch_id(n) in plan.offsets:
+                    self._scratch[i] = slot(scratch_id(n))
         self._last_use: Dict[str, int] = {}
         for i, n in enumerate(graph.nodes):
             for t in n.inputs:
@@ -708,8 +675,7 @@ class GraphRunner:
 
     @property
     def static_bytes(self) -> int:
-        total = self.pool.nbytes if self.pool is not None else 0
-        return total + (self.workspace.nbytes if self.workspace is not None else 0)
+        return self.pool.nbytes if self.pool is not None else 0
 
     def run(self, inputs: Union[Sequence[Tensor], Tensor]) -> List[Tensor]:
         """The graph's outputs on its inputs, given in `graph.inputs` order."""
@@ -726,10 +692,10 @@ class GraphRunner:
             env[t] = Tensor(v.data, m.precision).data
 
         out_set = set(graph.outputs)
-        for i, (n, dst) in enumerate(zip(graph.nodes, self._dst)):
+        for i, (n, dst, ws) in enumerate(zip(graph.nodes, self._dst, self._scratch)):
             p = {slot: graph.params[name].data for slot, name in n.params.items()}
             try:
-                res = op_spec(n.kind).run([env[t] for t in n.inputs], p, n.attrs, dst, self.workspace)
+                res = op_spec(n.kind).run([env[t] for t in n.inputs], p, n.attrs, dst, ws)
             except (ShapeError, GraphError) as e:
                 raise GraphError(f"node {n.name}: {e}") from e
             if graph.meta[n.output].precision == F16:

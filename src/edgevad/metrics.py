@@ -13,6 +13,9 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """
     if len(scores) != len(labels):
         raise ValueError(f"{len(scores)} scores vs {len(labels)} labels")
+    for l in labels:
+        if l not in (0, 1):
+            raise ValueError(f"roc_auc labels must be 0 or 1, got {l!r}")
     pos = sum(1 for l in labels if l == 1)
     neg = len(labels) - pos
     if pos == 0 or neg == 0:

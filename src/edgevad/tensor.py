@@ -415,14 +415,17 @@ def nonlocal_raw(
     w_g: np.ndarray,
     w_out: np.ndarray,
     out: Optional[np.ndarray] = None,
+    workspace: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Residual softmax self-attention over all positions of [N,C,*spatial] input.
 
     Projections are pointwise (1x1) maps C->Ci given as [C,Ci] matrices; the
     output projection w_out is [Ci,C]. Attention logits are scaled by 1/sqrt(Ci).
-    Attention runs one batch item at a time, so its [P,P] temporaries hold one
-    item. The result goes to `out` (same shape as x; allocated when not given),
-    which must not overlap x except as x itself.
+    Attention runs one batch item at a time, its logits and then its attention
+    in the first P*P floats of the flat float32 `workspace` (P positions;
+    allocated when not given), so repeated calls allocate no [P,P] buffer. The
+    result goes to `out` (same shape as x; allocated when not given), which
+    must not overlap x except as x itself. Values do not depend on either.
     """
     n, c = x.shape[0], x.shape[1]
     if w_theta.shape[0] != c:
@@ -432,14 +435,19 @@ def nonlocal_raw(
         out = np.empty(x.shape, dtype=np.float32)
     elif out.shape != x.shape:
         raise ShapeError(f"nonlocal out shape {out.shape} != input shape {x.shape}")
+    p = int(np.prod(x.shape[2:]))
+    if workspace is None:
+        workspace = np.empty(p * p, dtype=np.float32)
+    elif workspace.size < p * p:
+        raise ShapeError(f"nonlocal workspace holds {workspace.size} floats, needs {p * p}")
+    logits = workspace[:p * p].reshape(p, p)  # every item's logits, then its attention
     scale = np.sqrt(np.float32(ci))
-    logits = None  # one [P,P] buffer for every item: logits, then attention
     for i in range(n):
         flat = x[i].reshape(c, -1).T  # [P, c]
         theta = flat @ w_theta  # [P,ci]
         phi = flat @ w_phi
         g = flat @ w_g
-        logits = np.matmul(theta, phi.T, out=logits)  # [P,P]
+        np.matmul(theta, phi.T, out=logits)
         logits /= scale
         attn = softmax_raw(logits, axis=-1, out=logits)
         y = (attn @ g) @ w_out  # [P,c]

@@ -79,17 +79,16 @@ def random_graph(seed, min_ops=3, max_ops=8):
 
 
 def check_plan_no_overlap(plan: MemoryPlan):
-    """O(n^2) pairwise oracle: overlapping lifetimes never share byte ranges."""
-    tids = list(plan.assignment)
+    """O(n^2) pairwise oracle: entries with overlapping lifetimes, node
+    outputs and kernel scratch alike, never share arena ranges."""
+    tids = list(plan.offsets)
     for i, a in enumerate(tids):
-        ba, oa = plan.assignment[a]
+        oa = plan.offsets[a]
         sa = plan.elems[a]
         la = plan.lifetime[a]
         for bid in range(i + 1, len(tids)):
             t = tids[bid]
-            bb, ob = plan.assignment[t]
-            if ba != bb:
-                continue
+            ob = plan.offsets[t]
             lb = plan.lifetime[t]
             lives_overlap = la[0] <= lb[1] and lb[0] <= la[1]
             ranges_overlap = oa < ob + plan.elems[t] and ob < oa + sa

@@ -2,9 +2,10 @@
 exists, and the pipeline configs it writes and reads still fit PipelineConfig.
 
 The benchmark runs the same `perfbench/` scripts against each commit, so an
-edgevad name they import must not be renamed or deleted, and a config field
-its workloads set or its worker reads must not go. This test only reads
-those scripts.
+edgevad name they import must not be renamed or deleted, and neither may a
+config field its workloads set or its worker reads, nor an attribute its
+worker reads on a memory plan, a runner or a tensor's meta. This test only
+reads those scripts.
 """
 
 import ast
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from edgevad.extractor import build_extractor, desk_scale_config
+from edgevad.graphopt import GraphRunner, optimize
 from edgevad.pipeline import PipelineConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -80,3 +83,38 @@ def test_worker_reads_some_config_fields():
 def test_worker_config_field_exists(name, tmp_path):
     cfg = PipelineConfig(**WORKLOADS.make_config("desk_default", 0, tmp_path, smoke=True))
     assert hasattr(cfg, name), f"perfbench/worker.py reads cfg.{name}, which PipelineConfig lacks"
+
+
+def worker_attribute_reads():
+    """(owner, attr) for each `plan.<attr>`, `runner.<attr>` and
+    `<graph>.meta[...].<attr>` that perfbench/worker.py reads."""
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    found = set()
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Attribute):
+            continue
+        if isinstance(n.value, ast.Name) and n.value.id in ("plan", "runner"):
+            found.add((n.value.id, n.attr))
+        elif isinstance(n.value, ast.Subscript) and isinstance(n.value.value, ast.Attribute) \
+                and n.value.value.attr == "meta":
+            found.add(("meta", n.attr))
+    return sorted(found)
+
+
+def test_worker_reads_plan_runner_and_meta_attributes():
+    owners = {owner for owner, _ in worker_attribute_reads()}
+    assert owners == {"plan", "runner", "meta"}
+
+
+@pytest.fixture(scope="module")
+def optimized_desk():
+    """A planned desk graph as the worker builds it: (graph, plan, runner)."""
+    graph, plan = optimize(build_extractor(desk_scale_config(), seed=0))
+    return graph, plan, GraphRunner(graph, plan)
+
+
+@pytest.mark.parametrize("owner, attr", worker_attribute_reads())
+def test_worker_attribute_exists(owner, attr, optimized_desk):
+    graph, plan, runner = optimized_desk
+    obj = {"plan": plan, "runner": runner, "meta": graph.meta[graph.inputs[0]]}[owner]
+    assert hasattr(obj, attr), f"perfbench/worker.py reads {owner}.{attr}, which {type(obj).__name__} lacks"

@@ -275,7 +275,7 @@ class TestOptimizeAndCount:
         assert main(["optimize"]) == 0
         out = capsys.readouterr().out
         assert "nodes: 15 -> 6 (fuse=on, fp16=off)" in out
-        assert "naive 144,045,312 | peak 20,611,072 | arena 10,035,200" in out
+        assert "planned bytes: naive 161,509,888 | peak 32,847,616 | arena 20,264,704" in out
 
     def test_count_prints_published_references(self, capsys):
         assert main(["count", "--profile", "desk"]) == 0

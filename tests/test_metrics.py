@@ -37,6 +37,10 @@ class TestRocAuc:
         with pytest.raises(ValueError):
             roc_auc([0.1], [1, 0])
 
+    def test_label_other_than_zero_or_one_rejected(self):
+        with pytest.raises(ValueError, match="labels must be 0 or 1, got 7"):
+            roc_auc([0.1, 0.9], [7, 1])
+
     @pytest.mark.parametrize("seed", range(60))
     def test_exact_match_with_pairwise_oracle(self, seed):
         rng = np.random.default_rng(seed)

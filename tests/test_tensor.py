@@ -246,6 +246,10 @@ class TestKernelReferences:
         out = np.full(x.shape, np.nan, np.float32)
         assert tc.nonlocal_raw(x, *ws, out=out) is out
         np.testing.assert_array_equal(out, ref)
+        # a used, oversized workspace: the logits overwrite it before any read
+        p = int(np.prod(spatial))
+        scratch = np.full(p * p + 5, np.nan, np.float32)
+        np.testing.assert_array_equal(tc.nonlocal_raw(x, *ws, workspace=scratch), ref)
 
     def test_nonlocal_bitwise_on_desk_shape(self):
         rng = np.random.default_rng(5)
@@ -255,6 +259,12 @@ class TestKernelReferences:
         np.testing.assert_array_equal(tc.nonlocal_raw(x, *ws), ref)
         out = np.full(x.shape, np.nan, np.float32)
         np.testing.assert_array_equal(tc.nonlocal_raw(x, *ws, out=out), ref)
+
+    def test_nonlocal_rejects_small_workspace(self):
+        x = np.ones((1, 2, 3, 3), np.float32)
+        ws = [np.ones(s, np.float32) for s in ((2, 1), (2, 1), (2, 1), (1, 2))]
+        with pytest.raises(ShapeError, match="workspace holds 80 floats, needs 81"):
+            tc.nonlocal_raw(x, *ws, workspace=np.empty(80, np.float32))
 
     def test_conv3d_rejects_small_workspace_and_strided_out(self):
         x = np.ones((2, 1, 3, 4, 4), np.float32)
