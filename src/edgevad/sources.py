@@ -161,7 +161,10 @@ def synthesize(spec: Dict) -> RawVideo:
     fps = float(spec.get("fps", 30.0))
     seed = int(spec.get("seed", 0))
     anomaly = spec.get("anomaly")
-    frames = [_base_frame(pattern, i, h, w, seed, spec) for i in range(n)]
+    # views of one block, as in load_raw_rgb24: n small frames got heap-trimmed and re-faulted per start-up
+    frames = list(np.empty((n, h, w, 3), np.float32))
+    for i, f in enumerate(frames):
+        f[...] = _base_frame(pattern, i, h, w, seed, spec)
     if anomaly is not None:
         start, end = int(anomaly["start"]), int(anomaly["end"])
         strength = float(anomaly.get("strength", 120.0))
