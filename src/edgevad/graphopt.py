@@ -7,7 +7,8 @@ reads the ten crops of its clip in place), precision lowering to emulated
 binary16, and static memory planning (lifetime analysis plus greedy best-fit
 offset assignment of node outputs and kernel scratch into one arena). Passes
 are pure graph -> graph functions and never change execution results beyond
-the documented F16 rounding.
+the documented F16 rounding. `select_crops` restricts a graph's ten-crop
+nodes to a subset of the crops, whose rows equal those of the whole graph.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def _conv3d(xs, p, a, out, ws, relu=False):
 
 
 def _conv3d_ten_crop(xs, p, a, out, ws, relu=False):
-    return conv3d_ten_crop_raw(xs[0], p["w"], p.get("b"), *_conv_geometry(a), a["size"],
+    return conv3d_ten_crop_raw(xs[0], p["w"], p.get("b"), *_conv_geometry(a), a["size"], a.get("crops"),
                                relu=relu, out=out, workspace=ws)
 
 
@@ -284,8 +285,9 @@ OPS: Dict[str, OpSpec] = {
     # the kernel-backed kinds' shapes are their kernels' own rules (tensor.*_shape)
     "conv3d": OpSpec(lambda xs, a, ps: conv3d_shape(xs[0], ps["w"], ps.get("b"), *_conv_geometry(a)),
                      _conv3d, _weight_macs, _conv3d_workspace, bias_axis=1, crop_run=_conv3d_ten_crop),
-    "ten_crop": OpSpec(lambda xs, a, ps: ten_crop_shape(xs[0], a["size"]),
-                       lambda xs, p, a, out, ws: ten_crop(xs[0], a["size"], out=out)),
+    # an optional "crops" attr selects which of the ten crops the node yields, in order
+    "ten_crop": OpSpec(lambda xs, a, ps: ten_crop_shape(xs[0], a["size"], a.get("crops")),
+                       lambda xs, p, a, out, ws: ten_crop(xs[0], a["size"], a.get("crops"), out=out)),
     "conv1d": OpSpec(lambda xs, a, ps: conv1d_shape(xs[0], ps["w"], ps.get("b"), a["dilation"]),
                      _conv1d, _weight_macs, bias_axis=0),
     "linear": OpSpec(lambda xs, a, ps: linear_shape(xs[0], ps["w"], ps.get("b")),
@@ -529,6 +531,24 @@ def fuse(graph: ComputeGraph) -> ComputeGraph:
     return g
 
 
+def select_crops(graph: ComputeGraph, crops: Sequence[int]) -> ComputeGraph:
+    """`graph` with its ten-crop nodes (`ten_crop` and the crop-fed
+    `ten_crop_<kind>`) yielding only `crops`, indices into the ten crops, in
+    that order, and every shape inferred again. The parameters are shared,
+    not copied. The rows of the result are the matching rows of `graph`'s,
+    bit for bit: every kernel runs one batch item at a time."""
+    crops = tuple(crops)
+    nodes = [replace(n, attrs={**n.attrs, "crops": crops})
+             if n.kind == "ten_crop" or n.kind.startswith(CROP_PREFIX) else n for n in graph.nodes]
+    meta = dict(graph.meta)
+    for n in nodes:
+        meta[n.output] = replace(meta[n.output], shape=_infer(n, [meta[t].shape for t in n.inputs],
+                                                              graph.param_shapes(n)))
+    g = ComputeGraph(nodes, list(graph.inputs), list(graph.outputs), meta, graph.params, graph.name)
+    g.validate(infer_shapes=False)  # the loop above has just inferred them
+    return g
+
+
 # ---------------------------------------------------------------------------
 # pass 2: precision lowering
 # ---------------------------------------------------------------------------
@@ -650,7 +670,9 @@ class GraphRunner:
     keep their scratch in theirs; scratch is one padded batch item and one
     column slab (at most tensor.COL_SLAB_BYTES) per conv, one item's [P,P]
     logits per non-local block. Without a plan, nodes allocate fresh. One
-    runner serves one execution context; calls are not thread-safe."""
+    runner serves one execution context; calls are not thread-safe. So
+    `run_pipeline` gives each crop half (`select_crops`) its own runner, and
+    with it its own arena, on its own thread."""
 
     def __init__(self, graph: ComputeGraph, plan: Optional[MemoryPlan] = None):
         self.graph = graph

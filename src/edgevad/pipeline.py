@@ -2,7 +2,9 @@
 
 `run_pipeline` overlaps the two stages that do the work. A pool of
 `stage_workers` preprocess threads fills clip buffers for a bounded window of
-snippets ahead; the caller's own thread extracts the clips in snippet order.
+snippets ahead. Two threads extract each clip, in snippet order, as two
+halves of its ten crops (`CROP_HALVES`), each half on its own `GraphRunner`:
+the caller's thread runs the first half and one `extract` thread the second.
 The detector needs the whole video's temporal context (dilated convolutions
 and attention span all T snippets), so once the pool is shut down the caller
 scores the video once; its latency is recorded amortized per snippet.
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import rtfm
 from .extractor import ExtractorConfig, build_extractor, desk_scale_config, full_scale_config
-from .graphopt import GraphRunner, optimize
+from .graphopt import GraphRunner, optimize, plan_memory, select_crops
 from .serialize import load_graph_params, load_params
 from .sources import load_video_source
 from .tensor import Tensor
@@ -42,6 +44,13 @@ EXIT_RUNTIME = 3
 # Clips that may wait, built, for the extractor behind the one it is running.
 # A deeper queue bought no measured fps on a 2-CPU box; each clip costs memory.
 QUEUE_CAPACITY = 4
+
+# Each clip's ten crops (0-4 the base crops, 5-9 their mirrors) as two halves,
+# extracted at once on two threads. A crop and its mirror share one padded copy
+# of their base crop, so of the five base crops only the centre (4, 9) is
+# padded twice.
+CROP_HALVES = ((0, 5, 1, 6, 4), (2, 7, 3, 8, 9))
+_CROP_ORDER = np.argsort(CROP_HALVES[0] + CROP_HALVES[1])  # the halves' rows, back in crop order
 
 
 class PipelineConfigError(ValueError):
@@ -222,20 +231,21 @@ def _blas_threads() -> Optional[int]:
 
 @contextlib.contextmanager
 def _blas_pool(cfg: PipelineConfig):
-    """Size OpenBLAS to the CPUs the preprocess workers leave free:
-    max(1, usable CPUs - stage_workers) threads, restored on exit. Yields the
-    count set, or None when OpenBLAS's count cannot be set. The count is
-    process-wide: the workers' resize GEMMs run on the same pool as the
-    extractor's, and concurrent runs in one process share it. With two or more
-    threads the two stages' GEMMs can contend for them, and a pthreads
-    OpenBLAS serializes concurrent threaded level-3 calls; that overlap is
-    unmeasured (a 2-CPU box gets one thread)."""
+    """Size OpenBLAS to the CPUs the preprocess workers leave free, shared by
+    the two extract threads: max(1, (usable CPUs - stage_workers) // 2)
+    threads, restored on exit. Yields the count set, or None when OpenBLAS's
+    count cannot be set. The count is process-wide: the workers' resize GEMMs
+    run on the same pool as the extractor's, and concurrent runs in one
+    process share it. With two or more threads the GEMMs of the three stage
+    threads can contend for them, and a pthreads OpenBLAS serializes
+    concurrent threaded level-3 calls; that is unmeasured (a 2-CPU box, or
+    one with 4 CPUs and one worker, gets one thread)."""
     fns = _openblas()
     if fns is None:
         yield None
         return
     set_fn, get_fn = fns
-    old, n = get_fn(), max(1, len(os.sched_getaffinity(0)) - cfg.stage_workers)
+    old, n = get_fn(), max(1, (len(os.sched_getaffinity(0)) - cfg.stage_workers) // 2)
     set_fn(n)
     try:
         yield n
@@ -314,16 +324,21 @@ def run_pipeline(
 ) -> PipelineResult:
     """Pipelined execution; every snippet yields exactly one ScoreRecord.
 
-    The preprocess pool's workers are the only threads; the caller's thread
-    extracts the clips in snippet order, then scores the video and emits the
-    records. Those threads own the CPUs: while they run, OpenBLAS is sized to
-    the CPUs the preprocess workers leave free, and both stages' GEMMs use it
-    (see `_blas_pool`). Whether the
-    run ends, fails or is interrupted, the snippets not yet started are
-    cancelled and the workers joined before it returns."""
+    The preprocess pool's workers fill the clips. Each clip is extracted in
+    snippet order as the two halves of `CROP_HALVES`, at once: the caller's
+    thread runs the first half and a one-thread `extract` executor the
+    second, each on its own `GraphRunner` (and, when planned, its own arena),
+    and the rows go back in crop order. Then the caller scores the video and
+    emits the records. Those threads own the CPUs: while they run, OpenBLAS
+    is sized to the CPUs the preprocess workers leave free (see
+    `_blas_pool`). A failure in either half raises PipelineStageError naming
+    stage 'extract' and the snippet. Whether the run ends, fails or is
+    interrupted, the snippets not yet started are cancelled and both
+    executors' threads joined before it returns."""
     t_start = time.perf_counter()
     video, graph, plan, model, snips, clip_hw = _startup(cfg)
-    runner = GraphRunner(graph, plan)
+    halves = [select_crops(graph, crops) for crops in CROP_HALVES]
+    runners = [GraphRunner(g, None if plan is None else plan_memory(g)) for g in halves]
     consts = NormConstants()
     n = snips.snippet_count
 
@@ -347,6 +362,7 @@ def run_pipeline(
     clips_high_water = 0
     with _blas_pool(cfg) as blas:
         pool = ThreadPoolExecutor(cfg.stage_workers, thread_name_prefix="preprocess")
+        helper = ThreadPoolExecutor(1, thread_name_prefix="extract")
         try:
             futures = [pool.submit(build, i) for i in range(ahead)]
             for i in range(n):
@@ -356,7 +372,10 @@ def run_pipeline(
                     raise PipelineStageError(f"stage 'preprocess' failed: snippet {i}: {e}") from e
                 t0 = time.perf_counter()
                 try:
-                    rows.append(runner.run(Tensor(clip))[0].data)  # [crops, D]
+                    x = Tensor(clip)
+                    second = helper.submit(runners[1].run, x)
+                    first = runners[0].run(x)[0].data
+                    rows.append(np.concatenate([first, second.result()[0].data])[_CROP_ORDER])  # [crops, D]
                 except Exception as e:
                     raise PipelineStageError(f"stage 'extract' failed: snippet {i}: {e}") from e
                 ext_ms = (time.perf_counter() - t0) * 1e3
@@ -368,7 +387,8 @@ def run_pipeline(
                 if i + ahead < n:
                     futures.append(pool.submit(build, i + ahead))
         finally:
-            # a worker finishes at most the snippet it holds
+            # the extract thread finishes its half; a worker at most the snippet it holds
+            helper.shutdown()
             pool.shutdown(cancel_futures=True)
         try:
             feats, records = _score(cfg, model, snips, rows, latencies)
@@ -385,6 +405,7 @@ def run_pipeline(
     summary = _summary(cfg, frames, records, elapsed, blas)
     clip_mib = clips[0].nbytes / 2 ** 20
     summary["clip_buffer_mib"] = round(ahead * clip_mib, 3)
+    summary["runner_mib"] = round(sum(r.static_bytes for r in runners) / 2 ** 20, 3)
     summary["clips_high_water_mib"] = round(clips_high_water * clip_mib, 3)
     if log is not None:
         log(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -240,27 +240,39 @@ def conv3d_raw(
     return out
 
 
-def ten_crop_shape(clip: tuple, size: int) -> tuple:
-    """The [10,C,L,size,size] shape of the ten crops of a clip of shape
-    `clip` [C,L,H,W]; ShapeError when the clip is not 4-D or a crop does
-    not fit in it."""
+def ten_crop_shape(clip: tuple, size: int, crops: Optional[Sequence[int]] = None) -> tuple:
+    """The [n,C,L,size,size] shape of `crops` (indices into the ten crops;
+    None for all ten, n = 10) of a clip of shape `clip` [C,L,H,W];
+    ShapeError when the clip is not 4-D, a crop does not fit in it, or
+    `crops` is empty, repeats an index or has one outside [0, 10)."""
     if len(clip) != 4:
         raise ShapeError(f"ten-crop input must be a 4-D [C,L,H,W] clip, got {len(clip)}-D")
     c, d, h, w = clip
     if h < size or w < size:
         raise ShapeError(f"frame extent {h}x{w} smaller than crop {size}; resize the shorter side first")
-    return (10, c, d, size, size)
+    if crops is None:
+        return (10, c, d, size, size)
+    if not crops or len(set(crops)) != len(crops) or any(not 0 <= k < 10 for k in crops):
+        raise ShapeError(f"crops must be distinct indices in [0, 10), at least one, got {tuple(crops)}")
+    return (len(crops), c, d, size, size)
 
 
-def base_crops(clip: np.ndarray, size: int) -> list:
-    """The five base crops of ten-crop, as views of the last two axes of a
-    clip that ten_crop_shape accepts: top-left, top-right, bottom-left,
-    bottom-right, center. Crop `5 + j` of ten-crop is crop `j` mirrored
-    along W."""
+def crop_views(clip: np.ndarray, size: int, crops: Optional[Sequence[int]] = None) -> list:
+    """The crops `crops` (all ten when None) of a clip that ten_crop_shape
+    accepts, grouped by the base crop they are cut from: one (view, rows) per
+    base crop used, in order of first use. `view` is the base crop as a view
+    of the clip's last two axes, and `rows` holds (output row, mirrored) for
+    each selected crop it gives. Crops 0-4 are the base crops top-left,
+    top-right, bottom-left, bottom-right and center; crop `5 + j` is crop
+    `j` mirrored along W."""
     h, w = clip.shape[-2:]
     top, left = (h - size) // 2, (w - size) // 2
     origins = ((0, 0), (0, w - size), (h - size, 0), (h - size, w - size), (top, left))
-    return [clip[..., y:y + size, x:x + size] for y, x in origins]
+    bases = [clip[..., y:y + size, x:x + size] for y, x in origins]
+    groups: dict = {}
+    for row, k in enumerate(range(10) if crops is None else crops):
+        groups.setdefault(k % 5, []).append((row, k >= 5))
+    return [(bases[j], rows) for j, rows in groups.items()]
 
 
 def conv3d_ten_crop_raw(
@@ -271,31 +283,33 @@ def conv3d_ten_crop_raw(
     pad: tuple,
     dilation: tuple,
     size: int,
+    crops: Optional[Sequence[int]] = None,
     relu: bool = False,
     out: Optional[np.ndarray] = None,
     workspace: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """conv3d_raw of the ten `size` crops of a [C,D,H,W] clip (base_crops, then
-    their W-mirrors), read in place: no crop is copied out of the clip.
+    """conv3d_raw of the `size` crops `crops` (indices into the ten crops of
+    crop_views, in the order given; all ten when None) of a [C,D,H,W] clip,
+    read in place: no crop is copied out of the clip.
 
-    Each base crop is copied once into the zero-padded item and convolved;
-    its mirror is the W-reversed view of that same padded item. Padding is
-    symmetric per axis, so the reversed padded crop is the padded mirrored
-    crop, the column buffer gets the same values, and the result equals
-    conv3d_raw(ten_crop(clip, size)) bit for bit. `out` and `workspace` are
-    as for conv3d_raw on the [10,C,D,size,size] crops.
+    Each base crop a selected crop is cut from is copied once into the
+    zero-padded item; a selected base crop convolves that item, and a
+    selected mirror the W-reversed view of it. Padding is symmetric per axis,
+    so the reversed padded crop is the padded mirrored crop, the column
+    buffer gets the same values, and the result equals
+    conv3d_raw(ten_crop(clip, size, crops)) bit for bit. `out` and
+    `workspace` are as for conv3d_raw on the [n,C,D,size,size] crops.
     """
-    shape = ten_crop_shape(clip.shape, size)
-    crops = base_crops(clip, size)
+    shape = ten_crop_shape(clip.shape, size, crops)
     out, xp, interior, col, wmat, taps_shape, slab = _conv3d_setup(
         shape, w, b, stride, pad, dilation, out, workspace)
-    for j, crop in enumerate(crops):
+    for crop, rows in crop_views(clip, size, crops):
         if xp is not None:
             interior[...] = crop
             crop = xp
-        for k, src in ((j, crop), (j + len(crops), crop[..., ::-1])):
-            _conv3d_item(src, col, wmat, out[k].reshape(len(wmat), -1), taps_shape, slab,
-                         stride, dilation, b, relu)
+        for k, mirrored in rows:
+            _conv3d_item(crop[..., ::-1] if mirrored else crop, col, wmat, out[k].reshape(len(wmat), -1),
+                         taps_shape, slab, stride, dilation, b, relu)
     return out
 
 

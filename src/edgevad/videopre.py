@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, base_crops, ten_crop_shape
+from .tensor import Tensor, crop_views, ten_crop_shape
 
 RESIZE_TARGET = 256
 CROP_SIZE = 224
@@ -181,22 +181,25 @@ def resize_shorter_side(frame: np.ndarray, target: int = RESIZE_TARGET) -> np.nd
     return resize_bilinear(frame, *resized_extent(*frame.shape[:2], target))
 
 
-def ten_crop(clip: np.ndarray, size: int = CROP_SIZE, out: Optional[np.ndarray] = None) -> np.ndarray:
+def ten_crop(
+    clip: np.ndarray, size: int = CROP_SIZE, crops: Optional[Sequence[int]] = None, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """[3,L,H,W] -> [10,3,L,size,size]: TL, TR, BL, BR, center, then their W-axis mirrors.
+    Given `crops` (indices into those ten), only those crops, in that order.
 
     The crops are written to `out` when it is given (a C-contiguous float32
     array of the output shape), else to a fresh array; the values are the same.
     """
-    shape = ten_crop_shape(clip.shape, size)
+    shape = ten_crop_shape(clip.shape, size, crops)
     # explicit C-contiguous output: np.stack of strided views would keep the
     # source memory order and force a second full relayout downstream
     if out is None:
         out = np.empty(shape, dtype=np.float32)
     elif out.shape != shape or out.dtype != np.float32 or not out.flags.c_contiguous:
         raise ValueError(f"ten_crop out must be C-contiguous float32 {shape}, got {out.dtype} {out.shape}")
-    for j, c in enumerate(base_crops(clip, size)):
-        out[j] = c
-        out[5 + j] = c[..., ::-1]
+    for crop, rows in crop_views(clip, size, crops):
+        for k, mirrored in rows:
+            out[k] = crop[..., ::-1] if mirrored else crop
     return out
 
 

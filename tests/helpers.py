@@ -1,7 +1,8 @@
 """Shared test utilities: random graph generation, brute-force plan checking,
 the earlier extractor kernels kept as references for the current ones, and a
-small pipeline configuration with a slowed extractor."""
+small pipeline configuration, and extractor runners that are slow or fail."""
 
+import threading
 import time
 
 import numpy as np
@@ -186,8 +187,26 @@ def tiny_cfg(frames=40, snippets=4, **kw):
 
 class SlowRunner(GraphRunner):
     """A GraphRunner whose every run first sleeps 0.3 s, so the preprocess
-    workers get ahead of the extractor."""
+    workers get ahead of the extractor. The pipeline's two crop-half runners
+    sleep at once, so each clip's extraction takes 0.3 s."""
 
     def run(self, *args, **kw):
         time.sleep(0.3)
+        return super().run(*args, **kw)
+
+
+class FailingHalfRunner(GraphRunner):
+    """A GraphRunner that raises FloatingPointError on the third clip it runs
+    on the pipeline's `extract` thread, so the second crop half of snippet 2
+    fails while the caller's thread runs the first."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.calls = 0
+
+    def run(self, *args, **kw):
+        if threading.current_thread().name.startswith("extract"):
+            self.calls += 1
+            if self.calls == 3:
+                raise FloatingPointError("NaN in the extract thread's half")
         return super().run(*args, **kw)

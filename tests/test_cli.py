@@ -9,7 +9,9 @@ import pytest
 from edgevad import pipeline
 from edgevad.bench import count_params_flops
 from edgevad.cli import main
-from edgevad.graphopt import GraphRunner
+from edgevad.graphopt import GraphRunner, plan_memory
+
+from helpers import FailingHalfRunner
 
 TINY_PROFILE = {
     "name": "tiny-nl",
@@ -97,6 +99,13 @@ class TestRun:
         code = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "r.jsonl")])
         assert code == 3
         assert "runtime error: stage 'preprocess' failed: snippet 0" in capsys.readouterr().err
+
+    def test_extract_thread_failure_exits_3(self, tiny_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(pipeline, "GraphRunner", FailingHalfRunner)
+        code = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "r.jsonl")])
+        assert code == 3
+        assert "runtime error: stage 'extract' failed: snippet 2: NaN in the extract thread's half" \
+            in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -255,20 +264,31 @@ class TestOptimizeAndCount:
         assert "peak" in plan_path.read_text()
 
     def test_optimize_reports_the_graph_the_pipeline_runs(self, tiny_config, capsys, monkeypatch):
-        plans = []
+        # optimize reports the whole graph; the pipeline runs its crop halves
+        wholes, runs = [], []
+        real_select = pipeline.select_crops
+
+        def select_spy(graph, crops):
+            wholes.append(graph)
+            return real_select(graph, crops)
 
         class PlanSpy(GraphRunner):
             def __init__(self, graph, plan=None):
-                plans.append((graph, plan))
+                runs.append((graph, plan))
                 super().__init__(graph, plan)
 
         assert main(["optimize", "--config", str(tiny_config)]) == 0
         out = capsys.readouterr().out
+        monkeypatch.setattr(pipeline, "select_crops", select_spy)
         monkeypatch.setattr(pipeline, "GraphRunner", PlanSpy)
         assert main(["run", "--config", str(tiny_config), "--out", "-"]) == 0
-        (graph, plan), = plans
+        graph, other = wholes
+        assert other is graph
+        plan = plan_memory(graph)
         assert f"-> {len(graph.nodes)} (fuse=on" in out
         assert f"| peak {plan.peak_bytes:,} | arena {plan.arena_bytes:,}" in out
+        assert [g.to_json() for g, _ in runs] == [real_select(graph, c).to_json() for c in pipeline.CROP_HALVES]
+        assert [p.arena_bytes for _, p in runs] == [plan_memory(g).arena_bytes for g, _ in runs]
 
     def test_optimize_default_config(self, capsys):
         # the desk graph on the default 64x64 source's [3,16,256,256] clips

@@ -1,6 +1,7 @@
 """Graph IR, pass safety, memory planning, and executor tests."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,10 @@ STRIDE = st.sampled_from([1, 1, 1, 1, 1, 2, 2, 3, 0])
 PAD = st.sampled_from([0, 0, 0, 1, 1, 1, 2, 2, -1])
 DILATION = st.sampled_from([1, 1, 1, 1, 1, 1, 2, 2, 0])
 OFF = st.sampled_from([0, 0, 0, 0, 0, 0, 0, 0, 1, -1])  # a channel or bias length off by this much
+# a ten-crop node's optional crops attr: mostly absent or valid, sometimes empty,
+# repeating an index or with one outside [0, 10)
+CROPS = st.one_of(st.none(), st.none(), st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True),
+                  st.lists(st.integers(-1, 10), max_size=4).map(tuple))
 
 
 def three(s):
@@ -111,9 +116,13 @@ def conv3d_case(draw):
     kind = "conv3d_bias_relu" if fused else "conv3d"
     if cropped:
         attrs["size"] = size = draw(st.integers(1, 6))
+        crops = draw(CROPS)
+        if crops is not None:
+            attrs["crops"] = crops
         x = (c, draw(EXTENT), size + draw(st.integers(-1, 3)), size + draw(st.integers(-1, 3)))
         return go.CROP_PREFIX + kind, [x], params, attrs, lambda xs, ps: tc.conv3d_ten_crop_raw(
-            xs[0], ps["w"], ps.get("b"), attrs["stride"], attrs["pad"], attrs["dilation"], attrs["size"], **relu)
+            xs[0], ps["w"], ps.get("b"), attrs["stride"], attrs["pad"], attrs["dilation"], attrs["size"],
+            crops, **relu)
     x = (draw(st.integers(1, 2)), c) + draw(three(EXTENT))
     return kind, [x], params, attrs, lambda xs, ps: tc.conv3d_raw(
         xs[0], ps["w"], ps.get("b"), attrs["stride"], attrs["pad"], attrs["dilation"], **relu)
@@ -122,10 +131,13 @@ def conv3d_case(draw):
 @st.composite
 def ten_crop_case(draw):
     attrs = {"size": draw(st.integers(1, 6))}
+    crops = draw(CROPS)
+    if crops is not None:
+        attrs["crops"] = crops
     clip = (3, 2, attrs["size"] + draw(st.integers(-1, 3)), attrs["size"] + draw(st.integers(-1, 3)))
     if draw(st.integers(0, 4)) == 0:
         clip = (1,) + clip  # a batched clip: not 4-D
-    return "ten_crop", [clip], {}, attrs, lambda xs, ps: ten_crop(xs[0], attrs["size"])
+    return "ten_crop", [clip], {}, attrs, lambda xs, ps: ten_crop(xs[0], attrs["size"], crops)
 
 
 @st.composite
@@ -253,8 +265,8 @@ class TestFusion:
             np.testing.assert_array_equal(t1.data, t2.data)
 
 
-def crop_conv_graph(seed=0, hw=(20, 27), bias_relu=True, extra_reader=False):
-    """clip [3,4,H,W] -> ten_crop(16) -> conv3d (-> bias -> relu) -> gap."""
+def crop_conv_graph(seed=0, hw=(20, 27), bias_relu=True, extra_reader=False, gap=True):
+    """clip [3,4,H,W] -> ten_crop(16) -> conv3d (-> bias -> relu) (-> gap)."""
     rng = np.random.default_rng(seed)
     b = GraphBuilder("crops")
     x = b.input((3, 4) + hw, name="clip")
@@ -263,7 +275,7 @@ def crop_conv_graph(seed=0, hw=(20, 27), bias_relu=True, extra_reader=False):
     t = b.conv3d(crops, w, stride=(1, 2, 2), pad=(1, 1, 1))
     if bias_relu:
         t = b.relu(b.bias(t, b.param("b", Tensor(rng.normal(size=(5,)).astype(np.float32))), axis=1))
-    b.output(b.gap3d(t))
+    b.output(b.gap3d(t) if gap else t)
     if extra_reader:
         b.output(b.gap3d(crops))
     g = b.build()
@@ -307,6 +319,38 @@ class TestTenCropNode:
             np.testing.assert_array_equal(go.execute(fused, xs, plan)[0].data, ref)
         # no tensor of the fused graph holds the crops
         assert (10, 3, 4, 16, 16) not in [m.shape for m in fused.meta.values()]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(crops=st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True),
+           hw=st.sampled_from([(16, 16), (20, 27), (25, 18)]), graph=st.sampled_from(["crops", "conv", "conv+gap"]),
+           bias_relu=st.booleans(), fused=st.booleans(), lower=st.booleans(), planned=st.booleans())
+    def test_selected_crops_are_rows_of_all_ten(self, crops, hw, graph, bias_relu, fused, lower, planned):
+        # a crops-subset ten_crop node, or the conv it feeds (fused: one
+        # ten_crop_conv3d node), gives the matching rows of the ten-crop run
+        if graph == "crops":
+            b = GraphBuilder()
+            x = b.input((3, 4) + hw, name="clip")
+            b.output(b.ten_crop(x, 16))
+            g = b.build()
+            xs = [Tensor(np.random.default_rng(1).normal(size=(3, 4) + hw).astype(np.float32))]
+        else:
+            g, xs = crop_conv_graph(hw=hw, bias_relu=bias_relu, gap=graph == "conv+gap")
+        g = go.fuse(g) if fused else g
+        g = go.lower_precision(g) if lower else g
+        sub = go.select_crops(g, crops)
+        assert sub.params is g.params
+        whole = go.execute(g, xs, go.plan_memory(g) if planned else None)[0].data
+        got = go.execute(sub, xs, go.plan_memory(sub) if planned else None)[0].data
+        np.testing.assert_array_equal(got, whole[list(crops)])
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("crops", [(), (1, 1), (0, 10), (-1, 2)])
+    def test_bad_crops_named_by_node(self, fused, crops):
+        g, _ = crop_conv_graph()
+        g = go.fuse(g) if fused else g
+        (n,) = [n for n in g.nodes if n.kind.startswith("ten_crop")]
+        with pytest.raises(GraphError, match=f"^node {re.escape(n.name)}: crops must be distinct indices"):
+            go.select_crops(g, crops)
 
     def test_crops_with_two_readers_stay_materialized(self):
         g, xs = crop_conv_graph(extra_reader=True)

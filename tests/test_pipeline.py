@@ -10,6 +10,7 @@ import pytest
 
 from edgevad import pipeline as pl
 from edgevad import rtfm
+from edgevad import graphopt as go
 from edgevad.graphopt import GraphRunner
 from edgevad.pipeline import (
     PipelineConfigError,
@@ -23,7 +24,7 @@ from edgevad.pipeline import (
 
 from edgevad.videopre import resized_extent
 
-from helpers import SlowRunner, tiny_cfg
+from helpers import FailingHalfRunner, SlowRunner, tiny_cfg
 
 
 def cut_clip_at(monkeypatch, bad):
@@ -94,8 +95,10 @@ class TestPipelineRuns:
         assert res.summary["frames"] == 40
         assert res.summary["fps"] > 0
 
-    def test_matches_sequential_reference(self):
-        cfg = tiny_cfg()
+    @pytest.mark.parametrize("opts", [{}, {"fuse": False, "memplan": False}, {"fuse": False}, {"fp16": True}])
+    def test_matches_sequential_reference(self, opts):
+        # the pipeline's two crop halves give the whole graph's rows bit for bit
+        cfg = tiny_cfg(**opts)
         a = run_pipeline(cfg)
         b = run_sequential(cfg)
         assert [r.snippet_index for r in a.records] == [r.snippet_index for r in b.records]
@@ -217,17 +220,17 @@ class TestPipelineRuns:
             filled[out.__array_interface__["data"][0]] = i
             return clip
 
-        seen = []
+        seen = {}  # runner -> the snippets it ran, in order
 
         class RecordingRunner(GraphRunner):
             def run(self, x, *args, **kw):
-                seen.append(filled[x.data.__array_interface__["data"][0]])
+                seen.setdefault(id(self), []).append(filled[x.data.__array_interface__["data"][0]])
                 return super().run(x, *args, **kw)
 
         monkeypatch.setattr(pl, "prepare_clip", spy)
         monkeypatch.setattr(pl, "GraphRunner", RecordingRunner)
         res = run_pipeline(tiny_cfg(frames=60, snippets=6, stage_workers=3))
-        assert seen == list(range(6))
+        assert list(seen.values()) == [list(range(6))] * len(pl.CROP_HALVES)
         assert [r.snippet_index for r in res.records] == list(range(6))
 
     def test_extractor_params_path_round_trip(self, tmp_path):
@@ -265,7 +268,7 @@ class TestBlasThreads:
             cfg = tiny_cfg(stage_workers=workers)
             seen = []
             res = run_pipeline(cfg, emit=lambda rec: seen.append(pl._blas_threads()))
-            want = max(1, len(os.sched_getaffinity(0)) - workers)
+            want = max(1, (len(os.sched_getaffinity(0)) - workers) // 2)
             assert seen == [want] * cfg.snippet_count
             assert res.summary["blas_threads"] == want
             assert run_sequential(cfg).summary["blas_threads"] == want
@@ -304,6 +307,15 @@ class TestSummary:
         s = run_pipeline(tiny_cfg()).summary
         assert s["frames"] == 40 and s["processed_frames"] == 16
         assert s["processed_frames_per_s"] == pytest.approx(16 / s["elapsed_s"], rel=1e-2)
+
+    @pytest.mark.parametrize("memplan", [True, False])
+    def test_runner_mib_is_both_half_arenas(self, memplan):
+        # each crop half's runner holds its own plan's arena; unplanned runners hold none
+        cfg = tiny_cfg(memplan=memplan)
+        graph = pl._startup(cfg)[1]
+        arenas = sum(go.plan_memory(go.select_crops(graph, crops)).arena_bytes for crops in pl.CROP_HALVES)
+        want = round(arenas / 2 ** 20, 3) if memplan else 0.0
+        assert arenas > 0 and run_pipeline(cfg).summary["runner_mib"] == want
 
 
 def run_bounded(cfg, **kw):
@@ -386,18 +398,28 @@ class TestFailurePaths:
         assert isinstance(err, PipelineStageError)
         assert "detect" in str(err) and "sink closed" in str(err)
 
-    def test_interrupt_in_caller_joins_workers(self, monkeypatch):
-        # the caller's thread extracts; an interrupt there stops and joins the
-        # preprocess workers and reaches the caller as itself
+    @pytest.mark.parametrize("thread", ["caller", "extract"])
+    def test_interrupt_in_either_half_joins_workers(self, monkeypatch, thread):
+        # an interrupt in the half run on the caller's thread, or in the half
+        # run on the extract thread, stops and joins every thread of the run
+        # and reaches the caller as itself
         class InterruptedRunner(GraphRunner):
             calls = 0
 
             def run(self, *args, **kw):
-                InterruptedRunner.calls += 1
-                if InterruptedRunner.calls == 2:
-                    raise KeyboardInterrupt
+                if threading.current_thread().name.startswith("extract") == (thread == "extract"):
+                    InterruptedRunner.calls += 1
+                    if InterruptedRunner.calls == 2:
+                        raise KeyboardInterrupt
                 return super().run(*args, **kw)
 
         monkeypatch.setattr(pl, "GraphRunner", InterruptedRunner)
         err = run_bounded(tiny_cfg(frames=60, snippets=6, stage_workers=3))
         assert isinstance(err, KeyboardInterrupt)
+
+    def test_extract_thread_half_raises(self, monkeypatch):
+        # the second crop half fails on the extract thread at snippet 2
+        monkeypatch.setattr(pl, "GraphRunner", FailingHalfRunner)
+        err = run_bounded(tiny_cfg(frames=60, snippets=6))
+        assert isinstance(err, PipelineStageError)
+        assert str(err) == "stage 'extract' failed: snippet 2: NaN in the extract thread's half"
