@@ -15,8 +15,14 @@ The file is rewritten after every run, so an interrupted driver keeps the
 runs it finished.
 
 After the runs it prints, for each workload and each end-to-end metric that
-BENCHMARK.json declares, both sides' median and quartiles and the number of
-pairs the change won (ties count for neither side).
+BENCHMARK.json declares, both sides' median and quartiles, the number of
+pairs the change won (ties count for neither side), the change's median
+minus the parent's beside the parent's quartile spread, and whether the
+change's median is within the metric's `bound` of the parent's. These are
+the terms of the acceptance rule: a claimed gain needs the change to win at
+least nine pairs in ten and its median to beat the parent's by more than the
+parent's quartile spread; every other metric must stay within its bound, a
+fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -62,7 +68,8 @@ def quartiles(vals: list) -> list:
 
 def summarize(entries: list, end_to_end: list) -> None:
     """Per workload and metric: each side's median [q1, q3] over its correct
-    runs, and how many seed pairs the change won."""
+    runs, how many seed pairs the change won, the change in median against
+    the parent's quartile spread, and the bound verdict."""
     for workload in dict.fromkeys(e["workload"] for e in entries):
         runs = {(e["seed"], e["side"]): e["result"] for e in entries
                 if e["workload"] == workload and e["result"].get("correct")}
@@ -70,15 +77,19 @@ def summarize(entries: list, end_to_end: list) -> None:
         for spec in end_to_end:
             name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
             value = {key: r["metrics"][name]["value"] for key, r in runs.items()}
-            cols = []
+            cols, q = [], {}
             for side in ("parent", "change"):
                 vals = [v for (_, s), v in value.items() if s == side]
-                q1, q2, q3 = quartiles(vals)
+                q1, q2, q3 = q[side] = quartiles(vals)
                 cols.append(f"{side} {q2:.4g} [{q1:.4g}, {q3:.4g}] of {len(vals)} runs")
             pairs = [seed for seed in seeds if (seed, "parent") in value and (seed, "change") in value]
             won = sum(sign * (value[seed, "change"] - value[seed, "parent"]) > 0 for seed in pairs)
+            delta = q["change"][1] - q["parent"][1]
+            within = sign * delta >= -spec["bound"] * abs(q["parent"][1])
             print(f"{workload} {name} ({spec['unit']}, {spec['better']} is better): {'; '.join(cols)}; "
-                  f"change won {won} of {len(pairs)} pairs")
+                  f"change won {won} of {len(pairs)} pairs; median moved {delta:+.4g} against a parent "
+                  f"quartile spread of {q['parent'][2] - q['parent'][0]:.4g}; "
+                  f"{'within' if within else 'beyond'} the {spec['bound']:.0%} bound")
 
 
 def main() -> int:

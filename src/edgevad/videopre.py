@@ -8,17 +8,21 @@ constants live on the 0-255 pixel scale, so frames are never pre-scaled to [0,1]
 normalizing before the crops are cut gives the same bits. The pipeline queues
 `prepare_clip`'s clips and lets the extractor graph cut the crops.
 
-The resize is separable: `resize_frames` resizes each channel's [L,h,w] planes
-as Rh @ (X @ Rw.T), two matmuls on a contiguous float32 stack with cached
-read-only lerp matrices, written straight into the [3,L,H,W] clip. matmul
-runs one GEMM per plane, of the same shape for one frame as for a clip, so
-the per-frame API (`resize_bilinear`, `resize_shorter_side`, the same
-function on one frame) and `prepare_clip` give the same bits when both run at
-the same OpenBLAS thread count. That count can change the bits at extreme
-aspect ratios (7x500 frames differ between 1 and 2 threads). The GEMMs round
-with fused multiply-adds: where the weights are dyadic (64x64 frames scaled
-by 4) the result is exact in any order; elsewhere it can differ from a
-per-pixel lerp in the last bit.
+The resize is separable: `resize_frames` resizes each channel's [L,h,w]
+planes with the two-tap lerp weights of `_lerp_matrix`, cut by `_lerp_bands`
+into cached read-only blocks of RESIZE_BLOCK output rows. Each block
+multiplies only the band of input rows (or columns) its taps read, instead of
+one dense Rh @ (X @ Rw.T) that is nearly all zeros, and writes straight into
+the [3,L,H,W] clip. matmul runs one GEMM per plane per block, of the same
+shape for one frame as for a clip, so the per-frame API (`resize_bilinear`,
+`resize_shorter_side`, the same function on one frame) and `prepare_clip`
+give the same bits when both run at the same OpenBLAS thread count. The bits
+were also the same at 1 and 2 threads on every size measured, extreme aspect
+ratios (7x500, 500x7) included, and equal to the dense product's on the
+benchmark's 64x64 and 180x320 frames. The GEMMs round with fused
+multiply-adds: where the weights are dyadic (64x64 frames scaled by 4) the
+result is exact in any order; elsewhere it can differ from a per-pixel lerp
+in the last bit.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ RESIZE_TARGET = 256
 CROP_SIZE = 224
 DEFAULT_SNIPPETS = 32
 DEFAULT_SNIPPET_LEN = 16
+# output rows (or columns) per banded resize GEMM; see `_lerp_bands`
+RESIZE_BLOCK = 32
 
 # Index j of ten_crop(mirror(x)) equals index MIRROR_PERM[j] of ten_crop(x),
 # valid when the resized width minus crop size is even (center crop symmetric).
@@ -114,19 +120,33 @@ def _axis_lerp_coords(in_len: int, out_len: int):
     return lo_c, hi_c, frac
 
 
-@functools.lru_cache(maxsize=32)
-def _lerp_matrix(in_len: int, out_len: int, transpose: bool = False) -> np.ndarray:
-    """The two-tap lerp of `_axis_lerp_coords` as a read-only float32 matrix:
-    [out_len, in_len], or its C-contiguous transpose [in_len, out_len]."""
+def _lerp_matrix(in_len: int, out_len: int) -> np.ndarray:
+    """The two-tap lerp of `_axis_lerp_coords` as a float32 [out_len, in_len] matrix."""
     lo, hi, frac = _axis_lerp_coords(in_len, out_len)
     m = np.zeros((out_len, in_len), dtype=np.float32)
     rows = np.arange(out_len)
     np.add.at(m, (rows, lo), 1 - frac)  # clamped edges put both taps on one pixel
     np.add.at(m, (rows, hi), frac)
-    if transpose:
-        m = np.ascontiguousarray(m.T)
-    m.flags.writeable = False
     return m
+
+
+@functools.lru_cache(maxsize=32)
+def _lerp_bands(in_len: int, out_len: int) -> Tuple[Tuple[int, int, int, int, np.ndarray, np.ndarray], ...]:
+    """`_lerp_matrix` cut into blocks of RESIZE_BLOCK output rows, each
+    (r0, r1, a, b, blk, blkT): rows [r0, r1) read only inputs [a, b), the
+    span of their non-zero taps, and blk = m[r0:r1, a:b]; blkT is its
+    transpose. Both blocks are C-contiguous and read-only."""
+    m = _lerp_matrix(in_len, out_len)
+    bands = []
+    for r0 in range(0, out_len, RESIZE_BLOCK):
+        r1 = min(r0 + RESIZE_BLOCK, out_len)
+        taps = np.flatnonzero(m[r0:r1].any(axis=0))
+        a, b = int(taps[0]), int(taps[-1]) + 1
+        blk = m[r0:r1, a:b].copy()
+        blkT = np.ascontiguousarray(blk.T)
+        blk.flags.writeable = blkT.flags.writeable = False
+        bands.append((r0, r1, a, b, blk, blkT))
+    return tuple(bands)
 
 
 def resize_frames(frames: Sequence[np.ndarray], out_h: int, out_w: int, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -135,11 +155,13 @@ def resize_frames(frames: Sequence[np.ndarray], out_h: int, out_w: int, out: Opt
     float32 array of that shape), else to a fresh array.
 
     Each channel's [L,h,w] planes are copied to one contiguous float32 stack
-    and resized as Rh @ (X @ Rw.T) with the `_lerp_matrix` pair, one matmul
-    per pass; an axis whose length does not change is copied, not multiplied.
-    Every plane runs GEMMs of the same shape whatever L is, so a clip equals
-    its frames resized one at a time at the same OpenBLAS thread count, bit
-    for bit.
+    X. The width pass multiplies each band of X's columns by its block's
+    transpose into one channel's width-pass scratch; the height pass
+    multiplies each block by its band of the scratch's rows into the clip
+    (`_lerp_bands`). An axis whose length does not change is copied, not
+    multiplied. Every plane runs GEMMs of the same shapes whatever L is, so a
+    clip equals its frames resized one at a time at the same OpenBLAS thread
+    count, bit for bit.
     """
     n, (h, w) = len(frames), frames[0].shape[:2]
     shape = (3, n, out_h, out_w)
@@ -154,9 +176,11 @@ def resize_frames(frames: Sequence[np.ndarray], out_h: int, out_w: int, out: Opt
         for j, f in enumerate(frames):
             x[j] = f[:, :, c]
         if w != out_w:
-            np.matmul(x, _lerp_matrix(w, out_w, transpose=True), out=xw)
+            for c0, c1, a, b, _, blkT in _lerp_bands(w, out_w):
+                np.matmul(x[:, :, a:b], blkT, out=xw[:, :, c0:c1])
         if h != out_h:
-            np.matmul(_lerp_matrix(h, out_h), xw, out=out[c])
+            for r0, r1, a, b, blk, _ in _lerp_bands(h, out_h):
+                np.matmul(blk, xw[:, a:b], out=out[c, :, r0:r1])
         else:
             out[c] = xw
     return out
