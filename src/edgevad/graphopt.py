@@ -204,7 +204,8 @@ def _conv3d_ten_crop(xs, p, a, out, ws, relu=False):
 
 def _conv3d_workspace(xs, out, a, ps):
     w = ps["w"]
-    return conv3d_workspace_elems(xs[0], out, w[1], w[2:], a["pad"])
+    stride, pad, dilation = _conv_geometry(a)
+    return conv3d_workspace_elems(xs[0], out, w[1], w[2:], pad, stride=stride, dilation=dilation)
 
 
 def _conv1d(xs, p, a, out, ws, relu=False):
@@ -667,8 +668,9 @@ class GraphRunner:
     """Reusable executor: with a plan, its arena is allocated once as `pool`
     and reused across calls (ahead-of-time static memory). Each node writes
     into its output slot where its kernel can, and conv and non-local nodes
-    keep their scratch in theirs; scratch is one padded batch item and one
-    column slab (at most tensor.COL_SLAB_BYTES) per conv, one item's [P,P]
+    keep their scratch in theirs; scratch is one zero-padded input window
+    (the planes and rows one slab reads) and one column slab (at most
+    tensor.COL_SLAB_BYTES) per conv, one item's [P,P]
     logits per non-local block. Without a plan, nodes allocate fresh. One
     runner serves one execution context; calls are not thread-safe. So
     `run_pipeline` gives each crop half (`select_crops`) its own runner, and

@@ -46,9 +46,9 @@ EXIT_RUNTIME = 3
 QUEUE_CAPACITY = 4
 
 # Each clip's ten crops (0-4 the base crops, 5-9 their mirrors) as two halves,
-# extracted at once on two threads. A crop and its mirror share one padded copy
-# of their base crop, so of the five base crops only the centre (4, 9) is
-# padded twice.
+# extracted at once on two threads. A crop and its mirror share each padded
+# window of their base crop, so of the five base crops only the centre (4, 9)
+# is padded twice.
 CROP_HALVES = ((0, 5, 1, 6, 4), (2, 7, 3, 8, 9))
 _CROP_ORDER = np.argsort(CROP_HALVES[0] + CROP_HALVES[1])  # the halves' rows, back in crop order
 

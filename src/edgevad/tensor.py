@@ -118,87 +118,123 @@ def conv3d_shape(x: tuple, w: tuple, b: Optional[tuple], stride: tuple, pad: tup
     return (x[0], w[0]) + _window("conv3d", x[2:], w[2:], stride, pad, dilation)
 
 
-def _conv3d_scratch(in_shape: tuple, out_shape: tuple, k: int, pad: tuple) -> tuple:
-    """The scratch of a conv3d with K = `k`: (the padded item's shape
-    [C, D+2pd, H+2ph, W+2pw], None when `pad` is all zero; the (planes, rows)
-    of the column slab [K, planes*rows*ow], see _col_slab; the floats of each)."""
-    _, c, d, h, w = in_shape
-    od, oh, ow = out_shape[2:]
-    pd, ph, pw = pad
-    padded = (c, d + 2 * pd, h + 2 * ph, w + 2 * pw) if any(pad) else None
-    planes, rows = _col_slab(k, od, oh, ow)
-    return padded, (planes, rows), int(np.prod(padded)) if padded else 0, k * planes * rows * ow
+def _reads(outs: tuple, kernel: tuple, stride: tuple, dilation: tuple) -> tuple:
+    """Per axis, the padded input entries that `outs` output positions read."""
+    return tuple((n - 1) * s + (k - 1) * dl + 1 for n, k, s, dl in zip(outs, kernel, stride, dilation))
 
 
-def conv3d_workspace_elems(in_shape: tuple, out_shape: tuple, c: int, kernel: tuple, pad: tuple) -> int:
-    """Scratch floats conv3d_raw wants: one padded batch item + one column
-    slab (see _conv3d_scratch). The slab is at most COL_SLAB_BYTES unless one
-    output row alone is larger; neither grows with N."""
-    _, _, pad_elems, col_elems = _conv3d_scratch(in_shape, out_shape, c * int(np.prod(kernel)), pad)
-    return pad_elems + col_elems
+def _conv3d_scratch(in_shape: tuple, out_shape: tuple, taps: tuple, pad: tuple,
+                    stride: Optional[tuple] = None, dilation: Optional[tuple] = None) -> tuple:
+    """The scratch of a conv3d with weight taps `taps` [C,kd,kh,kw]: (the
+    window's shape [C, planes read, rows read, W+2pw], which holds one column
+    slab's input zero-padded, None when `pad` is all zero; the (planes, rows)
+    of the column slab [K, planes*rows*ow], see _col_slab; the floats of each).
+    Without `stride` and `dilation` the window spans the whole padded item,
+    which bounds it for every geometry."""
+    c, kd, kh, _ = taps
+    d, h, w = in_shape[2:]
+    k = int(np.prod(taps))
+    planes, rows = _col_slab(k, *out_shape[2:])
+    window = None
+    if any(pad):
+        reads = ((d + 2 * pad[0], h + 2 * pad[1]) if stride is None or dilation is None
+                 else _reads((planes, rows), (kd, kh), stride, dilation))
+        window = (c, *reads, w + 2 * pad[2])
+    return window, (planes, rows), int(np.prod(window)) if window else 0, k * planes * rows * out_shape[4]
+
+
+def conv3d_workspace_elems(in_shape: tuple, out_shape: tuple, c: int, kernel: tuple, pad: tuple, *,
+                           stride: Optional[tuple] = None, dilation: Optional[tuple] = None) -> int:
+    """Scratch floats conv3d_raw wants: one padded input window + one column
+    slab (see _conv3d_scratch). Given the conv's `stride` and `dilation` this
+    is the exact need; without them, the window is sized as the whole padded
+    item, an upper bound. The slab is at most COL_SLAB_BYTES unless one output
+    row alone is larger; neither grows with N."""
+    _, _, win_elems, col_elems = _conv3d_scratch(in_shape, out_shape, (c,) + tuple(kernel), pad, stride, dilation)
+    return win_elems + col_elems
 
 
 def _conv3d_setup(x_shape: tuple, w: np.ndarray, b: Optional[np.ndarray], stride: tuple, pad: tuple,
                   dilation: tuple, out: Optional[np.ndarray], workspace: Optional[np.ndarray]):
     """Checks a conv3d call on input of shape `x_shape` [N,C,D,H,W] and cuts
-    its buffers: (out, the zeroed padded item and the view of its interior,
-    both None without padding, the flat column slab, the weight as [O,K],
-    the taps shape [C,kd,kh,kw,od,oh,ow], the slab's (planes, rows))."""
+    its buffers: (out, the zeroed window, None without padding, the flat
+    column slab, the weight as [O,K], the taps shape [C,kd,kh,kw,od,oh,ow],
+    the slab's (planes, rows))."""
     shape = conv3d_shape(x_shape, w.shape, None if b is None else b.shape, stride, pad, dilation)
-    o, c, kd, kh, kw = w.shape
-    k = c * kd * kh * kw
-    padded, slab, pad_elems, col_elems = _conv3d_scratch(x_shape, shape, k, pad)
+    window, slab, win_elems, col_elems = _conv3d_scratch(x_shape, shape, w.shape[1:], pad, stride, dilation)
     if workspace is None:
-        workspace = np.empty(pad_elems + col_elems, dtype=np.float32)
-    elif workspace.size < pad_elems + col_elems:
-        raise ShapeError(f"conv3d workspace holds {workspace.size} floats, needs {pad_elems + col_elems}")
+        workspace = np.empty(win_elems + col_elems, dtype=np.float32)
+    elif workspace.size < win_elems + col_elems:
+        raise ShapeError(f"conv3d workspace holds {workspace.size} floats, needs {win_elems + col_elems}")
     if out is None:
         out = np.empty(shape, dtype=np.float32)
     elif out.shape != shape or not out.flags.c_contiguous:
         raise ShapeError(f"conv3d out must be C-contiguous {shape}, got {out.shape}")
-    xp = interior = None
-    if padded:
-        (pd, ph, pw), (d, h, wid) = pad, x_shape[2:]
-        xp = workspace[:pad_elems].reshape(padded)
-        xp.fill(0.0)  # the border stays zero; each item overwrites only the interior
-        interior = xp[:, pd:pd + d, ph:ph + h, pw:pw + wid]
-    col = workspace[pad_elems:pad_elems + col_elems]
+    win = None
+    if window:
+        win = workspace[:win_elems].reshape(window)
+        win.fill(0.0)  # the W border stays zero; each slab overwrites the rest it reads
+    col = workspace[win_elems:win_elems + col_elems]
     # K runs (c,kd,kh,kw), as the column slab's rows do
-    return out, xp, interior, col, w.reshape(o, k), (c, kd, kh, kw) + shape[2:], slab
+    return out, win, col, w.reshape(w.shape[0], -1), w.shape[1:] + shape[2:], slab
 
 
-def _conv3d_item(src, col, wmat, y, taps_shape, slab, stride, dilation, b, relu) -> None:
-    """One batch item of `src` [C,D,H,W] (already padded), one column slab
-    at a time: the slab's taps into the flat column buffer `col`, then the
-    GEMM into the slab's columns of y [O, od*oh*ow]; bias and ReLU in place
-    once the last slab is in."""
+def _fill_window(win: np.ndarray, src: np.ndarray, starts: tuple, reads: tuple, pad: tuple) -> None:
+    """win[:, :nd, :nh] = the `reads` (nd, nh) planes and rows from padded
+    index `starts` of src [C,D,H,W] zero-padded by `pad`; the W border of
+    `win` is already zero."""
+    into, src_box = [slice(None)], [slice(None)]
+    for axis, (start, n, p, size) in enumerate(zip(starts, reads, pad, src.shape[1:3]), 1):
+        lo = min(n, max(0, p - start))  # entries [lo, hi) of the n read hold input, the rest padding
+        hi = max(lo, min(n, p + size - start))
+        if lo:  # zero the padding again: an earlier slab or item may have left input there
+            win[(slice(None),) * axis + (slice(0, lo),)] = 0.0
+        if hi < n:
+            win[(slice(None),) * axis + (slice(hi, n),)] = 0.0
+        into.append(slice(lo, hi))
+        src_box.append(slice(start - p + lo, start - p + hi))
+    win[(*into, slice(pad[2], pad[2] + src.shape[3]))] = src[tuple(src_box)]
+
+
+def _conv3d_item(src, ys, win, col, wmat, taps_shape, slab, stride, pad, dilation, b, relu) -> None:
+    """One batch item src [C,D,H,W] into each (y [O, od*oh*ow], mirrored)
+    of `ys`, a mirrored y from src reversed along W, one column slab at a
+    time: the slab's input zero-padded into `win` (read from src in place
+    without padding), its taps into the flat column buffer `col`, then per y
+    the GEMM into the slab's columns of y; bias and ReLU in place once the
+    last slab is in."""
     k = wmat.shape[1]
-    od, oh, ow = taps_shape[4:]
+    c, kd, kh, kw, od, oh, ow = taps_shape
     sd, sh, sw = stride
     dd, dh, dw = dilation
-    # every tap of every output position as one read-only strided view:
-    # tap (a,e,f) of output (z,y,x) reads src[:, a*dd + z*sd, e*dh + y*sh, f*dw + x*sw]
-    s_c, s_d, s_h, s_w = src.strides
-    taps = as_strided(
-        src,
-        shape=taps_shape,
-        strides=(s_c, s_d * dd, s_h * dh, s_w * dw, s_d * sd, s_h * sh, s_w * sw),
-        writeable=False,
-    )
     planes, rows = slab
+    base = src if win is None else win
+    # every tap of every output position of the item (of one slab, in the window) as one read-only
+    # strided view: tap (a,e,f) of output (z,y,x) reads base[:, a*dd + z*sd, e*dh + y*sh, f*dw + x*sw]
+    taps = {}
+    for _, mirrored in ys:
+        v = base[..., ::-1] if mirrored else base
+        s_c, s_d, s_h, s_w = v.strides
+        taps[mirrored] = as_strided(v, (c, kd, kh, kw) + ((od, oh) if win is None else slab) + (ow,),
+                                    (s_c, s_d * dd, s_h * dh, s_w * dw, s_d * sd, s_h * sh, s_w * sw), writeable=False)
     for z in range(0, od, planes):
         for r in range(0, oh, rows):
-            part = taps[..., z:z + planes, r:r + rows, :]
-            n = part.shape[4] * part.shape[5] * ow
-            cols = col[:k * n].reshape(part.shape)  # contiguous, also for a shorter last slab
-            np.copyto(cols, part)
+            pz, pr = min(planes, od - z), min(rows, oh - r)
+            z0, r0 = (z, r) if win is None else (0, 0)
+            if win is not None:
+                _fill_window(win, src, (z * sd, r * sh), _reads((pz, pr), (kd, kh), stride, dilation), pad)
+            n = pz * pr * ow
+            cols = col[:k * n].reshape(c, kd, kh, kw, pz, pr, ow)  # contiguous, also for a shorter last slab
             start = (z * oh + r) * ow
-            # one contiguous column range of y: BLAS writes it through its leading dimension
-            np.matmul(wmat, cols.reshape(k, n), out=y[:, start:start + n])
-    if b is not None:
-        y += b[:, None]
-    if relu:
-        np.maximum(y, 0.0, out=y)
+            for y, mirrored in ys:
+                np.copyto(cols, taps[mirrored][..., z0:z0 + pz, r0:r0 + pr, :])
+                # one contiguous column range of y: BLAS writes it through its leading dimension
+                np.matmul(wmat, cols.reshape(k, n), out=y[:, start:start + n])
+    for y, _ in ys:
+        if b is not None:
+            y += b[:, None]
+        if relu:
+            np.maximum(y, 0.0, out=y)
 
 
 def conv3d_raw(
@@ -216,27 +252,27 @@ def conv3d_raw(
 
     Lowered to GEMMs over a tap-major column buffer, one column slab per GEMM:
     a slab is whole output planes while they fit in COL_SLAB_BYTES, else a
-    block of rows of one plane. Each slab is filled with one strided copy from
-    the item zero-padded in scratch, and its GEMM writes [O, slab columns]
-    straight into its columns of `out[i]` viewed as [O, od*oh*ow]; bias and
-    ReLU are applied there in place after the item's last slab. On the desk
-    convs this equals one whole-item GEMM, and a row-major im2col times the
-    transposed weight, bit for bit; BLAS may sum a small GEMM's products in an
-    order that depends on its operands' sizes and which one is on the left,
-    so on small shapes these agree to float32 rounding.
+    block of rows of one plane. With padding, the input planes and rows a slab
+    reads are first copied into a zero-bordered window [C, planes read, rows
+    read, W+2pw] in scratch. Each slab is filled with one strided copy from
+    that window (from the item itself without padding), and its GEMM writes
+    [O, slab columns] straight into its columns of `out[i]` viewed as
+    [O, od*oh*ow]; bias and ReLU are applied there in place after the item's
+    last slab. On the desk convs this equals one whole-item GEMM, and a
+    row-major im2col times the transposed weight, bit for bit; BLAS may sum a
+    small GEMM's products in an order that depends on its operands' sizes and
+    which one is on the left, so on small shapes these agree to float32
+    rounding.
 
     `workspace` (flat float32, at least conv3d_workspace_elems) holds the
-    padded item and one column slab, so repeated calls allocate nothing; one
-    is allocated when it is not given. `out`, when given, must be a
+    window and one column slab, so repeated calls allocate nothing; one is
+    allocated when it is not given. `out`, when given, must be a
     C-contiguous [N,O,od,oh,ow] float32 array. Values do not depend on either.
     """
-    out, xp, interior, col, wmat, taps_shape, slab = _conv3d_setup(
-        x.shape, w, b, stride, pad, dilation, out, workspace)
+    out, win, col, wmat, taps_shape, slab = _conv3d_setup(x.shape, w, b, stride, pad, dilation, out, workspace)
     for i in range(x.shape[0]):
-        if xp is not None:
-            interior[...] = x[i]
-        _conv3d_item(x[i] if xp is None else xp, col, wmat, out[i].reshape(len(wmat), -1),
-                     taps_shape, slab, stride, dilation, b, relu)
+        _conv3d_item(x[i], [(out[i].reshape(len(wmat), -1), False)], win, col, wmat, taps_shape, slab,
+                     stride, pad, dilation, b, relu)
     return out
 
 
@@ -292,24 +328,20 @@ def conv3d_ten_crop_raw(
     crop_views, in the order given; all ten when None) of a [C,D,H,W] clip,
     read in place: no crop is copied out of the clip.
 
-    Each base crop a selected crop is cut from is copied once into the
-    zero-padded item; a selected base crop convolves that item, and a
-    selected mirror the W-reversed view of it. Padding is symmetric per axis,
-    so the reversed padded crop is the padded mirrored crop, the column
-    buffer gets the same values, and the result equals
+    Each column slab of each base crop a selected crop is cut from fills the
+    zero-padded window once; that slab of a selected base crop is computed
+    from the window, and that of a selected mirror from the W-reversed view
+    of it. Padding is symmetric per axis and the window spans the whole
+    padded W, so the reversed window is the mirrored crop's window, the
+    column buffer gets the same values, and the result equals
     conv3d_raw(ten_crop(clip, size, crops)) bit for bit. `out` and
     `workspace` are as for conv3d_raw on the [n,C,D,size,size] crops.
     """
     shape = ten_crop_shape(clip.shape, size, crops)
-    out, xp, interior, col, wmat, taps_shape, slab = _conv3d_setup(
-        shape, w, b, stride, pad, dilation, out, workspace)
+    out, win, col, wmat, taps_shape, slab = _conv3d_setup(shape, w, b, stride, pad, dilation, out, workspace)
     for crop, rows in crop_views(clip, size, crops):
-        if xp is not None:
-            interior[...] = crop
-            crop = xp
-        for k, mirrored in rows:
-            _conv3d_item(crop[..., ::-1] if mirrored else crop, col, wmat, out[k].reshape(len(wmat), -1),
-                         taps_shape, slab, stride, dilation, b, relu)
+        _conv3d_item(crop, [(out[k].reshape(len(wmat), -1), mirrored) for k, mirrored in rows], win, col, wmat,
+                     taps_shape, slab, stride, pad, dilation, b, relu)
     return out
 
 

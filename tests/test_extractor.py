@@ -224,15 +224,16 @@ class TestRunnerMemory:
     def test_planned_desk_run_makes_no_large_allocation(self):
         g, plan = go.optimize(ex.build_extractor(desk_scale_config(), seed=0))
         runner = go.GraphRunner(g, plan)
-        # the arena: activations, and per node one padded stem item and one column slab
-        # (conv) or one [P,P] logits buffer (non-local), placed by lifetime
+        # the arena: activations, and per node one padded input window and one column
+        # slab (conv) or one [P,P] logits buffer (non-local), placed by lifetime
         assert runner.static_bytes < 64 * MIB
-        # the stem's column buffer is one slab, not the stem item's whole im2col
+        # the stem's scratch is one slab's window and column buffer, not a padded
+        # crop or the crop's whole im2col
         stem = next(n for n in g.nodes if n.kind.startswith("conv3d"))
-        c, d, h, w = g.meta[stem.inputs[0]].shape[1:]
-        pd, ph, pw = stem.attrs["pad"]
-        padded_item = 4 * c * (d + 2 * pd) * (h + 2 * ph) * (w + 2 * pw)
-        assert 4 * plan.elems[go.scratch_id(stem)] <= padded_item + tc.COL_SLAB_BYTES
+        assert stem.attrs["stride"] == (2, 4, 4) and stem.attrs["pad"] == (1, 2, 2)
+        w = g.meta[stem.inputs[0]].shape[-1]
+        window = 4 * 3 * 3 * 81 * (w + 4)  # a slab of 20 output rows reads 3 planes and 81 rows
+        assert 4 * plan.elems[go.scratch_id(stem)] <= window + tc.COL_SLAB_BYTES
         rng = np.random.default_rng(15)
         x = Tensor(rng.standard_normal(g.meta[g.inputs[0]].shape, dtype=np.float32))
         warm = runner.run(x)[0].data

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from edgevad import pipeline as pl
+from edgevad.cli import DEFAULT_SOURCE
 from edgevad import rtfm
 from edgevad import graphopt as go
 from edgevad.graphopt import GraphRunner
 from edgevad.pipeline import (
+    PipelineConfig,
     PipelineConfigError,
     PipelineStageError,
     ScoreRecord,
@@ -316,6 +318,12 @@ class TestSummary:
         arenas = sum(go.plan_memory(go.select_crops(graph, crops)).arena_bytes for crops in pl.CROP_HALVES)
         want = round(arenas / 2 ** 20, 3) if memplan else 0.0
         assert arenas > 0 and run_pipeline(cfg).summary["runner_mib"] == want
+
+    def test_default_config_runners_hold_at_most_12_mib(self):
+        # each conv's scratch is one slab's padded input window, not a padded crop
+        graph = pl._startup(PipelineConfig(source=DEFAULT_SOURCE))[1]
+        arenas = sum(go.plan_memory(go.select_crops(graph, crops)).arena_bytes for crops in pl.CROP_HALVES)
+        assert arenas / 2 ** 20 <= 12  # the summary's runner_mib (see above)
 
 
 def run_bounded(cfg, **kw):

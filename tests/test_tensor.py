@@ -340,8 +340,9 @@ class TestColumnSlabs:
         item, wshape, stride, pad = DESK_CONVS["stem"]
         k = int(np.prod(wshape[1:]))
         out_shape = (10, 8, 8, 56, 56)
-        padded = 3 * 18 * 228 * 228
-        col = tc.conv3d_workspace_elems((10,) + item, out_shape, 3, wshape[2:], pad) - padded
+        window = 3 * 3 * 81 * 228  # a slab of 20 output rows reads 3 planes and 81 rows of the padded crop
+        col = tc.conv3d_workspace_elems((10,) + item, out_shape, 3, wshape[2:], pad, stride=stride,
+                                        dilation=(1, 1, 1)) - window
         assert 4 * col <= tc.COL_SLAB_BYTES
         assert col_slab_count(k, out_shape) == 24  # 3 blocks of 20, 20 and 16 rows per plane
 
@@ -403,6 +404,69 @@ class TestColumnSlabs:
         absconv = conv3d_rowmajor_ref(np.abs(ten_crop(clip, 16)), np.abs(w), None, (1, 2, 1), (1, 2, 2), (2, 1, 2))
         eps = np.finfo(np.float32).eps
         assert np.all(np.abs(got - one) <= 2 * eps * (36 * absconv + np.abs(one)))
+
+
+def int_valued(rng, shape, high):
+    """float32 integers in [-high, high]: every conv sum of them is exact, so
+    the kernel equals the row-major oracle bit for bit in any summation order."""
+    return rng.integers(-high, high + 1, size=shape).astype(np.float32)
+
+
+def geometry_workspace(x_shape, out_shape, w, pad, stride, dil):
+    """A NaN-filled workspace of exactly the size the conv's geometry needs."""
+    need = tc.conv3d_workspace_elems(x_shape, out_shape, w.shape[1], w.shape[2:], pad, stride=stride, dilation=dil)
+    return np.full(need, np.nan, np.float32)
+
+
+class TestPaddedWindow:
+    """Each column slab reads its input from a zero-bordered window that holds
+    only the planes and rows that slab reads; border planes and rows are zeroed
+    again on every slab that reaches them, after earlier slabs left input there."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_workspace_bound_holds_the_geometry_size(self, seed):
+        x, w, b, stride, pad, dil, relu = random_conv_case(seed)
+        out_shape = tc.conv3d_shape(x.shape, w.shape, None, stride, pad, dil)
+        exact = tc.conv3d_workspace_elems(x.shape, out_shape, w.shape[1], w.shape[2:], pad, stride=stride,
+                                          dilation=dil)
+        assert tc.conv3d_workspace_elems(x.shape, out_shape, w.shape[1], w.shape[2:], pad) >= exact
+        ws = geometry_workspace(x.shape, out_shape, w, pad, stride, dil)
+        got = tc.conv3d_raw(x, w, b, stride, pad, dil, relu=relu, workspace=ws)
+        np.testing.assert_array_equal(got, tc.conv3d_raw(x, w, b, stride, pad, dil, relu=relu))
+
+    # x [2,2,5,9,7] and a budget of `rows` output rows: below one output plane
+    # each slab is a block of rows; the slabs of both items reuse one window
+    @pytest.mark.parametrize("kernel, stride, pad, dil, rows", [
+        ((3, 3, 3), (1, 1, 1), (1, 1, 1), (1, 1, 1), 2),  # reads the trailing plane and row pad
+        ((3, 5, 3), (1, 1, 1), (1, 2, 1), (1, 1, 1), 1),
+        ((2, 3, 3), (1, 2, 1), (1, 2, 2), (2, 2, 2), 2),  # dilation 2
+        ((1, 1, 3), (1, 1, 1), (2, 2, 1), (1, 1, 1), 3),  # slabs that read padding alone
+        ((3, 3, 3), (2, 2, 2), (1, 1, 1), (1, 1, 1), 10),  # output [3,5,4]: slabs of 2 planes, then 1
+    ])
+    def test_row_slabs_bitwise_equal_to_rowmajor(self, kernel, stride, pad, dil, rows, monkeypatch):
+        rng = np.random.default_rng(sum(kernel) + 10 * sum(pad) + rows)
+        x = int_valued(rng, (2, 2, 5, 9, 7), 4)
+        w = int_valued(rng, (3, 2) + kernel, 3)
+        b = int_valued(rng, (3,), 5)
+        ref = conv3d_rowmajor_ref(x, w, b, stride, pad, dil, relu=True)
+        k = w[0].size
+        monkeypatch.setattr(tc, "COL_SLAB_BYTES", 4 * k * ref.shape[-1] * rows)
+        ws = geometry_workspace(x.shape, ref.shape, w, pad, stride, dil)
+        out = np.full(ref.shape, np.nan, np.float32)
+        np.testing.assert_array_equal(tc.conv3d_raw(x, w, b, stride, pad, dil, relu=True, out=out, workspace=ws), ref)
+
+    @pytest.mark.parametrize("pad", [(0, 0, 0), (0, 1, 2), (1, 2, 2)])
+    def test_ten_crop_row_slabs_bitwise_equal_to_rowmajor(self, pad, monkeypatch):
+        rng = np.random.default_rng(sum(pad))
+        clip = int_valued(rng, (2, 5, 19, 23), 4)
+        w = int_valued(rng, (3, 2, 3, 3, 5), 3)
+        stride, dil = (1, 1, 2), (1, 1, 1)
+        ref = conv3d_rowmajor_ref(ten_crop(clip, 16), w, None, stride, pad, dil)
+        monkeypatch.setattr(tc, "COL_SLAB_BYTES", 4 * w[0].size * ref.shape[-1] * 3)  # 3 rows per slab
+        ws = geometry_workspace(ref.shape[:1] + clip.shape[:2] + (16, 16), ref.shape, w, pad, stride, dil)
+        out = np.full(ref.shape, np.nan, np.float32)  # a crop left out, mirror or not, stays NaN
+        got = tc.conv3d_ten_crop_raw(clip, w, None, stride, pad, dil, 16, out=out, workspace=ws)
+        np.testing.assert_array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------------
