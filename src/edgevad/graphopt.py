@@ -2,20 +2,22 @@
 
 A ComputeGraph is a static single-producer DAG of kernel nodes over tensor ids.
 Three passes mirror a deployment-engine builder: operator fusion
-(conv/linear -> bias -> relu chains collapse to one node, and a convolution
-reads the ten crops of its clip in place), precision lowering to emulated
+(a conv/linear -> bias -> relu chain becomes its first node with a bias and a
+`relu` attr, and a ten_crop -> conv3d chain the conv3d with the crop's `size`
+attr, reading the ten crops of its clip in place), precision lowering to emulated
 binary16, and static memory planning (lifetime analysis plus greedy best-fit
-offset assignment of node outputs and kernel scratch into one arena). Passes
-are pure graph -> graph functions and never change execution results beyond
-the documented F16 rounding. `select_crops` restricts a graph's ten-crop
-nodes to a subset of the crops, whose rows equal those of the whole graph.
+offset assignment of node outputs and kernel scratch into one arena). Fusion
+adds no node kind: every kind is one entry of the op table `OPS`. Passes are
+pure graph -> graph functions and never change execution results beyond the
+documented F16 rounding. `select_crops` restricts a graph's ten-crop nodes
+(those with a `size` attr) to a subset of the crops, whose rows equal those
+of the whole graph.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -29,7 +31,6 @@ from .tensor import (
     conv1d_shape,
     conv3d_raw,
     conv3d_shape,
-    conv3d_ten_crop_raw,
     conv3d_workspace_elems,
     linear_raw,
     linear_shape,
@@ -168,9 +169,9 @@ class UnknownNodeKind(GraphError):
 class OpSpec:
     """One node kind. `run` writes into `out` (None when unplanned) where its
     kernel can; the runner copies any other result there. A kind whose `run`
-    also takes `b=` and `relu=` sets `bias_axis`, and fuse() folds
-    `kind -> bias_add(bias_axis) -> relu` into `<kind>_bias_relu`, an entry
-    derived from this one."""
+    adds an optional `b` param and applies ReLU when its `relu` attr is set
+    sets `bias_axis`, and fuse() folds `kind -> bias_add(bias_axis) -> relu`
+    into the node itself."""
 
     shape: Callable  # (input shapes, attrs, param shapes) -> output shape; ShapeError if inconsistent
     run: Callable  # (input arrays, param arrays, attrs, out, workspace) -> result
@@ -178,14 +179,6 @@ class OpSpec:
     # (input shapes, output shape, attrs, param shapes) -> scratch floats, planned by plan_memory
     workspace: Callable = lambda xs, out, a, ps: 0
     bias_axis: Optional[int] = None
-    # (the uncropped clip, param arrays, attrs with the crop "size", out, workspace)
-    # -> the kind's result on ten_crop of the clip; fuse() folds `ten_crop -> kind`
-    # into `ten_crop_<kind>`, an entry derived from this one
-    crop_run: Optional[Callable] = None
-
-
-FUSED_SUFFIX = "_bias_relu"
-CROP_PREFIX = "ten_crop_"
 
 
 def _conv_geometry(a: dict) -> tuple:
@@ -193,27 +186,29 @@ def _conv_geometry(a: dict) -> tuple:
     return a["stride"], a["pad"], a.get("dilation", (1, 1, 1))
 
 
-def _conv3d(xs, p, a, out, ws, relu=False):
-    return conv3d_raw(xs[0], p["w"], p.get("b"), *_conv_geometry(a), relu=relu, out=out, workspace=ws)
+def _conv3d_input(xs, a) -> tuple:
+    """The shape of what a conv3d node convolves: its input, or the crops of
+    its input clip when a folded ten_crop gave it a crop `size`."""
+    return ten_crop_shape(xs[0], a["size"], a.get("crops")) if "size" in a else tuple(xs[0])
 
 
-def _conv3d_ten_crop(xs, p, a, out, ws, relu=False):
-    return conv3d_ten_crop_raw(xs[0], p["w"], p.get("b"), *_conv_geometry(a), a["size"], a.get("crops"),
-                               relu=relu, out=out, workspace=ws)
+def _conv3d(xs, p, a, out, ws):
+    return conv3d_raw(xs[0], p["w"], p.get("b"), *_conv_geometry(a), relu=a.get("relu", False), out=out,
+                      workspace=ws, size=a.get("size"), crops=a.get("crops"))
 
 
 def _conv3d_workspace(xs, out, a, ps):
     w = ps["w"]
     stride, pad, dilation = _conv_geometry(a)
-    return conv3d_workspace_elems(xs[0], out, w[1], w[2:], pad, stride=stride, dilation=dilation)
+    return conv3d_workspace_elems(_conv3d_input(xs, a), out, w[1], w[2:], pad, stride=stride, dilation=dilation)
 
 
-def _conv1d(xs, p, a, out, ws, relu=False):
-    return conv1d_raw(xs[0], p["w"], a["dilation"], b=p.get("b"), relu=relu, out=out)
+def _conv1d(xs, p, a, out, ws):
+    return conv1d_raw(xs[0], p["w"], a["dilation"], b=p.get("b"), relu=a.get("relu", False), out=out)
 
 
-def _linear(xs, p, a, out, ws, relu=False):
-    return linear_raw(xs[0], p["w"], b=p.get("b"), relu=relu, out=out)
+def _linear(xs, p, a, out, ws):
+    return linear_raw(xs[0], p["w"], b=p.get("b"), relu=a.get("relu", False), out=out)
 
 
 def _weight_macs(out, ps):
@@ -283,9 +278,10 @@ def _concat_shape(xs, a, ps):
 
 
 OPS: Dict[str, OpSpec] = {
-    # the kernel-backed kinds' shapes are their kernels' own rules (tensor.*_shape)
-    "conv3d": OpSpec(lambda xs, a, ps: conv3d_shape(xs[0], ps["w"], ps.get("b"), *_conv_geometry(a)),
-                     _conv3d, _weight_macs, _conv3d_workspace, bias_axis=1, crop_run=_conv3d_ten_crop),
+    # the kernel-backed kinds' shapes are their kernels' own rules (tensor.*_shape); a conv3d
+    # with a crop `size` (and optional "crops") attr reads those crops of its [C,L,H,W] clip input
+    "conv3d": OpSpec(lambda xs, a, ps: conv3d_shape(_conv3d_input(xs, a), ps["w"], ps.get("b"), *_conv_geometry(a)),
+                     _conv3d, _weight_macs, _conv3d_workspace, bias_axis=1),
     # an optional "crops" attr selects which of the ten crops the node yields, in order
     "ten_crop": OpSpec(lambda xs, a, ps: ten_crop_shape(xs[0], a["size"], a.get("crops")),
                        lambda xs, p, a, out, ws: ten_crop(xs[0], a["size"], a.get("crops"), out=out)),
@@ -308,31 +304,6 @@ OPS: Dict[str, OpSpec] = {
                           lambda xs, p, a, out, ws: np.ascontiguousarray(xs[0].T)),
     "concat": OpSpec(_concat_shape, lambda xs, p, a, out, ws: np.concatenate(xs, axis=a["axis"], out=out)),
 }
-# fused kinds: the base entry with the bias and ReLU folded into its kernel call
-OPS.update({
-    kind + FUSED_SUFFIX: replace(
-        spec, run=partial(spec.run, relu=True), bias_axis=None,
-        crop_run=spec.crop_run and partial(spec.crop_run, relu=True),
-    )
-    for kind, spec in OPS.items()
-    if spec.bias_axis is not None
-})
-
-
-def _crop_fed(spec: OpSpec) -> OpSpec:
-    """`spec` reading the ten crops of its [C,L,H,W] input in place."""
-    crops = OPS["ten_crop"].shape
-    return OpSpec(
-        shape=lambda xs, a, ps: spec.shape([crops(xs, a, ps)], a, ps),
-        run=spec.crop_run,
-        macs=spec.macs,
-        workspace=lambda xs, out, a, ps: spec.workspace([crops(xs, a, ps)], out, a, ps),
-    )
-
-
-# crop-fed kinds: `ten_crop -> kind` as one node that never writes the crops
-OPS.update({CROP_PREFIX + kind: _crop_fed(spec) for kind, spec in OPS.items() if spec.crop_run is not None})
-
 
 def op_spec(kind: str) -> OpSpec:
     try:
@@ -476,10 +447,12 @@ def _sole_consumers(nodes: List[Node], outputs: Sequence[str]) -> Dict[str, int]
 
 def fuse(graph: ComputeGraph) -> ComputeGraph:
     """Collapse `kind -> bias_add -> relu` chains, where `kind` has a bias axis
-    in the op table and the intermediates have a single consumer, into one
-    `<kind>_bias_relu` node. Then fold each `ten_crop` whose sole consumer's
-    kind has a crop-fed entry into that consumer, a `ten_crop_<kind>` node
-    that reads the crops in place. Semantics preserved bitwise in F32."""
+    in the op table, the node has no bias yet and the intermediates have a
+    single consumer, into the first node with the bias as its `b` param and a
+    `"relu": True` attr. Then fold each `ten_crop` whose sole consumer is a
+    conv3d into that conv3d, which gets the crop's `size` (and `crops`) attrs
+    and reads the crops in place. No node changes kind, and fusing a fused
+    graph again changes nothing. Semantics preserved bitwise in F32."""
     sole = _sole_consumers(graph.nodes, graph.outputs)
 
     def sole_consumer(t: str, kind: str) -> Optional[int]:
@@ -493,7 +466,7 @@ def fuse(graph: ComputeGraph) -> ComputeGraph:
         if i in skip:
             continue
         axis = op_spec(n.kind).bias_axis
-        j = sole_consumer(n.output, "bias_add") if axis is not None else None
+        j = sole_consumer(n.output, "bias_add") if axis is not None and "b" not in n.params else None
         ndim = len(graph.meta[n.output].shape)
         if j is not None and graph.nodes[j].attrs["axis"] % ndim == axis % ndim:
             nb = graph.nodes[j]
@@ -501,29 +474,21 @@ def fuse(graph: ComputeGraph) -> ComputeGraph:
             if k is not None:
                 skip.update((j, k))
                 dead_tensors.update((n.output, nb.output))
-                n = Node(
-                    name=f"{n.name}+bias+relu",
-                    kind=n.kind + FUSED_SUFFIX,
-                    inputs=n.inputs,
-                    output=graph.nodes[k].output,
-                    attrs=dict(n.attrs),
-                    params={"w": n.params["w"], "b": nb.params["b"]},
-                )
+                n = replace(n, name=f"{n.name}+bias+relu", output=graph.nodes[k].output,
+                            attrs={**n.attrs, "relu": True}, params={**n.params, "b": nb.params["b"]})
         new_nodes.append(n)
     sole = _sole_consumers(new_nodes, graph.outputs)
     crops: Dict[str, Node] = {}  # crop tensor -> its ten_crop node, folded into the reader
     folded: List[Node] = []
     for n in new_nodes:
         reader = new_nodes[sole[n.output]] if n.output in sole else None
-        if n.kind == "ten_crop" and reader is not None and reader.inputs[0] == n.output \
-                and CROP_PREFIX + reader.kind in OPS:
+        if n.kind == "ten_crop" and reader is not None and reader.kind == "conv3d":
             crops[n.output] = n
             dead_tensors.add(n.output)
             continue
         if n.inputs and n.inputs[0] in crops:
             c = crops.pop(n.inputs[0])
-            n = replace(n, name=f"{n.name}+{c.name}", kind=CROP_PREFIX + n.kind,
-                        inputs=c.inputs + n.inputs[1:], attrs={**n.attrs, **c.attrs})
+            n = replace(n, name=f"{n.name}+{c.name}", inputs=c.inputs, attrs={**n.attrs, **c.attrs})
         folded.append(n)
     new_nodes = folded
     meta = {t: m for t, m in graph.meta.items() if t not in dead_tensors}
@@ -533,14 +498,14 @@ def fuse(graph: ComputeGraph) -> ComputeGraph:
 
 
 def select_crops(graph: ComputeGraph, crops: Sequence[int]) -> ComputeGraph:
-    """`graph` with its ten-crop nodes (`ten_crop` and the crop-fed
-    `ten_crop_<kind>`) yielding only `crops`, indices into the ten crops, in
-    that order, and every shape inferred again. The parameters are shared,
+    """`graph` with its ten-crop nodes (those with a crop `size` attr:
+    `ten_crop`, and each conv3d that fuse() gave a ten_crop) yielding only
+    `crops`, indices into the ten crops, in that order, and every shape
+    inferred again. The parameters are shared,
     not copied. The rows of the result are the matching rows of `graph`'s,
     bit for bit: every kernel runs one batch item at a time."""
     crops = tuple(crops)
-    nodes = [replace(n, attrs={**n.attrs, "crops": crops})
-             if n.kind == "ten_crop" or n.kind.startswith(CROP_PREFIX) else n for n in graph.nodes]
+    nodes = [replace(n, attrs={**n.attrs, "crops": crops}) if "size" in n.attrs else n for n in graph.nodes]
     meta = dict(graph.meta)
     for n in nodes:
         meta[n.output] = replace(meta[n.output], shape=_infer(n, [meta[t].shape for t in n.inputs],

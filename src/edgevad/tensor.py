@@ -3,7 +3,9 @@ that carries a graph's inputs, parameters and outputs.
 
 Each `*_raw` kernel works on plain ndarrays and accumulates in float32; the graph
 executor (`graphopt.OPS`) is its caller. Each `*_shape` function is the shape
-rule of its kernel, checked by both the kernel and the graph. A Tensor is an
+rule of its kernel, checked by both the kernel and the graph. `conv3d_raw` is
+the one conv3d kernel: given a crop `size`, it convolves the ten crops of an
+uncropped clip, read in place, with the same slabs and GEMMs. A Tensor is an
 immutable float32 array with a precision tag. F16 is emulated: values are
 rounded through IEEE binary16 on construction, and the executor rounds each F16
 node output the same way, so precision lowering is deterministic and
@@ -247,8 +249,11 @@ def conv3d_raw(
     relu: bool = False,
     out: Optional[np.ndarray] = None,
     workspace: Optional[np.ndarray] = None,
+    size: Optional[int] = None,
+    crops: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """Direct 3-D cross-correlation with zero padding on [N,C,D,H,W] input.
+    """Direct 3-D cross-correlation with zero padding on [N,C,D,H,W] input,
+    or, given a crop `size`, on the `size` crops `crops` of a [C,D,H,W] clip.
 
     Lowered to GEMMs over a tap-major column buffer, one column slab per GEMM:
     a slab is whole output planes while they fit in COL_SLAB_BYTES, else a
@@ -264,15 +269,29 @@ def conv3d_raw(
     which one is on the left, so on small shapes these agree to float32
     rounding.
 
+    With `size`, the items are the crops `crops` (indices into the ten crops
+    of crop_views, in the order given; all ten when None) of the clip `x`,
+    read in place: no crop is copied out of the clip. Each column slab of
+    each base crop a selected crop is cut from fills the window once; that
+    slab of a selected base crop is computed from the window, and that of a
+    selected mirror from the W-reversed view of it. Padding is symmetric per
+    axis and the window spans the whole padded W, so the reversed window is
+    the mirrored crop's window, the column buffer gets the same values, and
+    the result equals conv3d_raw(ten_crop(x, size, crops)) bit for bit.
+
     `workspace` (flat float32, at least conv3d_workspace_elems) holds the
     window and one column slab, so repeated calls allocate nothing; one is
     allocated when it is not given. `out`, when given, must be a
-    C-contiguous [N,O,od,oh,ow] float32 array. Values do not depend on either.
+    C-contiguous [N,O,od,oh,ow] float32 array (N the number of crops with
+    `size`). Values do not depend on either.
     """
-    out, win, col, wmat, taps_shape, slab = _conv3d_setup(x.shape, w, b, stride, pad, dilation, out, workspace)
-    for i in range(x.shape[0]):
-        _conv3d_item(x[i], [(out[i].reshape(len(wmat), -1), False)], win, col, wmat, taps_shape, slab,
-                     stride, pad, dilation, b, relu)
+    shape = x.shape if size is None else ten_crop_shape(x.shape, size, crops)
+    out, win, col, wmat, taps_shape, slab = _conv3d_setup(shape, w, b, stride, pad, dilation, out, workspace)
+    # (source item, its (output row, mirrored) list)
+    items = [(x[i], [(i, False)]) for i in range(x.shape[0])] if size is None else crop_views(x, size, crops)
+    for src, rows in items:
+        _conv3d_item(src, [(out[k].reshape(len(wmat), -1), mirrored) for k, mirrored in rows], win, col, wmat,
+                     taps_shape, slab, stride, pad, dilation, b, relu)
     return out
 
 
@@ -309,40 +328,6 @@ def crop_views(clip: np.ndarray, size: int, crops: Optional[Sequence[int]] = Non
     for row, k in enumerate(range(10) if crops is None else crops):
         groups.setdefault(k % 5, []).append((row, k >= 5))
     return [(bases[j], rows) for j, rows in groups.items()]
-
-
-def conv3d_ten_crop_raw(
-    clip: np.ndarray,
-    w: np.ndarray,
-    b: Optional[np.ndarray],
-    stride: tuple,
-    pad: tuple,
-    dilation: tuple,
-    size: int,
-    crops: Optional[Sequence[int]] = None,
-    relu: bool = False,
-    out: Optional[np.ndarray] = None,
-    workspace: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """conv3d_raw of the `size` crops `crops` (indices into the ten crops of
-    crop_views, in the order given; all ten when None) of a [C,D,H,W] clip,
-    read in place: no crop is copied out of the clip.
-
-    Each column slab of each base crop a selected crop is cut from fills the
-    zero-padded window once; that slab of a selected base crop is computed
-    from the window, and that of a selected mirror from the W-reversed view
-    of it. Padding is symmetric per axis and the window spans the whole
-    padded W, so the reversed window is the mirrored crop's window, the
-    column buffer gets the same values, and the result equals
-    conv3d_raw(ten_crop(clip, size, crops)) bit for bit. `out` and
-    `workspace` are as for conv3d_raw on the [n,C,D,size,size] crops.
-    """
-    shape = ten_crop_shape(clip.shape, size, crops)
-    out, win, col, wmat, taps_shape, slab = _conv3d_setup(shape, w, b, stride, pad, dilation, out, workspace)
-    for crop, rows in crop_views(clip, size, crops):
-        _conv3d_item(crop, [(out[k].reshape(len(wmat), -1), mirrored) for k, mirrored in rows], win, col, wmat,
-                     taps_shape, slab, stride, pad, dilation, b, relu)
-    return out
 
 
 def conv1d_shape(x: tuple, w: tuple, b: Optional[tuple], dilation: int) -> tuple:

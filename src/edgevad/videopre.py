@@ -42,10 +42,6 @@ DEFAULT_SNIPPET_LEN = 16
 # output rows (or columns) per banded resize GEMM; see `_lerp_bands`
 RESIZE_BLOCK = 32
 
-# Index j of ten_crop(mirror(x)) equals index MIRROR_PERM[j] of ten_crop(x),
-# valid when the resized width minus crop size is even (center crop symmetric).
-MIRROR_PERM = (6, 5, 8, 7, 9, 1, 0, 3, 2, 4)
-
 
 @dataclass
 class RawVideo:

@@ -27,13 +27,13 @@ def recount_oracle(graph):
     flops = 0
     for n in graph.nodes:
         out = graph.meta[n.output].shape
-        if n.kind in ("conv3d", "conv3d_bias_relu"):
+        if n.kind == "conv3d":
             o, c, kd, kh, kw = graph.params[n.params["w"]].shape
             flops += 2 * int(np.prod(out)) * c * kd * kh * kw
-        elif n.kind in ("conv1d", "conv1d_bias_relu"):
+        elif n.kind == "conv1d":
             o, c, k = graph.params[n.params["w"]].shape
             flops += 2 * int(np.prod(out)) * c * k
-        elif n.kind in ("linear", "linear_bias_relu"):
+        elif n.kind == "linear":
             o, i = graph.params[n.params["w"]].shape
             flops += 2 * int(np.prod(out)) * i
         elif n.kind == "nonlocal3d":

@@ -9,8 +9,10 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from edgevad import graphopt as go
+from edgevad import rtfm
 from edgevad import tensor as tc
 from edgevad.bench import count_params_flops
+from edgevad.extractor import build_extractor, desk_scale_config
 from edgevad.graphopt import ComputeGraph, GraphBuilder, GraphError, Node, TensorMeta
 from edgevad.tensor import F16, ShapeError, Tensor
 from edgevad.videopre import ten_crop
@@ -105,26 +107,26 @@ def three(s):
 
 @st.composite
 def conv3d_case(draw):
-    """conv3d or conv3d_bias_relu on crops, or either one reading the ten
-    crops of a clip in place."""
+    """conv3d, with or without a bias and a `relu` attr, on crops, or reading
+    the ten crops of a clip in place (a `size` attr)."""
     fused, cropped = draw(st.booleans()), draw(st.booleans())
     c, o = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     w = (o, max(1, c + draw(OFF))) + draw(three(st.integers(1, 3)))
     attrs = {"stride": draw(three(STRIDE)), "pad": draw(three(PAD)), "dilation": draw(three(DILATION))}
     params = {"w": w, "b": (max(0, o + draw(OFF)),)} if fused else {"w": w}
     relu = {"relu": True} if fused else {}
-    kind = "conv3d_bias_relu" if fused else "conv3d"
+    attrs.update(relu)
     if cropped:
         attrs["size"] = size = draw(st.integers(1, 6))
         crops = draw(CROPS)
         if crops is not None:
             attrs["crops"] = crops
         x = (c, draw(EXTENT), size + draw(st.integers(-1, 3)), size + draw(st.integers(-1, 3)))
-        return go.CROP_PREFIX + kind, [x], params, attrs, lambda xs, ps: tc.conv3d_ten_crop_raw(
-            xs[0], ps["w"], ps.get("b"), attrs["stride"], attrs["pad"], attrs["dilation"], attrs["size"],
-            crops, **relu)
+        return "conv3d", [x], params, attrs, lambda xs, ps: tc.conv3d_raw(
+            xs[0], ps["w"], ps.get("b"), attrs["stride"], attrs["pad"], attrs["dilation"], size=attrs["size"],
+            crops=crops, **relu)
     x = (draw(st.integers(1, 2)), c) + draw(three(EXTENT))
-    return kind, [x], params, attrs, lambda xs, ps: tc.conv3d_raw(
+    return "conv3d", [x], params, attrs, lambda xs, ps: tc.conv3d_raw(
         xs[0], ps["w"], ps.get("b"), attrs["stride"], attrs["pad"], attrs["dilation"], **relu)
 
 
@@ -145,9 +147,9 @@ def conv1d_case(draw):
     fused = draw(st.booleans())
     c, o = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     x, w = (c, draw(st.integers(0, 6))), (o, max(1, c + draw(OFF)), draw(st.integers(1, 4)))
-    attrs = {"dilation": draw(DILATION)}
+    attrs = {"dilation": draw(DILATION), "relu": fused}
     params = {"w": w, "b": (max(0, o + draw(OFF)),)} if fused else {"w": w}
-    return ("conv1d_bias_relu" if fused else "conv1d"), [x], params, attrs, lambda xs, ps: tc.conv1d_raw(
+    return "conv1d", [x], params, attrs, lambda xs, ps: tc.conv1d_raw(
         xs[0], ps["w"], attrs["dilation"], b=ps.get("b"), relu=fused)
 
 
@@ -159,7 +161,7 @@ def linear_case(draw):
     params = {"w": (o, max(1, x[-1] + draw(OFF)))}
     if fused:
         params["b"] = (max(0, o + draw(OFF)),)
-    return ("linear_bias_relu" if fused else "linear"), [x], params, {}, lambda xs, ps: tc.linear_raw(
+    return "linear", [x], params, {"relu": fused}, lambda xs, ps: tc.linear_raw(
         xs[0], ps["w"], b=ps.get("b"), relu=fused)
 
 
@@ -214,12 +216,34 @@ class TestShapeRules:
             g.validate()
 
 
+def fused_relu(g, kind):
+    """Whether `g` has a `kind` node that carries a bias and a `relu` attr."""
+    return any(n.kind == kind and n.attrs.get("relu") and "b" in n.params for n in g.nodes)
+
+
+def double_bias_chain(seed=0):
+    """input -> conv3d -> bias -> relu -> bias -> relu."""
+    rng = np.random.default_rng(seed)
+    b = GraphBuilder("double")
+    x = b.input((1, 2, 2, 4, 4), name="x")
+    w = b.param("w", Tensor(rng.normal(size=(3, 2, 1, 3, 3)).astype(np.float32)))
+    t = b.conv3d(x, w, pad=(0, 1, 1))
+    for name in ("b1", "b2"):
+        t = b.relu(b.bias(t, b.param(name, Tensor(rng.normal(size=(3,)).astype(np.float32))), axis=1))
+    b.output(t)
+    return b.build(), [Tensor(rng.normal(size=(1, 2, 2, 4, 4)).astype(np.float32))]
+
+
+def node_list(g):
+    return [(n.kind, n.attrs, n.params) for n in g.nodes]
+
+
 class TestFusion:
     def test_triple_fuses_to_one_node(self):
         g, xs = tiny_conv_chain(1)
         fused = go.fuse(g)
-        kinds = [n.kind for n in fused.nodes]
-        assert "conv3d_bias_relu" in kinds and "linear_bias_relu" in kinds
+        assert fused_relu(fused, "conv3d") and fused_relu(fused, "linear")
+        assert {n.kind for n in fused.nodes} <= {n.kind for n in g.nodes}  # fusion mints no kind
         assert len(fused.nodes) == len(g.nodes) - 4
         np.testing.assert_array_equal(go.execute(fused, xs)[0].data, go.execute(g, xs)[0].data)
 
@@ -236,14 +260,40 @@ class TestFusion:
         b.output(s)
         g = b.build()
         fused = go.fuse(g)
-        assert [n.kind for n in fused.nodes] == [n.kind for n in g.nodes]
+        assert node_list(fused) == node_list(g)
 
     def test_graph_output_tap_blocks_fusion(self):
         g, xs = tiny_conv_chain(4, with_output_tap=True)
         fused = go.fuse(g)
         # relu output doubles as a graph output: the conv triple must survive
-        assert "conv3d_bias_relu" not in [n.kind for n in fused.nodes]
-        assert "linear_bias_relu" in [n.kind for n in fused.nodes]
+        assert not fused_relu(fused, "conv3d")
+        assert fused_relu(fused, "linear")
+
+    def test_node_with_a_bias_absorbs_no_second_one(self):
+        rng = np.random.default_rng(3)
+        b = GraphBuilder()
+        x = b.input((1, 2, 2, 4, 4))
+        w = b.param("w", Tensor(rng.normal(size=(3, 2, 1, 3, 3)).astype(np.float32)))
+        b0, b1 = (b.param(name, Tensor(rng.normal(size=(3,)).astype(np.float32))) for name in ("b0", "b1"))
+        t = b.op("conv3d", [x], {"stride": (1, 1, 1), "pad": (0, 1, 1)}, {"w": w, "b": b0})
+        b.output(b.relu(b.bias(t, b1, axis=1)))
+        g = b.build()
+        fused = go.fuse(g)
+        assert node_list(fused) == node_list(g)
+        xs = [Tensor(rng.normal(size=(1, 2, 2, 4, 4)).astype(np.float32))]
+        np.testing.assert_array_equal(go.execute(fused, xs)[0].data, go.execute(g, xs)[0].data)
+
+    @pytest.mark.parametrize("graph", ["desk_clip_extractor", "head", "tiny", "double_bias", "crop_conv"])
+    def test_fuse_is_idempotent(self, graph):
+        if graph == "desk_clip_extractor":
+            g = build_extractor(desk_scale_config(), seed=0, clip_hw=(256, 256))
+        elif graph == "head":
+            g = rtfm.head_graph(rtfm.RtfmModel(seed=0), 32)
+        else:
+            g = {"tiny": tiny_conv_chain, "double_bias": double_bias_chain, "crop_conv": crop_conv_graph}[graph]()[0]
+        once = go.fuse(g)
+        assert len(once.nodes) < len(g.nodes)
+        assert node_list(go.fuse(once)) == node_list(once)
 
     def test_fusion_never_increases_nodes_and_keeps_shapes(self):
         for seed in range(20):
@@ -311,8 +361,9 @@ class TestTenCropNode:
     def test_fuse_reads_crops_in_place_bitwise(self, bias_relu, hw):
         g, xs = crop_conv_graph(hw=hw, bias_relu=bias_relu)
         fused = go.fuse(g)
-        kind = "ten_crop_conv3d_bias_relu" if bias_relu else "ten_crop_conv3d"
-        assert [n.kind for n in fused.nodes] == [kind, "gap3d"]
+        assert [n.kind for n in fused.nodes] == ["conv3d", "gap3d"]
+        want = {**g.nodes[1].attrs, "size": 16, **({"relu": True} if bias_relu else {})}
+        assert fused.nodes[0].attrs == want
         assert fused.nodes[0].inputs == tuple(g.inputs)
         ref = go.execute(g, xs)[0].data
         for plan in (None, go.plan_memory(fused)):
@@ -326,7 +377,7 @@ class TestTenCropNode:
            bias_relu=st.booleans(), fused=st.booleans(), lower=st.booleans(), planned=st.booleans())
     def test_selected_crops_are_rows_of_all_ten(self, crops, hw, graph, bias_relu, fused, lower, planned):
         # a crops-subset ten_crop node, or the conv it feeds (fused: one
-        # ten_crop_conv3d node), gives the matching rows of the ten-crop run
+        # conv3d node with a crop size), gives the matching rows of the ten-crop run
         if graph == "crops":
             b = GraphBuilder()
             x = b.input((3, 4) + hw, name="clip")
@@ -348,7 +399,7 @@ class TestTenCropNode:
     def test_bad_crops_named_by_node(self, fused, crops):
         g, _ = crop_conv_graph()
         g = go.fuse(g) if fused else g
-        (n,) = [n for n in g.nodes if n.kind.startswith("ten_crop")]
+        (n,) = [n for n in g.nodes if "size" in n.attrs]
         with pytest.raises(GraphError, match=f"^node {re.escape(n.name)}: crops must be distinct indices"):
             go.select_crops(g, crops)
 
@@ -356,7 +407,8 @@ class TestTenCropNode:
         g, xs = crop_conv_graph(extra_reader=True)
         fused = go.fuse(g)
         assert "ten_crop" in [n.kind for n in fused.nodes]
-        assert "conv3d_bias_relu" in [n.kind for n in fused.nodes]
+        assert fused_relu(fused, "conv3d")
+        assert not any("size" in n.attrs for n in fused.nodes if n.kind == "conv3d")
         for a, b in zip(go.execute(g, xs), go.execute(fused, xs)):
             np.testing.assert_array_equal(a.data, b.data)
 

@@ -278,8 +278,8 @@ class TestKernelReferences:
 
 
 class TestTenCropConv:
-    """conv3d_ten_crop_raw reads the ten crops of a clip in place and equals
-    conv3d_raw on ten_crop's output bit for bit."""
+    """conv3d_raw with a crop `size` reads the ten crops of a clip in place
+    and equals conv3d_raw on ten_crop's output bit for bit."""
 
     @staticmethod
     def both(clip, w, b, stride, pad, size, relu=True):
@@ -288,7 +288,7 @@ class TestTenCropConv:
         ws = np.full(tc.conv3d_workspace_elems(crops.shape, ref.shape, w.shape[1], w.shape[2:], pad), np.nan,
                      dtype=np.float32)
         out = np.full(ref.shape, np.nan, dtype=np.float32)
-        got = tc.conv3d_ten_crop_raw(clip, w, b, stride, pad, (1, 1, 1), size, relu=relu, out=out, workspace=ws)
+        got = tc.conv3d_raw(clip, w, b, stride, pad, (1, 1, 1), relu=relu, out=out, workspace=ws, size=size)
         assert got is out
         return ref, got
 
@@ -318,9 +318,9 @@ class TestTenCropConv:
     def test_rejects_small_clip_and_batched_input(self):
         w = np.ones((2, 3, 1, 3, 3), np.float32)
         with pytest.raises(ShapeError, match="smaller than crop"):
-            tc.conv3d_ten_crop_raw(np.ones((3, 2, 15, 20), np.float32), w, None, (1, 1, 1), (0, 1, 1), (1, 1, 1), 16)
+            tc.conv3d_raw(np.ones((3, 2, 15, 20), np.float32), w, None, (1, 1, 1), (0, 1, 1), (1, 1, 1), size=16)
         with pytest.raises(ShapeError, match="4-D"):
-            tc.conv3d_ten_crop_raw(np.ones((1, 3, 2, 16, 16), np.float32), w, None, (1, 1, 1), (0, 1, 1), (1, 1, 1), 16)
+            tc.conv3d_raw(np.ones((1, 3, 2, 16, 16), np.float32), w, None, (1, 1, 1), (0, 1, 1), (1, 1, 1), size=16)
 
 
 ONE_SLAB = 1 << 62  # a COL_SLAB_BYTES budget that holds every conv's whole column buffer
@@ -352,9 +352,9 @@ class TestColumnSlabs:
         clip = rng.standard_normal((3, 16, 256, width), dtype=np.float32)
         w = rng.standard_normal((8, 3, 3, 5, 5), dtype=np.float32) * np.float32(0.1)
         b = rng.standard_normal(8, dtype=np.float32)
-        got = tc.conv3d_ten_crop_raw(clip, w, b, (2, 4, 4), (1, 2, 2), (1, 1, 1), 224, relu=True)
+        got = tc.conv3d_raw(clip, w, b, (2, 4, 4), (1, 2, 2), (1, 1, 1), relu=True, size=224)
         monkeypatch.setattr(tc, "COL_SLAB_BYTES", ONE_SLAB)
-        ref = tc.conv3d_ten_crop_raw(clip, w, b, (2, 4, 4), (1, 2, 2), (1, 1, 1), 224, relu=True)
+        ref = tc.conv3d_raw(clip, w, b, (2, 4, 4), (1, 2, 2), (1, 1, 1), relu=True, size=224)
         np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("name", ["s0b0", "s1b0"])
@@ -395,10 +395,10 @@ class TestColumnSlabs:
         rng = np.random.default_rng(11)
         clip = rng.standard_normal((2, 6, 21, 25), dtype=np.float32)
         w = rng.standard_normal((3, 2, 2, 3, 3), dtype=np.float32)
-        one = tc.conv3d_ten_crop_raw(clip, w, None, (1, 2, 1), (1, 2, 2), (2, 1, 2), 16)
+        one = tc.conv3d_raw(clip, w, None, (1, 2, 1), (1, 2, 2), (2, 1, 2), size=16)
         monkeypatch.setattr(tc, "COL_SLAB_BYTES", 4 * 36 * 40)  # 2 of 9 rows per slab, the last 1
         assert col_slab_count(36, one.shape) == one.shape[2] * 5
-        got = tc.conv3d_ten_crop_raw(clip, w, None, (1, 2, 1), (1, 2, 2), (2, 1, 2), 16)
+        got = tc.conv3d_raw(clip, w, None, (1, 2, 1), (1, 2, 2), (2, 1, 2), size=16)
         ref = tc.conv3d_raw(ten_crop(clip, 16), w, None, (1, 2, 1), (1, 2, 2), (2, 1, 2))
         np.testing.assert_array_equal(got, ref)
         absconv = conv3d_rowmajor_ref(np.abs(ten_crop(clip, 16)), np.abs(w), None, (1, 2, 1), (1, 2, 2), (2, 1, 2))
@@ -465,7 +465,7 @@ class TestPaddedWindow:
         monkeypatch.setattr(tc, "COL_SLAB_BYTES", 4 * w[0].size * ref.shape[-1] * 3)  # 3 rows per slab
         ws = geometry_workspace(ref.shape[:1] + clip.shape[:2] + (16, 16), ref.shape, w, pad, stride, dil)
         out = np.full(ref.shape, np.nan, np.float32)  # a crop left out, mirror or not, stays NaN
-        got = tc.conv3d_ten_crop_raw(clip, w, None, stride, pad, dil, 16, out=out, workspace=ws)
+        got = tc.conv3d_raw(clip, w, None, stride, pad, dil, out=out, workspace=ws, size=16)
         np.testing.assert_array_equal(got, ref)
 
 
