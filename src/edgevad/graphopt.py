@@ -280,7 +280,8 @@ def _concat_shape(xs, a, ps):
 OPS: Dict[str, OpSpec] = {
     # the kernel-backed kinds' shapes are their kernels' own rules (tensor.*_shape); a conv3d
     # with a crop `size` (and optional "crops") attr reads those crops of its [C,L,H,W] clip input
-    "conv3d": OpSpec(lambda xs, a, ps: conv3d_shape(_conv3d_input(xs, a), ps["w"], ps.get("b"), *_conv_geometry(a)),
+    "conv3d": OpSpec(lambda xs, a, ps: conv3d_shape(_conv3d_input(xs, a), ps["w"], ps.get("b"),
+                                                    *_conv_geometry(a)),
                      _conv3d, _weight_macs, _conv3d_workspace, bias_axis=1),
     # an optional "crops" attr selects which of the ten crops the node yields, in order
     "ten_crop": OpSpec(lambda xs, a, ps: ten_crop_shape(xs[0], a["size"], a.get("crops")),
@@ -501,9 +502,9 @@ def select_crops(graph: ComputeGraph, crops: Sequence[int]) -> ComputeGraph:
     """`graph` with its ten-crop nodes (those with a crop `size` attr:
     `ten_crop`, and each conv3d that fuse() gave a ten_crop) yielding only
     `crops`, indices into the ten crops, in that order, and every shape
-    inferred again. The parameters are shared,
-    not copied. The rows of the result are the matching rows of `graph`'s,
-    bit for bit: every kernel runs one batch item at a time."""
+    inferred again. The parameters are shared, not copied. The rows of the
+    result are the matching rows of `graph`'s, bit for bit: every kernel runs
+    one batch item at a time."""
     crops = tuple(crops)
     nodes = [replace(n, attrs={**n.attrs, "crops": crops}) if "size" in n.attrs else n for n in graph.nodes]
     meta = dict(graph.meta)
