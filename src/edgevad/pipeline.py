@@ -275,7 +275,7 @@ def _startup(cfg: PipelineConfig):
                 f"of extractor profile {ecfg.name!r}"
             )
         video = load_video_source(cfg.source)
-        clip_hw = resized_extent(*video.frames[0].shape[:2])
+        clip_hw = resized_extent(*video.frame_hw)
         graph = build_extractor(ecfg, seed=cfg.seed, clip_hw=clip_hw)
         if cfg.extractor_params:
             load_graph_params(graph, cfg.extractor_params)

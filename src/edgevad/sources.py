@@ -1,13 +1,21 @@
 """Codec-free video sources: PPM frame directories, raw RGB24 + JSON sidecar,
 and seed-deterministic synthetic clips with an optional planted anomaly window.
+
+The file sources are lazy: their load checks each PPM file's header and size
+(a raw file's sidecar and size) and reads no pixels. A frame is read from disk
+when it is indexed (`FileFrames`), in the preprocess worker that builds its
+clip. Synthetic frames are one in-memory block.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+import os
 import re
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -35,48 +43,63 @@ def load_video_source(spec: dict) -> RawVideo:
 # PPM (P6)
 # ---------------------------------------------------------------------------
 
-def _read_ppm_token(buf: bytes, pos: int) -> Tuple[bytes, int]:
-    while pos < len(buf):
-        if buf[pos:pos + 1].isspace():
-            pos += 1
-        elif buf[pos:pos + 1] == b"#":  # comment to end of line
-            while pos < len(buf) and buf[pos:pos + 1] not in (b"\n", b"\r"):
-                pos += 1
+class FileFrames(Sequence):
+    """A file source's frames: frame i is h*w*3 uint8 bytes of its file at its
+    byte offset, read by one `np.fromfile` each time it is indexed. `shape` is
+    [N,H,W,3]. A short read (a file cut after the load) raises SourceError."""
+
+    def __init__(self, files: List[Tuple[Path, int]], h: int, w: int):
+        self._files = files  # (path, byte offset) per frame
+        self.shape = (len(files), h, w, 3)
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        path, offset = self._files[operator.index(i)]
+        need = self.shape[1] * self.shape[2] * 3
+        data = np.fromfile(path, dtype=np.uint8, count=need, offset=offset)
+        if data.size != need:
+            raise SourceError(f"{path}: truncated pixel data at byte offset {offset + data.size}: "
+                              f"expected {need} bytes from byte offset {offset}, read {data.size}")
+        return data.reshape(self.shape[1:])
+
+
+# a PPM header token: whitespace and comments, the token, and the whitespace byte that ends it
+_PPM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*[\r\n])*([^\s#]\S*)\s")
+PPM_HEADER_CHUNK = 64  # bytes of a PPM file read first for its header
+
+
+def _ppm_header(path, f) -> Tuple[int, int, int]:
+    """(h, w, pixel offset) of the P6 file `path`, open unbuffered as `f`:
+    its first PPM_HEADER_CHUNK bytes are parsed, and twice as many as read
+    so far while the header runs past them (long comments)."""
+    buf, tokens = f.read(PPM_HEADER_CHUNK), []
+    while len(tokens) < 4:
+        m = _PPM_TOKEN.match(buf, tokens[-1].end() if tokens else 0)
+        if m is None:  # the header runs past the bytes read
+            more = f.read(len(buf))
+            if not more:
+                raise SourceError(f"{path}: truncated PPM header at byte offset {len(buf)}")
+            buf += more
+        elif not tokens and m[1] != b"P6":
+            raise SourceError(f"{path}: not a P6 PPM (magic {m[1]!r} at byte offset {m.start(1)})")
         else:
-            break
-    start = pos
-    while pos < len(buf) and not buf[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise SourceError(f"malformed PPM header at byte offset {start}")
-    return buf[start:pos], pos
-
-
-def load_ppm_frame(path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    magic, pos = _read_ppm_token(buf, 0)
-    if magic != b"P6":
-        raise SourceError(f"{path}: not a P6 PPM (magic {magic!r} at byte offset 0)")
-    try:
-        w_tok, pos = _read_ppm_token(buf, pos)
-        h_tok, pos = _read_ppm_token(buf, pos)
-        max_tok, pos = _read_ppm_token(buf, pos)
-        w, h, maxval = int(w_tok), int(h_tok), int(max_tok)
-    except ValueError as e:
-        raise SourceError(f"{path}: malformed PPM header at byte offset {pos}: {e}") from e
+            tokens.append(m)
+    for m in tokens[1:]:
+        if not m[1].isdigit():
+            raise SourceError(f"{path}: malformed PPM header at byte offset {m.start(1)}: {m[1]!r}")
+    w, h, maxval = (int(m[1]) for m in tokens[1:])
     if maxval != 255:
         raise SourceError(f"{path}: only maxval 255 supported, got {maxval}")
-    pos += 1  # single whitespace after maxval
-    need = w * h * 3
-    if len(buf) - pos < need:
-        raise SourceError(
-            f"{path}: truncated pixel data at byte offset {len(buf)}: "
-            f"expected {pos + need} bytes total, have {len(buf)}"
-        )
-    return np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos).reshape(h, w, 3).copy()
+    if w < 1 or h < 1:
+        raise SourceError(f"{path}: PPM dimensions {w}x{h}")
+    return h, w, tokens[3].end()
 
 
 def load_ppm_dir(path, fps: float = 30.0) -> RawVideo:
+    """The numbered .ppm frames of directory `path` in number order, as
+    `FileFrames`; each file's header and size are checked here."""
     d = Path(path)
     if not d.is_dir():
         raise SourceError(f"{path}: not a directory")
@@ -89,12 +112,19 @@ def load_ppm_dir(path, fps: float = 30.0) -> RawVideo:
     if not entries:
         raise SourceError(f"{path}: no numbered .ppm frames found")
     entries.sort()
-    frames = [load_ppm_frame(f) for _, f in entries]
-    h, w = frames[0].shape[:2]
-    for i, fr in enumerate(frames):
-        if fr.shape[:2] != (h, w):
-            raise SourceError(f"frame {entries[i][1].name}: dimensions {fr.shape[:2]} != first frame {(h, w)}")
-    return RawVideo(frames=frames, fps=fps, source_id=str(d))
+    files, hw = [], None
+    for _, f in entries:
+        with open(f, "rb", buffering=0) as fh:
+            h, w, offset = _ppm_header(f, fh)
+            size = os.fstat(fh.fileno()).st_size
+        if size - offset < h * w * 3:
+            raise SourceError(f"{f}: truncated pixel data at byte offset {size}: "
+                              f"expected {offset + h * w * 3} bytes total, have {size}")
+        hw = hw or (h, w)
+        if (h, w) != hw:
+            raise SourceError(f"frame {f.name}: dimensions {(h, w)} != first frame {hw}")
+        files.append((f, offset))
+    return RawVideo(frames=FileFrames(files, *hw), fps=fps, source_id=str(d))
 
 
 def write_ppm_dir(video: RawVideo, path) -> None:
@@ -129,9 +159,8 @@ def load_raw_rgb24(path, sidecar=None) -> RawVideo:
             f"{path}: raw size mismatch at byte offset {min(size, expected)}: "
             f"expected {expected} bytes, got {size}"
         )
-    # one read into one [n,h,w,3] array; the frames are views of it
-    data = np.fromfile(p, dtype=np.uint8, count=expected).reshape(n, h, w, 3)
-    return RawVideo(frames=list(data), fps=fps, source_id=str(p))
+    # read per frame, not mapped: a mapped file truncated mid-run kills the process with SIGBUS
+    return RawVideo(frames=FileFrames([(p, i * w * h * 3) for i in range(n)], h, w), fps=fps, source_id=str(p))
 
 
 def write_raw_rgb24(video: RawVideo, path, sidecar=None) -> None:
@@ -161,7 +190,7 @@ def synthesize(spec: Dict) -> RawVideo:
     fps = float(spec.get("fps", 30.0))
     seed = int(spec.get("seed", 0))
     anomaly = spec.get("anomaly")
-    # views of one block, as in load_raw_rgb24: n small frames got heap-trimmed and re-faulted per start-up
+    # views of one block: n small frames got heap-trimmed and re-faulted per start-up
     frames = list(np.empty((n, h, w, 3), np.float32))
     for i, f in enumerate(frames):
         f[...] = _base_frame(pattern, i, h, w, seed, spec)

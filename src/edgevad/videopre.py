@@ -28,7 +28,7 @@ in the last bit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,21 +45,25 @@ RESIZE_BLOCK = 32
 
 @dataclass
 class RawVideo:
-    """Uniform-dimension frame sequence with pixel values on the 0-255 scale."""
+    """Uniform-dimension frame sequence with pixel values on the 0-255 scale:
+    a list of HxWx3 arrays, or a sequence whose [N,H,W,3] `shape` is checked
+    instead of its frames (an array, a file source's lazy `FileFrames`)."""
 
     frames: Sequence[np.ndarray]
     fps: float = 30.0
     source_id: str = "unknown"
+    frame_hw: Tuple[int, int] = field(init=False)  # (H, W) of every frame
 
     def __post_init__(self) -> None:
         if len(self.frames) < 1:
             raise ValueError("RawVideo needs at least one frame")
-        h, w = self.frames[0].shape[:2]
-        for i, f in enumerate(self.frames):
-            if f.ndim != 3 or f.shape[2] != 3:
+        shapes = [self.frames.shape[1:]] if hasattr(self.frames, "shape") else [f.shape for f in self.frames]
+        self.frame_hw = h, w = tuple(shapes[0][:2])
+        for i, s in enumerate(shapes):
+            if len(s) != 3 or s[2] != 3:
                 raise ValueError(f"frame {i} is not HxWx3")
-            if f.shape[:2] != (h, w):
-                raise ValueError(f"frame {i} dimensions {f.shape[:2]} differ from frame 0 {(h, w)}")
+            if s[:2] != (h, w):
+                raise ValueError(f"frame {i} dimensions {s[:2]} differ from frame 0 {(h, w)}")
 
     @property
     def frame_count(self) -> int:
