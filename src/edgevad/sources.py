@@ -1,10 +1,9 @@
 """Codec-free video sources: PPM frame directories, raw RGB24 + JSON sidecar,
 and seed-deterministic synthetic clips with an optional planted anomaly window.
 
-The file sources are lazy: their load checks each PPM file's header and size
-(a raw file's sidecar and size) and reads no pixels. A frame is read from disk
-when it is indexed (`FileFrames`), in the preprocess worker that builds its
-clip. Synthetic frames are one in-memory block.
+The file sources are lazy: a load checks headers and sizes and reads no pixels,
+and a frame is read from disk each time it is indexed (`FileFrames`), in the
+preprocess worker that builds its clip. Synthetic frames are one block.
 """
 
 from __future__ import annotations
@@ -98,8 +97,7 @@ def _ppm_header(path, f) -> Tuple[int, int, int]:
 
 
 def load_ppm_dir(path, fps: float = 30.0) -> RawVideo:
-    """The numbered .ppm frames of directory `path` in number order, as
-    `FileFrames`; each file's header and size are checked here."""
+    """The numbered .ppm frames of `path` in number order; reads headers and sizes, no pixels."""
     d = Path(path)
     if not d.is_dir():
         raise SourceError(f"{path}: not a directory")

@@ -1,6 +1,7 @@
 """Shared test utilities: random graph generation, brute-force plan checking,
-the earlier extractor kernels kept as references for the current ones, and a
-small pipeline configuration, and extractor runners that are slow or fail."""
+the earlier extractor kernels kept as references for the current ones, a
+small pipeline configuration, a writer of file sources, and extractor
+runners that are slow or fail."""
 
 import threading
 import time
@@ -8,6 +9,7 @@ import time
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from edgevad import sources
 from edgevad.graphopt import GraphBuilder, GraphError, GraphRunner, MemoryPlan
 from edgevad.pipeline import PipelineConfig
 from edgevad.tensor import Tensor
@@ -183,6 +185,17 @@ def tiny_cfg(frames=40, snippets=4, **kw):
         seed=3,
         **kw,
     )
+
+
+def write_file_source(kind, video, path) -> dict:
+    """`video` written under directory `path` as a "ppm_dir" or "raw_rgb24"
+    source; the source spec that loads it."""
+    path.mkdir(parents=True, exist_ok=True)
+    if kind == "ppm_dir":
+        sources.write_ppm_dir(video, path / "frames")
+        return {"kind": "ppm_dir", "path": str(path / "frames")}
+    sources.write_raw_rgb24(video, path / "v.rgb")
+    return {"kind": "raw_rgb24", "path": str(path / "v.rgb")}
 
 
 class SlowRunner(GraphRunner):

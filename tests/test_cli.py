@@ -1,17 +1,20 @@
 """CLI tests: exit codes, JSONL output, config round-trip, subcommand flows."""
 
 import json
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from edgevad import pipeline
+from edgevad import pipeline, sources
 from edgevad.bench import count_params_flops
 from edgevad.cli import main
 from edgevad.graphopt import GraphRunner, plan_memory
+from edgevad.videopre import segment_snippets
 
-from helpers import FailingHalfRunner
+from helpers import FailingHalfRunner, write_file_source
 
 TINY_PROFILE = {
     "name": "tiny-nl",
@@ -118,6 +121,65 @@ class TestRun:
                      "--set", "snippet_count=3", "--set", "frames_per_snippet=4"])
         assert code == 0
         assert json.loads(summary.read_text())["frames"] == 64
+
+
+def noise_source(kind, tmp_path) -> dict:
+    """24 noise frames of 48x40 as a `kind` file source; its source spec."""
+    video = sources.synthesize({"pattern": "noise", "frames": 24, "width": 48, "height": 40, "seed": 1})
+    return write_file_source(kind, video, tmp_path)
+
+
+class TestFileSourceErrors:
+    """A file source's headers and sizes are checked at load, which exits 2;
+    its pixels are read by the preprocess workers, and a read that fails
+    there exits 3."""
+
+    @pytest.mark.parametrize("kind, damage", [("ppm_dir", "truncate"), ("ppm_dir", "delete"), ("raw_rgb24", "truncate")])
+    def test_frame_lost_after_load_exits_3(self, tiny_config, tmp_path, monkeypatch, capsys, kind, damage):
+        spec, load, lost = noise_source(kind, tmp_path), pipeline.load_video_source, []
+
+        def load_then_damage(spec):
+            video = load(spec)
+            # a frame of snippet 1 (frames 10-13 of 24), so snippet 0 is extracted first
+            path, offset = video.frames._files[segment_snippets(video, 3, 4).start_indices[1] + 2]
+            if damage == "delete":
+                path.unlink()
+            else:
+                os.truncate(path, offset + 10)
+            lost.append(path)
+            return video
+
+        monkeypatch.setattr(pipeline, "load_video_source", load_then_damage)
+        code = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "r.jsonl"),
+                     "--set", f"source={json.dumps(spec)}"])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "runtime error: stage 'preprocess' failed: snippet 1: " in err and lost[0].name in err
+        assert not [t.name for t in threading.enumerate() if t.name.startswith(("preprocess", "extract"))]
+
+    @pytest.mark.parametrize("damage, phrase", [
+        (lambda b: b"P5" + b[2:], "frame_000012.ppm: not a P6 PPM (magic b'P5' at byte offset 0)"),
+        (lambda b: b.replace(b"48 40", b"48 4O", 1), "frame_000012.ppm: malformed PPM header at byte offset 6"),
+        (lambda b: b"P6\n2 2\n255\n" + b"\x00" * 12, "frame frame_000012.ppm: dimensions (2, 2) != first frame (40, 48)"),
+        (lambda b: b[:-10], "frame_000012.ppm: truncated pixel data at byte offset 5763: expected 5773 bytes"),
+    ], ids=["magic", "header", "dimensions", "truncated"])
+    def test_bad_ppm_exits_2_at_load(self, tiny_config, tmp_path, capsys, damage, phrase):
+        spec = noise_source("ppm_dir", tmp_path)
+        frame = tmp_path / "frames" / "frame_000012.ppm"
+        frame.write_bytes(damage(frame.read_bytes()))
+        code = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "r.jsonl"),
+                     "--set", f"source={json.dumps(spec)}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: " in err and phrase in err, err
+
+    def test_short_raw_file_exits_2_at_load(self, tiny_config, tmp_path, capsys):
+        spec = noise_source("raw_rgb24", tmp_path)
+        os.truncate(spec["path"], 24 * 40 * 48 * 3 - 1)
+        code = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "r.jsonl"),
+                     "--set", f"source={json.dumps(spec)}"])
+        assert code == 2
+        assert "raw size mismatch at byte offset 138239" in capsys.readouterr().err
 
 
 class TestEval:
