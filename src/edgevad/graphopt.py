@@ -200,7 +200,8 @@ def _conv3d(xs, p, a, out, ws):
 def _conv3d_workspace(xs, out, a, ps):
     w = ps["w"]
     stride, pad, dilation = _conv_geometry(a)
-    return conv3d_workspace_elems(_conv3d_input(xs, a), out, w[1], w[2:], pad, stride=stride, dilation=dilation)
+    return conv3d_workspace_elems(xs[0], out, w[1], w[2:], pad, stride=stride, dilation=dilation,
+                                  size=a.get("size"), crops=a.get("crops"))
 
 
 def _conv1d(xs, p, a, out, ws):
@@ -635,12 +636,13 @@ class GraphRunner:
     and reused across calls (ahead-of-time static memory). Each node writes
     into its output slot where its kernel can, and conv and non-local nodes
     keep their scratch in theirs; scratch is one zero-padded input window
-    (the planes and rows one slab reads) and one column slab (at most
-    tensor.COL_SLAB_BYTES) per conv, one item's [P,P]
-    logits per non-local block. Without a plan, nodes allocate fresh. One
-    runner serves one execution context; calls are not thread-safe. So
-    `run_pipeline` gives each crop half (`select_crops`) its own runner, and
-    with it its own arena, on its own thread."""
+    (the planes and rows one slab reads), one column slab (at most
+    tensor.COL_SLAB_BYTES) and one slab of GEMM output per conv, sized for
+    the largest box a crop-reading conv shares between crops, and one
+    item's [P,P] logits per non-local block. Without a plan, nodes allocate
+    fresh. One runner serves one execution context; calls are not
+    thread-safe. So `run_pipeline` gives each crop half (`select_crops`) its
+    own runner, and with it its own arena, on its own thread."""
 
     def __init__(self, graph: ComputeGraph, plan: Optional[MemoryPlan] = None):
         self.graph = graph

@@ -3,8 +3,9 @@
 `run_pipeline` overlaps the two stages that do the work. A pool of
 `stage_workers` preprocess threads fills clip buffers for a bounded window of
 snippets ahead. Two threads extract each clip, in snippet order, as two
-halves of its ten crops (`CROP_HALVES`), each half on its own `GraphRunner`:
-the caller's thread runs the first half and one `extract` thread the second.
+halves of its ten crops (`CROP_HALVES`: the base crops and their mirrors),
+each half on its own `GraphRunner`: the caller's thread runs the first half
+and one `extract` thread the second.
 The detector needs the whole video's temporal context (dilated convolutions
 and attention span all T snippets), so once the pool is shut down the caller
 scores the video once; its latency is recorded amortized per snippet.
@@ -45,12 +46,10 @@ EXIT_RUNTIME = 3
 # A deeper queue bought no measured fps on a 2-CPU box; each clip costs memory.
 QUEUE_CAPACITY = 4
 
-# Each clip's ten crops (0-4 the base crops, 5-9 their mirrors) as two halves,
-# extracted at once on two threads. A crop and its mirror share each padded
-# window of their base crop, so of the five base crops only the centre (4, 9)
-# is padded twice.
-CROP_HALVES = ((0, 5, 1, 6, 4), (2, 7, 3, 8, 9))
-_CROP_ORDER = np.argsort(CROP_HALVES[0] + CROP_HALVES[1])  # the halves' rows, back in crop order
+# Each clip's ten crops as two halves, extracted at once on two threads: the
+# base crops 0-4, and their mirrors 5-9, which read the clip reversed along W.
+# The crops of one orientation share the stem's box convs (tensor.conv3d_raw).
+CROP_HALVES = ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))
 
 
 class PipelineConfigError(ValueError):
@@ -325,10 +324,11 @@ def run_pipeline(
     """Pipelined execution; every snippet yields exactly one ScoreRecord.
 
     The preprocess pool's workers fill the clips. Each clip is extracted in
-    snippet order as the two halves of `CROP_HALVES`, at once: the caller's
-    thread runs the first half and a one-thread `extract` executor the
-    second, each on its own `GraphRunner` (and, when planned, its own arena),
-    and the rows go back in crop order. Then the caller scores the video and
+    snippet order as the two halves of `CROP_HALVES`, the base crops and
+    their mirrors, at once: the caller's thread runs the first half and a
+    one-thread `extract` executor the second, each on its own `GraphRunner`
+    (and, when planned, its own arena), and the two halves' rows are the
+    clip's rows in crop order. Then the caller scores the video and
     emits the records. Those threads own the CPUs: while they run, OpenBLAS
     is sized to the CPUs the preprocess workers leave free (see
     `_blas_pool`). A failure in either half raises PipelineStageError naming
@@ -375,7 +375,7 @@ def run_pipeline(
                     x = Tensor(clip)
                     second = helper.submit(runners[1].run, x)
                     first = runners[0].run(x)[0].data
-                    rows.append(np.concatenate([first, second.result()[0].data])[_CROP_ORDER])  # [crops, D]
+                    rows.append(np.concatenate([first, second.result()[0].data]))  # [crops, D]
                 except Exception as e:
                     raise PipelineStageError(f"stage 'extract' failed: snippet {i}: {e}") from e
                 ext_ms = (time.perf_counter() - t0) * 1e3

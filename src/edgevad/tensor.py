@@ -5,15 +5,18 @@ Each `*_raw` kernel works on plain ndarrays and accumulates in float32; the grap
 executor (`graphopt.OPS`) is its caller. Each `*_shape` function is the shape
 rule of its kernel, checked by both the kernel and the graph. `conv3d_raw` is
 the one conv3d kernel: given a crop `size`, it convolves the ten crops of an
-uncropped clip, read in place, with the same slabs and GEMMs. A Tensor is an
-immutable float32 array with a precision tag. F16 is emulated: values are
-rounded through IEEE binary16 on construction, and the executor rounds each F16
-node output the same way, so precision lowering is deterministic and
-hardware-independent.
+uncropped clip, read in place, once per union box of the crops that share an
+orientation and a stride phase. Its GEMMs round their column counts up to
+GEMM_COLS, so each output column has the same bits in any slab or box. A
+Tensor is an immutable float32 array with a precision tag. F16 is emulated:
+values are rounded through IEEE binary16 on construction, and the executor
+rounds each F16 node output the same way, so precision lowering is
+deterministic and hardware-independent.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -66,10 +69,14 @@ class Tensor:
 
 # Byte budget of one column slab. A conv fills and multiplies its column
 # buffer one slab of output positions at a time so that the buffer stays in
-# cache between the copy and the GEMM. 1 MiB keeps every desk GEMM's K and
-# operand layout at sizes where OpenBLAS sums in the same order as one
-# whole-item GEMM, so the outputs do not depend on the slab size there.
+# cache between the copy and the GEMM.
 COL_SLAB_BYTES = 1 << 20
+
+# Each GEMM's column count is rounded up to a multiple of GEMM_COLS with spare
+# columns. OpenBLAS then gives a column the bits one whole GEMM gives it, in
+# whichever slab or box it is computed (tests/test_tensor.py::TestGemmColumns);
+# a remainder of 1-8 can change a small GEMM's order of summation.
+GEMM_COLS = 16
 
 
 def _col_slab(k: int, od: int, oh: int, ow: int) -> tuple:
@@ -80,6 +87,10 @@ def _col_slab(k: int, od: int, oh: int, ow: int) -> tuple:
     if cols >= oh * ow:
         return min(od, cols // (oh * ow)), oh
     return 1, max(1, cols // ow)
+
+
+def _gemm_cols(n: int) -> int:
+    return -(-n // GEMM_COLS) * GEMM_COLS
 
 
 def _channels(c: int, cw: int) -> None:
@@ -125,118 +136,179 @@ def _reads(outs: tuple, kernel: tuple, stride: tuple, dilation: tuple) -> tuple:
     return tuple((n - 1) * s + (k - 1) * dl + 1 for n, k, s, dl in zip(outs, kernel, stride, dilation))
 
 
-def _conv3d_scratch(in_shape: tuple, out_shape: tuple, taps: tuple, pad: tuple,
-                    stride: Optional[tuple] = None, dilation: Optional[tuple] = None) -> tuple:
-    """The scratch of a conv3d with weight taps `taps` [C,kd,kh,kw]: (the
-    window's shape [C, planes read, rows read, W+2pw], which holds one column
-    slab's input zero-padded, None when `pad` is all zero; the (planes, rows)
-    of the column slab [K, planes*rows*ow], see _col_slab; the floats of each).
-    Without `stride` and `dilation` the window spans the whole padded item,
-    which bounds it for every geometry."""
+def _crop_origins(hw: tuple, size: int, crops: Optional[Sequence[int]]) -> list:
+    """(mirrored, y, x) per crop of `crops` (all ten when None) of a clip of
+    extent `hw`: its origin in the clip, or for a mirror in the clip reversed
+    along W. Crops 0-4 are the base crops top-left, top-right, bottom-left,
+    bottom-right and center; crop `5 + j` is crop `j` mirrored along W."""
+    h, w = hw
+    origins = [(0, 0), (0, w - size), (h - size, 0), (h - size, w - size), ((h - size) // 2, (w - size) // 2)]
+    origins += [(y, w - size - x) for y, x in origins]
+    return [(k >= 5, *origins[k]) for k in (range(10) if crops is None else crops)]
+
+
+def _border(c: int, box: int, size: int, k: int, s: int, p: int, d: int) -> tuple:
+    """Along one axis, for a crop of `size` entries at offset `c` (a multiple
+    of the stride `s`) in a box of `box` entries, convolved with `k` taps at
+    pad `p` and dilation `d`: the crop outputs [lo, hi) that the box gives,
+    and a (start, extent, (a, b)) per strip of crop entries [start, start +
+    extent) that gives the crop outputs [a, b) whose taps reach past an edge
+    of the crop where the box holds more input."""
+    o = (size + 2 * p - (k - 1) * d - 1) // s + 1
+    lo = min(o, -(-p // s)) if c else 0
+    hi = max(lo, min(o, -(-(size + p - (k - 1) * d) // s))) if c + size < box else o
+    strips = [(0, max(1, min(size, s * (lo - 1) - p + (k - 1) * d + 1)), (0, lo))] if lo else []
+    if hi < o:
+        start = max(0, s * hi - p) // s * s
+        strips.append((start, size - start, (hi, o)))
+    return (lo, hi), strips
+
+
+def _conv3d_scratch(item: tuple, out: tuple, taps: tuple, pad: tuple, stride: Optional[tuple] = None,
+                    dilation: Optional[tuple] = None, whole: bool = True) -> tuple:
+    """The scratch of convolving one [C,D,H,W] box `item` into `out`
+    [O,od,oh,ow] with taps `taps` [C,kd,kh,kw]: (the shape of the window [C,
+    planes read, rows read, W+2pw] that holds one column slab's input
+    zero-padded, None without padding; the slab's (planes, rows), see
+    _col_slab; the floats of the window, of the slab [K, planes*rows*ow] with
+    its columns rounded up to GEMM_COLS, and of its GEMM output, which a
+    `whole` output item whose slabs need no rounding does without). Without
+    `stride` and `dilation` the window is the whole padded item, a bound."""
     c, kd, kh, _ = taps
-    d, h, w = in_shape[2:]
-    k = int(np.prod(taps))
-    planes, rows = _col_slab(k, *out_shape[2:])
+    o, od, oh, ow = out
+    k = math.prod(taps)
+    planes, rows = _col_slab(k, od, oh, ow)
     window = None
     if any(pad):
-        reads = ((d + 2 * pad[0], h + 2 * pad[1]) if stride is None or dilation is None
+        reads = ((item[1] + 2 * pad[0], item[2] + 2 * pad[1]) if stride is None or dilation is None
                  else _reads((planes, rows), (kd, kh), stride, dilation))
-        window = (c, *reads, w + 2 * pad[2])
-    return window, (planes, rows), int(np.prod(window)) if window else 0, k * planes * rows * out_shape[4]
+        window = (c, *reads, item[3] + 2 * pad[2])
+    n = _gemm_cols(planes * rows * ow)
+    spill = not whole or any(m % GEMM_COLS for m in (planes * rows * ow, od % planes * oh * ow, oh % rows * ow))
+    return window, (planes, rows), math.prod(window) if window else 0, k * n, o * n if spill else 0
+
+
+def _conv3d_plan(x_shape: tuple, out_shape: tuple, taps: tuple, stride: Optional[tuple], pad: tuple,
+                 dilation: Optional[tuple], size: Optional[int] = None, crops: Optional[Sequence[int]] = None,
+                 share: bool = True) -> tuple:
+    """The boxes conv3d_raw convolves, and the most floats of window, column
+    slab and GEMM output one box needs. A box is (view, (y, x, h, w), dests,
+    its [O,od,oh,ow] outputs, whether it is one whole output item, its
+    _conv3d_scratch): [..., y:y+h, x:x+w] of batch item `view`, or with a
+    crop `size` of the clip (reversed along W when `view` is True). Each
+    (item, (Y, X), (i0, i1, j0, j1)) of dests takes the item's output rows
+    [i0, i1) and columns [j0, j1), [i, j] being the box's output [i+Y, j+X].
+    With `share`, the crops of one orientation whose origins share a phase
+    of the H and W strides are one box, their hull, and the outputs whose
+    taps reach a crop's border inside it come from strips of that crop, one
+    box each (see _border); without, each crop is its own box."""
+    oh, ow = out_shape[3:]
+    if size is None:
+        boxes = [(i, (0, 0, *x_shape[-2:]), [(i, (0, 0), (0, oh, 0, ow))]) for i in range(x_shape[0])]
+    else:
+        sh, sw = stride[1:]
+        groups: dict = {}
+        for item, (m, y, x) in enumerate(_crop_origins(x_shape[-2:], size, crops)):
+            groups.setdefault((m, y % sh, x % sw) if share else item, (m, []))[1].append((item, y, x))
+        boxes, strips = [], []
+        for m, group in groups.values():
+            y0, x0 = min(y for _, y, _ in group), min(x for _, _, x in group)
+            h, w = max(y for _, y, _ in group) + size - y0, max(x for _, _, x in group) + size - x0
+            dests = []
+            for item, y, x in group:
+                (i0, i1), rows = _border(y - y0, h, size, taps[2], sh, pad[1], dilation[1])
+                (j0, j1), cols = _border(x - x0, w, size, taps[3], sw, pad[2], dilation[2])
+                dests.append((item, ((y - y0) // sh, (x - x0) // sw), (i0, i1, j0, j1)))
+                strips += [(m, (y + s, x, e, size), [(item, (-s // sh, 0), (a, b, 0, ow))]) for s, e, (a, b) in rows]
+                strips += [(m, (y, x + s, size, e), [(item, (0, -s // sw), (0, oh, a, b))]) for s, e, (a, b) in cols]
+            boxes.append((m, (y0, x0, h, w), dests))
+        boxes += strips
+    item_hw = tuple(x_shape[-2:]) if size is None else (size, size)
+    geometry: dict = {}  # (box extent, whole) -> (outputs, scratch): most boxes share one
+    plan = []
+    for view, box, dests in boxes:
+        whole = len(dests) == 1 and box[2:] == item_hw  # the box is that item
+        if (box[2:], whole) not in geometry:
+            item = (taps[0], x_shape[-3], *box[2:])
+            out = out_shape[1:] if stride is None else \
+                (out_shape[1],) + _window("conv3d", item[1:], taps[1:], stride, pad, dilation)
+            geometry[box[2:], whole] = out, _conv3d_scratch(item, out, taps, pad, stride, dilation, whole)
+        plan.append((view, box, dests, geometry[box[2:], whole][0], whole, geometry[box[2:], whole][1]))
+    return plan, [max(scratch[i] for _, scratch in geometry.values()) for i in (2, 3, 4)]
 
 
 def conv3d_workspace_elems(in_shape: tuple, out_shape: tuple, c: int, kernel: tuple, pad: tuple, *,
-                           stride: Optional[tuple] = None, dilation: Optional[tuple] = None) -> int:
-    """Scratch floats conv3d_raw wants: one padded input window + one column
-    slab (see _conv3d_scratch). Given the conv's `stride` and `dilation` this
-    is the exact need; without them, the window is sized as the whole padded
-    item, an upper bound. The slab is at most COL_SLAB_BYTES unless one output
-    row alone is larger; neither grows with N."""
-    _, _, win_elems, col_elems = _conv3d_scratch(in_shape, out_shape, (c,) + tuple(kernel), pad, stride, dilation)
-    return win_elems + col_elems
+                           stride: Optional[tuple] = None, dilation: Optional[tuple] = None,
+                           size: Optional[int] = None, crops: Optional[Sequence[int]] = None) -> int:
+    """Scratch floats conv3d_raw wants (see _conv3d_plan): the exact need
+    given the conv's `stride` and `dilation`, and without them an upper bound
+    with the whole padded item as the window. With a crop `size` (which needs
+    both), `in_shape` is the [C,L,H,W] clip of the crops `crops`. The column
+    slab is at most COL_SLAB_BYTES unless one output row alone is larger;
+    nothing grows with N."""
+    return sum(_conv3d_plan(in_shape, out_shape, (c, *kernel), stride, pad, dilation, size, crops)[1])
 
 
-def _conv3d_setup(x_shape: tuple, w: np.ndarray, b: Optional[np.ndarray], stride: tuple, pad: tuple,
-                  dilation: tuple, out: Optional[np.ndarray], workspace: Optional[np.ndarray]):
-    """Checks a conv3d call on input of shape `x_shape` [N,C,D,H,W] and cuts
-    its buffers: (out, the zeroed window, None without padding, the flat
-    column slab, the weight as [O,K], the taps shape [C,kd,kh,kw,od,oh,ow],
-    the slab's (planes, rows))."""
-    shape = conv3d_shape(x_shape, w.shape, None if b is None else b.shape, stride, pad, dilation)
-    window, slab, win_elems, col_elems = _conv3d_scratch(x_shape, shape, w.shape[1:], pad, stride, dilation)
-    if workspace is None:
-        workspace = np.empty(win_elems + col_elems, dtype=np.float32)
-    elif workspace.size < win_elems + col_elems:
-        raise ShapeError(f"conv3d workspace holds {workspace.size} floats, needs {win_elems + col_elems}")
-    if out is None:
-        out = np.empty(shape, dtype=np.float32)
-    elif out.shape != shape or not out.flags.c_contiguous:
-        raise ShapeError(f"conv3d out must be C-contiguous {shape}, got {out.shape}")
-    win = None
-    if window:
-        win = workspace[:win_elems].reshape(window)
-        win.fill(0.0)  # the W border stays zero; each slab overwrites the rest it reads
-    col = workspace[win_elems:win_elems + col_elems]
-    # K runs (c,kd,kh,kw), as the column slab's rows do
-    return out, win, col, w.reshape(w.shape[0], -1), w.shape[1:] + shape[2:], slab
-
-
-def _fill_window(win: np.ndarray, src: np.ndarray, starts: tuple, reads: tuple, pad: tuple) -> None:
+def _fill_window(win: np.ndarray, src: np.ndarray, starts: tuple, reads: tuple, pad: tuple, held: list) -> None:
     """win[:, :nd, :nh] = the `reads` (nd, nh) planes and rows from padded
-    index `starts` of src [C,D,H,W] zero-padded by `pad`; the W border of
-    `win` is already zero."""
+    index `starts` of src [C,D,H,W] zero-padded by `pad`. The W border of
+    `win` is zero; per axis, `held` is the [lo, hi) planes or rows that may
+    hold input since `win` was zeroed, so only padding inside it is zeroed
+    again. `held` is updated."""
     into, src_box = [slice(None)], [slice(None)]
-    for axis, (start, n, p, size) in enumerate(zip(starts, reads, pad, src.shape[1:3]), 1):
+    for axis, (start, n, p, size, span) in enumerate(zip(starts, reads, pad, src.shape[1:3], held), 1):
         lo = min(n, max(0, p - start))  # entries [lo, hi) of the n read hold input, the rest padding
         hi = max(lo, min(n, p + size - start))
-        if lo:  # zero the padding again: an earlier slab or item may have left input there
-            win[(slice(None),) * axis + (slice(0, lo),)] = 0.0
-        if hi < n:
-            win[(slice(None),) * axis + (slice(hi, n),)] = 0.0
+        for a, e in ((span[0], min(span[1], lo)), (max(span[0], hi), min(span[1], n))):
+            if a < e:  # padding where an earlier fill left input
+                win[(slice(None),) * axis + (slice(a, e),)] = 0.0
+        span[:] = lo, (max(hi, span[1]) if span[1] > n else hi)
         into.append(slice(lo, hi))
         src_box.append(slice(start - p + lo, start - p + hi))
     win[(*into, slice(pad[2], pad[2] + src.shape[3]))] = src[tuple(src_box)]
 
 
-def _conv3d_item(src, ys, win, col, wmat, taps_shape, slab, stride, pad, dilation, b, relu) -> None:
-    """One batch item src [C,D,H,W] into each (y [O, od*oh*ow], mirrored)
-    of `ys`, a mirrored y from src reversed along W, one column slab at a
-    time: the slab's input zero-padded into `win` (read from src in place
-    without padding), its taps into the flat column buffer `col`, then per y
-    the GEMM into the slab's columns of y; bias and ReLU in place once the
-    last slab is in."""
+def _conv3d_box(src, out, dests, whole, win, held, col, acc, wmat, taps, box_out, slab, stride, pad,
+                dilation) -> None:
+    """The box src [C,D,H,W], read in place, convolved into its outputs
+    `box_out` [O,od,oh,ow] one column slab at a time: the slab's input
+    zero-padded into `win` (without padding, taps come from src), its taps
+    into `col`, its GEMM into `acc`, whence each dest (see _conv3d_plan)
+    copies its part into `out`; or, needing no rounding, the GEMM straight
+    into the columns of a `whole` item."""
+    o, od, oh, ow = box_out
+    c, kd, kh, kw = taps
     k = wmat.shape[1]
-    c, kd, kh, kw, od, oh, ow = taps_shape
     sd, sh, sw = stride
     dd, dh, dw = dilation
     planes, rows = slab
     base = src if win is None else win
-    # every tap of every output position of the item (of one slab, in the window) as one read-only
+    # every tap of every output position of the box (of one slab, in the window) as one read-only
     # strided view: tap (a,e,f) of output (z,y,x) reads base[:, a*dd + z*sd, e*dh + y*sh, f*dw + x*sw]
-    taps = {}
-    for _, mirrored in ys:
-        v = base[..., ::-1] if mirrored else base
-        s_c, s_d, s_h, s_w = v.strides
-        taps[mirrored] = as_strided(v, (c, kd, kh, kw) + ((od, oh) if win is None else slab) + (ow,),
-                                    (s_c, s_d * dd, s_h * dh, s_w * dw, s_d * sd, s_h * sh, s_w * sw), writeable=False)
+    s_c, s_d, s_h, s_w = base.strides
+    taps_view = as_strided(base, (c, kd, kh, kw) + ((od, oh) if win is None else slab) + (ow,),
+                           (s_c, s_d * dd, s_h * dh, s_w * dw, s_d * sd, s_h * sh, s_w * sw), writeable=False)
     for z in range(0, od, planes):
         for r in range(0, oh, rows):
             pz, pr = min(planes, od - z), min(rows, oh - r)
             z0, r0 = (z, r) if win is None else (0, 0)
             if win is not None:
-                _fill_window(win, src, (z * sd, r * sh), _reads((pz, pr), (kd, kh), stride, dilation), pad)
+                _fill_window(win, src, (z * sd, r * sh), _reads((pz, pr), (kd, kh), stride, dilation), pad, held)
             n = pz * pr * ow
-            cols = col[:k * n].reshape(c, kd, kh, kw, pz, pr, ow)  # contiguous, also for a shorter last slab
-            start = (z * oh + r) * ow
-            for y, mirrored in ys:
-                np.copyto(cols, taps[mirrored][..., z0:z0 + pz, r0:r0 + pr, :])
-                # one contiguous column range of y: BLAS writes it through its leading dimension
-                np.matmul(wmat, cols.reshape(k, n), out=y[:, start:start + n])
-    for y, _ in ys:
-        if b is not None:
-            y += b[:, None]
-        if relu:
-            np.maximum(y, 0.0, out=y)
+            cols = col[:k * _gemm_cols(n)].reshape(k, -1)
+            np.copyto(cols[:, :n].reshape(c, kd, kh, kw, pz, pr, ow), taps_view[..., z0:z0 + pz, r0:r0 + pr, :])
+            if n < cols.shape[1]:
+                cols[:, n:] = 0.0  # spare columns, whose outputs are dropped: zeros keep them finite
+            elif whole:
+                # one contiguous column range of the item: BLAS writes it through its leading dimension
+                start = (z * oh + r) * ow
+                np.matmul(wmat, cols, out=out[dests[0][0]].reshape(o, -1)[:, start:start + n])
+                continue
+            res = np.matmul(wmat, cols, out=acc[:o * cols.shape[1]].reshape(o, -1))[:, :n].reshape(o, pz, pr, ow)
+            for item, (y, x), (i0, i1, j0, j1) in dests:
+                a, e = max(i0, r - y), min(i1, r + pr - y)
+                if a < e:
+                    out[item, :, z:z + pz, a:e, j0:j1] = res[:, :, a + y - r:e + y - r, j0 + x:j1 + x]
 
 
 def conv3d_raw(
@@ -260,38 +332,63 @@ def conv3d_raw(
     block of rows of one plane. With padding, the input planes and rows a slab
     reads are first copied into a zero-bordered window [C, planes read, rows
     read, W+2pw] in scratch. Each slab is filled with one strided copy from
-    that window (from the item itself without padding), and its GEMM writes
-    [O, slab columns] straight into its columns of `out[i]` viewed as
-    [O, od*oh*ow]; bias and ReLU are applied there in place after the item's
-    last slab. On the desk convs this equals one whole-item GEMM, and a
-    row-major im2col times the transposed weight, bit for bit; BLAS may sum a
-    small GEMM's products in an order that depends on its operands' sizes and
-    which one is on the left, so on small shapes these agree to float32
-    rounding.
+    that window (from the input itself without padding), its column count
+    rounded up to GEMM_COLS, so that each output column has the bits one
+    whole-item GEMM gives it. The GEMM writes [O, slab columns] into its
+    columns of `out[i]` viewed as [O, od*oh*ow], through scratch where the
+    count was rounded or the box feeds other items; bias and ReLU are
+    applied in place at the end. A row-major im2col times the transposed
+    weight equals this bit for bit on the desk convs, and to float32 rounding
+    on small shapes, where BLAS may sum in an order that depends on which
+    operand is on the left.
 
     With `size`, the items are the crops `crops` (indices into the ten crops
     of crop_views, in the order given; all ten when None) of the clip `x`,
-    read in place: no crop is copied out of the clip. Each column slab of
-    each base crop a selected crop is cut from fills the window once; that
-    slab of a selected base crop is computed from the window, and that of a
-    selected mirror from the W-reversed view of it. Padding is symmetric per
-    axis and the window spans the whole padded W, so the reversed window is
-    the mirrored crop's window, the column buffer gets the same values, and
-    the result equals conv3d_raw(ten_crop(x, size, crops)) bit for bit.
+    read in place. The crops of one orientation (a mirror reads the clip
+    reversed along W) whose origins share a phase of the H and W strides are
+    convolved once, as the box they span, zero-padded at its own edges, and
+    each slab's output is copied into each crop it covers. The outputs whose
+    taps reach a crop's border inside the box (zeros in the crop, input in
+    the box) come from a thin strip of the crop instead (see _border). So the
+    result equals conv3d_raw(ten_crop(x, size, crops)) bit for bit.
 
     `workspace` (flat float32, at least conv3d_workspace_elems) holds the
-    window and one column slab, so repeated calls allocate nothing; one is
-    allocated when it is not given. `out`, when given, must be a
-    C-contiguous [N,O,od,oh,ow] float32 array (N the number of crops with
-    `size`). Values do not depend on either.
+    window, one column slab and one slab of GEMM output, so repeated calls
+    allocate nothing; one is allocated when it is not given. With `size`, a
+    workspace too small for the boxes (one sized from the crops' shape) makes
+    each crop its own box. `out`, when given, must be a C-contiguous
+    [N,O,od,oh,ow] float32 array (N the number of crops with `size`). Values
+    do not depend on either.
     """
     shape = x.shape if size is None else ten_crop_shape(x.shape, size, crops)
-    out, win, col, wmat, taps_shape, slab = _conv3d_setup(shape, w, b, stride, pad, dilation, out, workspace)
-    # (source item, its (output row, mirrored) list)
-    items = [(x[i], [(i, False)]) for i in range(x.shape[0])] if size is None else crop_views(x, size, crops)
-    for src, rows in items:
-        _conv3d_item(src, [(out[k].reshape(len(wmat), -1), mirrored) for k, mirrored in rows], win, col, wmat,
-                     taps_shape, slab, stride, pad, dilation, b, relu)
+    out_shape = conv3d_shape(shape, w.shape, None if b is None else b.shape, stride, pad, dilation)
+    if out is None:
+        out = np.empty(out_shape, dtype=np.float32)
+    elif out.shape != out_shape or not out.flags.c_contiguous:
+        raise ShapeError(f"conv3d out must be C-contiguous {out_shape}, got {out.shape}")
+    plan, need = _conv3d_plan(x.shape, out_shape, w.shape[1:], stride, pad, dilation, size, crops)
+    if size is not None and workspace is not None and workspace.size < sum(need):
+        plan, need = _conv3d_plan(x.shape, out_shape, w.shape[1:], stride, pad, dilation, size, crops, share=False)
+    if workspace is None:
+        workspace = np.empty(sum(need), dtype=np.float32)
+    elif workspace.size < sum(need):
+        raise ShapeError(f"conv3d workspace holds {workspace.size} floats, needs {sum(need)}")
+    col, acc = workspace[need[0]:need[0] + need[1]], workspace[need[0] + need[1]:sum(need)]
+    wmat = w.reshape(w.shape[0], -1)  # K runs (c,kd,kh,kw), as the column slab's rows do
+    views = (x, None if size is None else x[..., ::-1])
+    win = held = None
+    for view, (y, x0, h, wd), dests, box_out, whole, (window, slab, *_) in plan:
+        if window and (win is None or win.shape != window):
+            win = workspace[:math.prod(window)].reshape(window)
+            win.fill(0.0)  # the W border stays zero; each slab fills or zeroes the planes and rows it reads
+            held = [[0, 0], [0, 0]]
+        src = (x[view] if size is None else views[view])[..., y:y + h, x0:x0 + wd]
+        _conv3d_box(src, out, dests, whole, win if window else None, held, col, acc, wmat, w.shape[1:], box_out,
+                    slab, stride, pad, dilation)
+    if b is not None:
+        out += b[:, None, None, None]
+    if relu:
+        np.maximum(out, 0.0, out=out)
     return out
 
 
@@ -314,20 +411,10 @@ def ten_crop_shape(clip: tuple, size: int, crops: Optional[Sequence[int]] = None
 
 def crop_views(clip: np.ndarray, size: int, crops: Optional[Sequence[int]] = None) -> list:
     """The crops `crops` (all ten when None) of a clip that ten_crop_shape
-    accepts, grouped by the base crop they are cut from: one (view, rows) per
-    base crop used, in order of first use. `view` is the base crop as a view
-    of the clip's last two axes, and `rows` holds (output row, mirrored) for
-    each selected crop it gives. Crops 0-4 are the base crops top-left,
-    top-right, bottom-left, bottom-right and center; crop `5 + j` is crop
-    `j` mirrored along W."""
-    h, w = clip.shape[-2:]
-    top, left = (h - size) // 2, (w - size) // 2
-    origins = ((0, 0), (0, w - size), (h - size, 0), (h - size, w - size), (top, left))
-    bases = [clip[..., y:y + size, x:x + size] for y, x in origins]
-    groups: dict = {}
-    for row, k in enumerate(range(10) if crops is None else crops):
-        groups.setdefault(k % 5, []).append((row, k >= 5))
-    return [(bases[j], rows) for j, rows in groups.items()]
+    accepts, in order, as views of the clip's last two axes; a mirror is a
+    view of the clip reversed along W (see _crop_origins)."""
+    views = (clip, clip[..., ::-1])
+    return [views[m][..., y:y + size, x:x + size] for m, y, x in _crop_origins(clip.shape[-2:], size, crops)]
 
 
 def conv1d_shape(x: tuple, w: tuple, b: Optional[tuple], dilation: int) -> tuple:

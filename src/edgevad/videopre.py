@@ -221,9 +221,8 @@ def ten_crop(
         out = np.empty(shape, dtype=np.float32)
     elif out.shape != shape or out.dtype != np.float32 or not out.flags.c_contiguous:
         raise ValueError(f"ten_crop out must be C-contiguous float32 {shape}, got {out.dtype} {out.shape}")
-    for crop, rows in crop_views(clip, size, crops):
-        for k, mirrored in rows:
-            out[k] = crop[..., ::-1] if mirrored else crop
+    for k, crop in enumerate(crop_views(clip, size, crops)):
+        out[k] = crop
     return out
 
 

@@ -10,6 +10,7 @@ from edgevad import extractor as ex
 from edgevad import graphopt as go
 from edgevad import pipeline as pl
 from edgevad import tensor as tc
+from edgevad.cli import DEFAULT_SOURCE
 from edgevad.extractor import ExtractorConfig, desk_scale_config, full_scale_config
 from edgevad.tensor import Tensor
 from edgevad.videopre import ten_crop
@@ -248,3 +249,27 @@ class TestRunnerMemory:
         # the non-local block's [784,784] logits (2.35 MiB) are planned scratch;
         # what is left is small per-item temporaries
         assert peak < 1 * MIB
+
+    def test_planned_clip_halves_make_no_large_allocation(self):
+        # the crop halves run_pipeline runs: the clip-input graph _startup builds, whose stem
+        # convolves each orientation's crops as shared boxes in planned scratch
+        graph = pl._startup(pl.PipelineConfig(source=DEFAULT_SOURCE))[1]
+        x = Tensor(np.random.default_rng(16).standard_normal(graph.meta[graph.inputs[0]].shape, dtype=np.float32))
+        for crops in pl.CROP_HALVES:
+            g = go.select_crops(graph, crops)
+            plan = go.plan_memory(g)
+            stem = g.nodes[0]
+            w = g.params[stem.params["w"]].shape
+            assert stem.attrs["crops"] == crops and plan.elems[go.scratch_id(stem)] == tc.conv3d_workspace_elems(
+                x.shape, g.meta[stem.output].shape, w[1], w[2:], stem.attrs["pad"], stride=stem.attrs["stride"],
+                dilation=(1, 1, 1), size=stem.attrs["size"], crops=crops)
+            runner = go.GraphRunner(g, plan)
+            warm = runner.run(x)[0].data
+            tracemalloc.start()
+            try:
+                again = runner.run(x)[0].data
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(again, warm)
+            assert peak < 1 * MIB

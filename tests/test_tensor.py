@@ -323,6 +323,96 @@ class TestTenCropConv:
             tc.conv3d_raw(np.ones((1, 3, 2, 16, 16), np.float32), w, None, (1, 1, 1), (0, 1, 1), (1, 1, 1), size=16)
 
 
+class TestGemmColumns:
+    """What conv3d_raw's column rounding rests on: a GEMM whose N is a multiple
+    of tc.GEMM_COLS gives each column the bits one whole GEMM gives it, at any
+    column offset and into any leading dimension. Slabs, shared boxes and
+    strips compute one output column in GEMMs of different N."""
+
+    @pytest.mark.parametrize("m", [1, 8, 16, 32])
+    @pytest.mark.parametrize("k", [1, 27, 225, 400])
+    def test_columns_equal_one_whole_gemm(self, m, k):
+        rng = np.random.default_rng(1000 * m + k)
+        a = rng.standard_normal((m, k), dtype=np.float32)
+        b = rng.standard_normal((k, 72 * tc.GEMM_COLS), dtype=np.float32)
+        whole = a @ b
+        wide = np.empty((m, b.shape[1] + 40), np.float32)
+        for n in (1, 3, 28, 70):
+            for off in (0, 1, 17, 2 * tc.GEMM_COLS):
+                cols = np.ascontiguousarray(b[:, off:off + n * tc.GEMM_COLS])
+                np.testing.assert_array_equal(a @ cols, whole[:, off:off + cols.shape[1]])
+                np.matmul(a, cols, out=wide[:, 7:7 + cols.shape[1]])
+                np.testing.assert_array_equal(wide[:, 7:7 + cols.shape[1]], whole[:, off:off + cols.shape[1]])
+
+
+class TestSharedBoxes:
+    """With a crop `size`, the crops of one orientation whose origins share a
+    stride phase are convolved once, as the box they span, and the outputs
+    whose taps reach a crop's border inside the box come from strips of the
+    crop: bit for bit conv3d_raw on ten_crop's crops, also into a NaN-filled
+    out with a NaN-filled workspace of exactly the size the boxes need."""
+
+    @staticmethod
+    def check(clip, w, b, stride, pad, dil, size, crops=None):
+        ref = tc.conv3d_raw(ten_crop(clip, size, crops), w, b, stride, pad, dil, relu=True)
+        need = tc.conv3d_workspace_elems(clip.shape, ref.shape, w.shape[1], w.shape[2:], pad, stride=stride,
+                                         dilation=dil, size=size, crops=crops)
+        out = np.full(ref.shape, np.nan, np.float32)
+        got = tc.conv3d_raw(clip, w, b, stride, pad, dil, relu=True, out=out,
+                            workspace=np.full(need, np.nan, np.float32), size=size, crops=crops)
+        assert got is out
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(tc.conv3d_raw(clip, w, b, stride, pad, dil, relu=True, size=size, crops=crops),
+                                      ref)
+        # the boxes conv3d_raw ran: (box extent, items fed) per box
+        plan = tc._conv3d_plan(clip.shape, ref.shape, w.shape[1:], stride, pad, dil, size, crops)[0]
+        return [(box[2:], len(dests)) for _, box, dests, *_ in plan]
+
+    @staticmethod
+    def case(seed, clip_shape, wshape):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal(clip_shape, dtype=np.float32), rng.standard_normal(wshape, dtype=np.float32),
+                rng.standard_normal(wshape[0], dtype=np.float32))
+
+    def test_desk_stem_is_one_box_per_orientation_and_six_strips(self):
+        clip, w, b = self.case(0, (3, 16, 256, 256), (8, 3, 3, 5, 5))
+        w *= np.float32(0.1)
+        for crops in ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)):
+            boxes = self.check(clip, w, b, (2, 4, 4), (1, 2, 2), (1, 1, 1), 224, crops)
+            # the clip, then row 0 or column 0 of each crop off the clip's leading edges
+            assert sorted(boxes) == sorted([((256, 256), 5)] + [((3, 224), 1), ((224, 3), 1)] * 3)
+
+    @pytest.mark.parametrize("s", [3, 4])
+    def test_origins_in_different_stride_phases(self, s):
+        # a 455-like width: the W origins 0, 31 and 15 (mirrors 31, 0, 16) fall in two phases per
+        # orientation, so the ten crops are four boxes of 2 or 3 crops; the H origins 0, s, 2s share one
+        clip, w, b = self.case(s, (2, 4, 32 + 2 * s, 63), (3, 2, 2, 5, 5))
+        boxes = self.check(clip, w, b, (1, s, s), (1, 2, 2), (1, 1, 1), 32)
+        assert sorted(n for _, n in boxes if n > 1) == [2, 2, 3, 3]
+
+    # the last output row and column read the crop's trailing padding: strips at both edges
+    @pytest.mark.parametrize("kernel, stride, pad", [
+        ((3, 3, 3), (1, 1, 1), (1, 1, 1)),
+        ((1, 5, 5), (1, 2, 2), (0, 2, 2)),
+        ((1, 4, 4), (1, 3, 3), (0, 3, 3)),  # pad >= stride: two leading outputs read the border
+        ((1, 1, 1), (1, 2, 2), (0, 1, 1)),  # border outputs read padding alone
+    ])
+    def test_geometries_that_read_trailing_padding(self, kernel, stride, pad):
+        clip, w, b = self.case(sum(kernel), (2, 3, 23, 29), (3, 2) + kernel)
+        boxes = self.check(clip, w, b, stride, pad, (1, 1, 1), 16)
+        assert any(n > 1 for _, n in boxes)
+
+    @pytest.mark.parametrize("dil", [(1, 2, 2), (2, 3, 1)])
+    def test_dilation(self, dil):
+        clip, w, b = self.case(sum(dil), (2, 5, 27, 31), (3, 2, 2, 3, 3))
+        self.check(clip, w, b, (1, 2, 1), (1, 2, 2), dil, 16)
+
+    @pytest.mark.parametrize("crops", [(7, 0, 4, 9, 2), (3,), (8,), (9, 4)])
+    def test_mixed_orientation_and_single_crop_selections(self, crops):
+        clip, w, b = self.case(len(crops), (2, 3, 24, 30), (4, 2, 3, 3, 3))
+        self.check(clip, w, b, (1, 2, 2), (1, 1, 1), (1, 1, 1), 16, crops)
+
+
 ONE_SLAB = 1 << 62  # a COL_SLAB_BYTES budget that holds every conv's whole column buffer
 
 
