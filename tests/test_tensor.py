@@ -364,9 +364,9 @@ class TestSharedBoxes:
         np.testing.assert_array_equal(got, ref)
         np.testing.assert_array_equal(tc.conv3d_raw(clip, w, b, stride, pad, dil, relu=True, size=size, crops=crops),
                                       ref)
-        # the boxes conv3d_raw ran: (box extent, items fed) per box
+        # the boxes conv3d_raw ran: (box extent, the dests it feeds) per box
         plan = tc._conv3d_plan(clip.shape, ref.shape, w.shape[1:], stride, pad, dil, size, crops)[0]
-        return [(box[2:], len(dests)) for _, box, dests, *_ in plan]
+        return [(box[2:], dests) for _, box, dests, *_ in plan]
 
     @staticmethod
     def case(seed, clip_shape, wshape):
@@ -380,7 +380,8 @@ class TestSharedBoxes:
         for crops in ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)):
             boxes = self.check(clip, w, b, (2, 4, 4), (1, 2, 2), (1, 1, 1), 224, crops)
             # the clip, then row 0 or column 0 of each crop off the clip's leading edges
-            assert sorted(boxes) == sorted([((256, 256), 5)] + [((3, 224), 1), ((224, 3), 1)] * 3)
+            assert sorted((hw, len(dests)) for hw, dests in boxes) == \
+                sorted([((256, 256), 5)] + [((3, 224), 1), ((224, 3), 1)] * 3)
 
     @pytest.mark.parametrize("s", [3, 4])
     def test_origins_in_different_stride_phases(self, s):
@@ -388,19 +389,23 @@ class TestSharedBoxes:
         # orientation, so the ten crops are four boxes of 2 or 3 crops; the H origins 0, s, 2s share one
         clip, w, b = self.case(s, (2, 4, 32 + 2 * s, 63), (3, 2, 2, 5, 5))
         boxes = self.check(clip, w, b, (1, s, s), (1, 2, 2), (1, 1, 1), 32)
-        assert sorted(n for _, n in boxes if n > 1) == [2, 2, 3, 3]
+        assert sorted(len(dests) for _, dests in boxes if len(dests) > 1) == [2, 2, 3, 3]
 
     # the last output row and column read the crop's trailing padding: strips at both edges
     @pytest.mark.parametrize("kernel, stride, pad", [
         ((3, 3, 3), (1, 1, 1), (1, 1, 1)),
         ((1, 5, 5), (1, 2, 2), (0, 2, 2)),
         ((1, 4, 4), (1, 3, 3), (0, 3, 3)),  # pad >= stride: two leading outputs read the border
-        ((1, 1, 1), (1, 2, 2), (0, 1, 1)),  # border outputs read padding alone
+        ((1, 1, 1), (1, 3, 3), (0, 2, 2)),  # the border outputs read padding alone
     ])
     def test_geometries_that_read_trailing_padding(self, kernel, stride, pad):
         clip, w, b = self.case(sum(kernel), (2, 3, 23, 29), (3, 2) + kernel)
         boxes = self.check(clip, w, b, stride, pad, (1, 1, 1), 16)
-        assert any(n > 1 for _, n in boxes)
+        oh, ow = tc.conv3d_shape((1, 2, 3, 16, 16), w.shape, None, stride, pad, (1, 1, 1))[3:]
+        regions = [dests[0][2] for _, dests in boxes if len(dests) == 1]
+        assert any(len(dests) > 1 for _, dests in boxes)
+        assert any(i0 > 0 and i1 == oh for i0, i1, _, _ in regions)
+        assert any(j0 > 0 and j1 == ow for _, _, j0, j1 in regions)
 
     @pytest.mark.parametrize("dil", [(1, 2, 2), (2, 3, 1)])
     def test_dilation(self, dil):
