@@ -2,7 +2,7 @@
 """Alternating parent/change benchmark pairs, written as one BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_11.json \\
-        --pairs desk_default=10 ppm_long=5 --seed 1100
+        --pairs desk_default=10 ppm_long=10 --seed 1100
 
 Each side runs from the committed files of its commit, unpacked with
 `git archive` into a fresh directory. Pair i of the j-th workload runs both
@@ -97,7 +97,7 @@ def main() -> int:
     ap.add_argument("--parent", default="HEAD~1")
     ap.add_argument("--change", default="HEAD")
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--pairs", nargs="+", default=["desk_default=10", "ppm_long=5"], help="WORKLOAD=PAIRS")
+    ap.add_argument("--pairs", nargs="+", default=["desk_default=10", "ppm_long=10"], help="WORKLOAD=PAIRS")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     end_to_end = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["end_to_end"]

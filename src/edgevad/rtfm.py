@@ -180,7 +180,6 @@ def rtfm_loss(
     cfg: TrainConfig,
     dropout_rng: Optional[np.random.Generator] = None,
     masks: Optional[Sequence[Optional[np.ndarray]]] = None,
-    compute_grads: bool = True,
 ) -> Tuple[float, Dict[str, np.ndarray], Dict[str, float]]:
     """Margin + BCE objective over paired normal/abnormal feature videos.
 
@@ -221,10 +220,8 @@ def rtfm_loss(
     margin_term = ad.mul(_sum_vars(hinges), 1.0 / n_pairs)
     bce_term = ad.mul(_sum_vars(bce_terms), 1.0 / len(bce_terms))
     loss = ad.add(margin_term, bce_term)
-    grads: Dict[str, np.ndarray] = {}
-    if compute_grads:
-        loss.backward()
-        grads = {k: v.grad if v.grad is not None else np.zeros_like(v.value) for k, v in pv.items()}
+    loss.backward()
+    grads = {k: v.grad if v.grad is not None else np.zeros_like(v.value) for k, v in pv.items()}
     parts = {"margin": float(margin_term.value), "bce": float(bce_term.value)}
     return float(loss.value), grads, parts
 

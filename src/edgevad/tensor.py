@@ -5,12 +5,12 @@ Each `*_raw` kernel works on plain ndarrays and accumulates in float32; the grap
 executor (`graphopt.OPS`) is its caller. Each `*_shape` function is the shape
 rule of its kernel, checked by both the kernel and the graph. `conv3d_raw` is
 the one conv3d kernel: given a crop `size`, it convolves the ten crops of an
-uncropped clip, read in place, once per union box of the crops that share an
-orientation and a stride phase. Its GEMMs round their column counts up to
-GEMM_COLS, so each output column has the same bits in any slab or box. A
-Tensor is an immutable float32 array with a precision tag. F16 is emulated:
-values are rounded through IEEE binary16 on construction, and the executor
-rounds each F16 node output the same way, so precision lowering is
+uncropped clip without materializing them, once per union box of the crops
+that share an orientation and a stride phase. Its GEMMs round their column
+counts up to GEMM_COLS, so each output column has the same bits in any slab
+or box. A Tensor is an immutable float32 array with a precision tag. F16 is
+emulated: values are rounded through IEEE binary16 on construction, and the
+executor rounds each F16 node output the same way, so precision lowering is
 deterministic and hardware-independent.
 """
 
@@ -169,28 +169,25 @@ def _conv3d_scratch(item: tuple, out: tuple, taps: tuple, pad: tuple, stride: Op
     """The scratch of convolving one [C,D,H,W] box `item` into `out`
     [O,od,oh,ow] with taps `taps` [C,kd,kh,kw]: (the shape of the window [C,
     planes read, rows read, W+2pw] that holds one column slab's input
-    zero-padded, None without padding; the slab's (planes, rows), see
-    _col_slab; the floats of the window, of the slab [K, planes*rows*ow] with
-    its columns rounded up to GEMM_COLS, and of its GEMM output, which a
-    `whole` output item whose slabs need no rounding does without). Without
-    `stride` and `dilation` the window is the whole padded item, a bound."""
+    zero-padded; the slab's (planes, rows), see _col_slab; the floats of the
+    window, of the slab [K, planes*rows*ow] with its columns rounded up to
+    GEMM_COLS, and of its GEMM output, which a `whole` output item whose
+    slabs need no rounding does without). Without `stride` and `dilation`
+    the window is the whole padded item, a bound."""
     c, kd, kh, _ = taps
     o, od, oh, ow = out
     k = math.prod(taps)
     planes, rows = _col_slab(k, od, oh, ow)
-    window = None
-    if any(pad):
-        reads = ((item[1] + 2 * pad[0], item[2] + 2 * pad[1]) if stride is None or dilation is None
-                 else _reads((planes, rows), (kd, kh), stride, dilation))
-        window = (c, *reads, item[3] + 2 * pad[2])
+    reads = ((item[1] + 2 * pad[0], item[2] + 2 * pad[1]) if stride is None or dilation is None
+             else _reads((planes, rows), (kd, kh), stride, dilation))
+    window = (c, *reads, item[3] + 2 * pad[2])
     n = _gemm_cols(planes * rows * ow)
     spill = not whole or any(m % GEMM_COLS for m in (planes * rows * ow, od % planes * oh * ow, oh % rows * ow))
-    return window, (planes, rows), math.prod(window) if window else 0, k * n, o * n if spill else 0
+    return window, (planes, rows), math.prod(window), k * n, o * n if spill else 0
 
 
 def _conv3d_plan(x_shape: tuple, out_shape: tuple, taps: tuple, stride: Optional[tuple], pad: tuple,
-                 dilation: Optional[tuple], size: Optional[int] = None, crops: Optional[Sequence[int]] = None,
-                 share: bool = True) -> tuple:
+                 dilation: Optional[tuple], size: Optional[int] = None, crops: Optional[Sequence[int]] = None) -> tuple:
     """The boxes conv3d_raw convolves, and the most floats of window, column
     slab and GEMM output one box needs. A box is (view, (y, x, h, w), dests,
     its [O,od,oh,ow] outputs, whether it is one whole output item, its
@@ -198,10 +195,10 @@ def _conv3d_plan(x_shape: tuple, out_shape: tuple, taps: tuple, stride: Optional
     crop `size` of the clip (reversed along W when `view` is True). Each
     (item, (Y, X), (i0, i1, j0, j1)) of dests takes the item's output rows
     [i0, i1) and columns [j0, j1), [i, j] being the box's output [i+Y, j+X].
-    With `share`, the crops of one orientation whose origins share a phase
-    of the H and W strides are one box, their hull, and the outputs whose
-    taps reach a crop's border inside it come from strips of that crop, one
-    box each (see _border); without, each crop is its own box."""
+    The crops of one orientation whose origins share a phase of the H and W
+    strides are one box, their hull, and the outputs whose taps reach a
+    crop's border inside it come from strips of that crop, one box each
+    (see _border)."""
     oh, ow = out_shape[3:]
     if size is None:
         boxes = [(i, (0, 0, *x_shape[-2:]), [(i, (0, 0), (0, oh, 0, ow))]) for i in range(x_shape[0])]
@@ -209,7 +206,7 @@ def _conv3d_plan(x_shape: tuple, out_shape: tuple, taps: tuple, stride: Optional
         sh, sw = stride[1:]
         groups: dict = {}
         for item, (m, y, x) in enumerate(_crop_origins(x_shape[-2:], size, crops)):
-            groups.setdefault((m, y % sh, x % sw) if share else item, (m, []))[1].append((item, y, x))
+            groups.setdefault((m, y % sh, x % sw), (m, []))[1].append((item, y, x))
         boxes, strips = [], []
         for m, group in groups.values():
             y0, x0 = min(y for _, y, _ in group), min(x for _, _, x in group)
@@ -249,54 +246,46 @@ def conv3d_workspace_elems(in_shape: tuple, out_shape: tuple, c: int, kernel: tu
     return sum(_conv3d_plan(in_shape, out_shape, (c, *kernel), stride, pad, dilation, size, crops)[1])
 
 
-def _fill_window(win: np.ndarray, src: np.ndarray, starts: tuple, reads: tuple, pad: tuple, held: list) -> None:
+def _fill_window(win: np.ndarray, src: np.ndarray, starts: tuple, reads: tuple, pad: tuple) -> None:
     """win[:, :nd, :nh] = the `reads` (nd, nh) planes and rows from padded
-    index `starts` of src [C,D,H,W] zero-padded by `pad`. The W border of
-    `win` is zero; per axis, `held` is the [lo, hi) planes or rows that may
-    hold input since `win` was zeroed, so only padding inside it is zeroed
-    again. `held` is updated."""
+    index `starts` of src [C,D,H,W] zero-padded by `pad`; the W border of
+    `win` is zero already."""
     into, src_box = [slice(None)], [slice(None)]
-    for axis, (start, n, p, size, span) in enumerate(zip(starts, reads, pad, src.shape[1:3], held), 1):
+    for axis, (start, n, p, size) in enumerate(zip(starts, reads, pad, src.shape[1:3]), 1):
         lo = min(n, max(0, p - start))  # entries [lo, hi) of the n read hold input, the rest padding
         hi = max(lo, min(n, p + size - start))
-        for a, e in ((span[0], min(span[1], lo)), (max(span[0], hi), min(span[1], n))):
-            if a < e:  # padding where an earlier fill left input
+        for a, e in ((0, lo), (hi, n)):
+            if a < e:
                 win[(slice(None),) * axis + (slice(a, e),)] = 0.0
-        span[:] = lo, (max(hi, span[1]) if span[1] > n else hi)
         into.append(slice(lo, hi))
         src_box.append(slice(start - p + lo, start - p + hi))
     win[(*into, slice(pad[2], pad[2] + src.shape[3]))] = src[tuple(src_box)]
 
 
-def _conv3d_box(src, out, dests, whole, win, held, col, acc, wmat, taps, box_out, slab, stride, pad,
-                dilation) -> None:
-    """The box src [C,D,H,W], read in place, convolved into its outputs
-    `box_out` [O,od,oh,ow] one column slab at a time: the slab's input
-    zero-padded into `win` (without padding, taps come from src), its taps
-    into `col`, its GEMM into `acc`, whence each dest (see _conv3d_plan)
-    copies its part into `out`; or, needing no rounding, the GEMM straight
-    into the columns of a `whole` item."""
+def _conv3d_box(src, out, dests, whole, win, col, acc, wmat, taps, box_out, slab, stride, pad, dilation) -> None:
+    """The box src [C,D,H,W] convolved into its outputs `box_out`
+    [O,od,oh,ow] one column slab at a time: the slab's input zero-padded
+    into `win`, its taps into `col`, its GEMM into `acc`, whence each dest
+    (see _conv3d_plan) copies its part into `out`; or, needing no rounding,
+    the GEMM straight into the columns of a `whole` item."""
     o, od, oh, ow = box_out
     c, kd, kh, kw = taps
     k = wmat.shape[1]
     sd, sh, sw = stride
     dd, dh, dw = dilation
     planes, rows = slab
-    base = src if win is None else win
-    # every tap of every output position of the box (of one slab, in the window) as one read-only
-    # strided view: tap (a,e,f) of output (z,y,x) reads base[:, a*dd + z*sd, e*dh + y*sh, f*dw + x*sw]
-    s_c, s_d, s_h, s_w = base.strides
-    taps_view = as_strided(base, (c, kd, kh, kw) + ((od, oh) if win is None else slab) + (ow,),
+    # every tap of every output position of one slab as one read-only strided view of the window:
+    # tap (a,e,f) of output (z,y,x) reads win[:, a*dd + z*sd, e*dh + y*sh, f*dw + x*sw]
+    s_c, s_d, s_h, s_w = win.strides
+    taps_view = as_strided(win, (c, kd, kh, kw, planes, rows, ow),
                            (s_c, s_d * dd, s_h * dh, s_w * dw, s_d * sd, s_h * sh, s_w * sw), writeable=False)
     for z in range(0, od, planes):
         for r in range(0, oh, rows):
             pz, pr = min(planes, od - z), min(rows, oh - r)
-            z0, r0 = (z, r) if win is None else (0, 0)
-            if win is not None:
-                _fill_window(win, src, (z * sd, r * sh), _reads((pz, pr), (kd, kh), stride, dilation), pad, held)
+            _fill_window(win, src, (z * sd, r * sh), _reads((pz, pr), (kd, kh), stride, dilation), pad)
             n = pz * pr * ow
             cols = col[:k * _gemm_cols(n)].reshape(k, -1)
-            np.copyto(cols[:, :n].reshape(c, kd, kh, kw, pz, pr, ow), taps_view[..., z0:z0 + pz, r0:r0 + pr, :])
+            np.copyto(cols[:, :n].reshape(c, kd, kh, kw, pz, pr, ow), taps_view[..., :pz, :pr, :])
             if n < cols.shape[1]:
                 cols[:, n:] = 0.0  # spare columns, whose outputs are dropped: zeros keep them finite
             elif whole:
@@ -329,36 +318,34 @@ def conv3d_raw(
 
     Lowered to GEMMs over a tap-major column buffer, one column slab per GEMM:
     a slab is whole output planes while they fit in COL_SLAB_BYTES, else a
-    block of rows of one plane. With padding, the input planes and rows a slab
-    reads are first copied into a zero-bordered window [C, planes read, rows
-    read, W+2pw] in scratch. Each slab is filled with one strided copy from
-    that window (from the input itself without padding), its column count
-    rounded up to GEMM_COLS, so that each output column has the bits one
-    whole-item GEMM gives it. The GEMM writes [O, slab columns] into its
-    columns of `out[i]` viewed as [O, od*oh*ow], through scratch where the
-    count was rounded or the box feeds other items; bias and ReLU are
-    applied in place at the end. A row-major im2col times the transposed
-    weight equals this bit for bit on the desk convs, and to float32 rounding
-    on small shapes, where BLAS may sum in an order that depends on which
-    operand is on the left.
+    block of rows of one plane. The input planes and rows a slab reads are
+    first copied into a zero-bordered window [C, planes read, rows read,
+    W+2pw] in scratch, and the slab is filled from that window with one
+    strided copy, its column count rounded up to GEMM_COLS, so that each
+    output column has the bits one whole-item GEMM gives it. The GEMM writes
+    [O, slab columns] into its columns of `out[i]` viewed as [O, od*oh*ow],
+    through scratch where the count was rounded or the box feeds other
+    items; bias and ReLU are applied in place at the end. A row-major im2col
+    times the transposed weight equals this bit for bit on the desk convs,
+    and to float32 rounding on small shapes, where BLAS may sum in an order
+    that depends on which operand is on the left.
 
     With `size`, the items are the crops `crops` (indices into the ten crops
     of crop_views, in the order given; all ten when None) of the clip `x`,
-    read in place. The crops of one orientation (a mirror reads the clip
-    reversed along W) whose origins share a phase of the H and W strides are
-    convolved once, as the box they span, zero-padded at its own edges, and
-    each slab's output is copied into each crop it covers. The outputs whose
-    taps reach a crop's border inside the box (zeros in the crop, input in
-    the box) come from a thin strip of the crop instead (see _border). So the
-    result equals conv3d_raw(ten_crop(x, size, crops)) bit for bit.
+    never materialized. The crops of one orientation (a mirror reads the
+    clip reversed along W) whose origins share a phase of the H and W
+    strides are convolved once, as the box they span, zero-padded at its own
+    edges, and each slab's output is copied into each crop it covers. The
+    outputs whose taps reach a crop's border inside the box (zeros in the
+    crop, input in the box) come from a thin strip of the crop instead (see
+    _border). So the result equals conv3d_raw(ten_crop(x, size, crops)) bit
+    for bit.
 
     `workspace` (flat float32, at least conv3d_workspace_elems) holds the
     window, one column slab and one slab of GEMM output, so repeated calls
-    allocate nothing; one is allocated when it is not given. With `size`, a
-    workspace too small for the boxes (one sized from the crops' shape) makes
-    each crop its own box. `out`, when given, must be a C-contiguous
-    [N,O,od,oh,ow] float32 array (N the number of crops with `size`). Values
-    do not depend on either.
+    allocate nothing; one is allocated when it is not given. `out`, when
+    given, must be a C-contiguous [N,O,od,oh,ow] float32 array (N the number
+    of crops with `size`). Values do not depend on either.
     """
     shape = x.shape if size is None else ten_crop_shape(x.shape, size, crops)
     out_shape = conv3d_shape(shape, w.shape, None if b is None else b.shape, stride, pad, dilation)
@@ -367,24 +354,20 @@ def conv3d_raw(
     elif out.shape != out_shape or not out.flags.c_contiguous:
         raise ShapeError(f"conv3d out must be C-contiguous {out_shape}, got {out.shape}")
     plan, need = _conv3d_plan(x.shape, out_shape, w.shape[1:], stride, pad, dilation, size, crops)
-    if size is not None and workspace is not None and workspace.size < sum(need):
-        plan, need = _conv3d_plan(x.shape, out_shape, w.shape[1:], stride, pad, dilation, size, crops, share=False)
     if workspace is None:
         workspace = np.empty(sum(need), dtype=np.float32)
     elif workspace.size < sum(need):
         raise ShapeError(f"conv3d workspace holds {workspace.size} floats, needs {sum(need)}")
     col, acc = workspace[need[0]:need[0] + need[1]], workspace[need[0] + need[1]:sum(need)]
     wmat = w.reshape(w.shape[0], -1)  # K runs (c,kd,kh,kw), as the column slab's rows do
-    views = (x, None if size is None else x[..., ::-1])
-    win = held = None
+    views = x if size is None else (x, x[..., ::-1])
+    win = workspace[:0]  # the first box gives the window its shape
     for view, (y, x0, h, wd), dests, box_out, whole, (window, slab, *_) in plan:
-        if window and (win is None or win.shape != window):
+        if win.shape != window:
             win = workspace[:math.prod(window)].reshape(window)
             win.fill(0.0)  # the W border stays zero; each slab fills or zeroes the planes and rows it reads
-            held = [[0, 0], [0, 0]]
-        src = (x[view] if size is None else views[view])[..., y:y + h, x0:x0 + wd]
-        _conv3d_box(src, out, dests, whole, win if window else None, held, col, acc, wmat, w.shape[1:], box_out,
-                    slab, stride, pad, dilation)
+        _conv3d_box(views[view][..., y:y + h, x0:x0 + wd], out, dests, whole, win, col, acc, wmat, w.shape[1:],
+                    box_out, slab, stride, pad, dilation)
     if b is not None:
         out += b[:, None, None, None]
     if relu:

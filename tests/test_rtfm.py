@@ -198,7 +198,7 @@ class TestLoss:
 
 
 def _loss_value(model, nb, ab, cfg, masks):
-    return rtfm_loss(model, nb, ab, cfg, masks=masks, compute_grads=False)[0]
+    return rtfm_loss(model, nb, ab, cfg, masks=masks)[0]
 
 
 def _fd_coord(model, nb, ab, cfg, masks, key, j, h):

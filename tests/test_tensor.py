@@ -275,6 +275,13 @@ class TestKernelReferences:
         strided = np.empty((2, 2, 3, 4, 8), np.float32)[..., ::2]
         with pytest.raises(ShapeError, match="C-contiguous"):
             tc.conv3d_raw(x, w, None, (1, 1, 1), (1, 1, 1), (1, 1, 1), out=strided)
+        # with a crop `size`, a workspace one float short of the boxes' need is rejected too
+        clip = np.ones((1, 3, 6, 9), np.float32)
+        need = tc.conv3d_workspace_elems(clip.shape, (10, 2, 3, 4, 4), 1, (3, 3, 3), (1, 1, 1), stride=(1, 1, 1),
+                                         dilation=(1, 1, 1), size=4, crops=None)
+        with pytest.raises(ShapeError, match="workspace"):
+            tc.conv3d_raw(clip, w, None, (1, 1, 1), (1, 1, 1), (1, 1, 1),
+                          workspace=np.empty(need - 1, np.float32), size=4)
 
 
 class TestTenCropConv:
@@ -285,8 +292,8 @@ class TestTenCropConv:
     def both(clip, w, b, stride, pad, size, relu=True):
         crops = ten_crop(clip, size)
         ref = tc.conv3d_raw(crops, w, b, stride, pad, (1, 1, 1), relu=relu)
-        ws = np.full(tc.conv3d_workspace_elems(crops.shape, ref.shape, w.shape[1], w.shape[2:], pad), np.nan,
-                     dtype=np.float32)
+        ws = np.full(tc.conv3d_workspace_elems(clip.shape, ref.shape, w.shape[1], w.shape[2:], pad, stride=stride,
+                                               dilation=(1, 1, 1), size=size), np.nan, dtype=np.float32)
         out = np.full(ref.shape, np.nan, dtype=np.float32)
         got = tc.conv3d_raw(clip, w, b, stride, pad, (1, 1, 1), relu=relu, out=out, workspace=ws, size=size)
         assert got is out
@@ -515,8 +522,8 @@ def geometry_workspace(x_shape, out_shape, w, pad, stride, dil):
 
 class TestPaddedWindow:
     """Each column slab reads its input from a zero-bordered window that holds
-    only the planes and rows that slab reads; border planes and rows are zeroed
-    again on every slab that reaches them, after earlier slabs left input there."""
+    only the planes and rows that slab reads; every slab zeroes the padding
+    planes and rows it reads, where an earlier slab may have left input."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_workspace_bound_holds_the_geometry_size(self, seed):
@@ -558,7 +565,8 @@ class TestPaddedWindow:
         stride, dil = (1, 1, 2), (1, 1, 1)
         ref = conv3d_rowmajor_ref(ten_crop(clip, 16), w, None, stride, pad, dil)
         monkeypatch.setattr(tc, "COL_SLAB_BYTES", 4 * w[0].size * ref.shape[-1] * 3)  # 3 rows per slab
-        ws = geometry_workspace(ref.shape[:1] + clip.shape[:2] + (16, 16), ref.shape, w, pad, stride, dil)
+        ws = np.full(tc.conv3d_workspace_elems(clip.shape, ref.shape, w.shape[1], w.shape[2:], pad, stride=stride,
+                                               dilation=dil, size=16), np.nan, np.float32)
         out = np.full(ref.shape, np.nan, np.float32)  # a crop left out, mirror or not, stays NaN
         got = tc.conv3d_raw(clip, w, None, stride, pad, dil, out=out, workspace=ws, size=16)
         np.testing.assert_array_equal(got, ref)
