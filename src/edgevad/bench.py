@@ -35,7 +35,8 @@ def count_params_flops(graph: ComputeGraph) -> Tuple[int, int]:
 
     FLOPs count multiply-accumulate pairs as 2 ops, from each kind's entry in
     the op table; elementwise/pool nodes contribute zero, matching the
-    convention where a biased linear O x I layer costs 2*O*I.
+    convention where a biased linear O x I layer costs 2*O*I (the head runs
+    one as a 1x1x1 conv3d, which costs that per position).
     """
     unknown = sorted({n.kind for n in graph.nodes} - OPS.keys())
     if unknown:

@@ -221,9 +221,9 @@ def cmd_eval(args) -> int:
     ys = [p[1] for p in pairs]
     try:
         auc = roc_auc(scores, ys)
+        detected = video_verdict(records, rule=args.rule, n=args.run_n)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    detected = video_verdict(records, rule=args.rule, n=args.run_n)
     metrics = {"auc": auc, "n": len(pairs), "detected": detected, "rule": args.rule, "unit": "snippet"}
     out = json.dumps(metrics, indent=1)
     print(out)

@@ -2,12 +2,13 @@
 
 A ComputeGraph is a static single-producer DAG of kernel nodes over tensor ids.
 Three passes mirror a deployment-engine builder: operator fusion
-(a conv/linear -> bias -> relu chain becomes its first node with a bias and a
-`relu` attr, and a ten_crop -> conv3d chain the conv3d with the crop's `size`
-attr, reading the ten crops of its clip in place), precision lowering to emulated
+(a conv3d -> bias -> relu chain becomes the conv3d with a bias and a `relu`
+attr, and a ten_crop -> conv3d chain the conv3d with the crop's `size` attr,
+reading the ten crops of its clip in place), precision lowering to emulated
 binary16, and static memory planning (lifetime analysis plus greedy best-fit
 offset assignment of node outputs and kernel scratch into one arena). Fusion
-adds no node kind: every kind is one entry of the op table `OPS`. Passes are
+adds no node kind: every kind is one entry of the op table `OPS`, whose ten
+kinds build both the extractor and the scoring head (`rtfm.head_graph`). Passes are
 pure graph -> graph functions and never change execution results beyond the
 documented F16 rounding. `select_crops` restricts a graph's ten-crop nodes
 (those with a `size` attr) to a subset of the crops, whose rows equal those
@@ -27,13 +28,9 @@ from .tensor import (
     F32,
     ShapeError,
     Tensor,
-    conv1d_raw,
-    conv1d_shape,
     conv3d_raw,
     conv3d_shape,
     conv3d_workspace_elems,
-    linear_raw,
-    linear_shape,
     maxpool3d_raw,
     maxpool3d_shape,
     nonlocal_raw,
@@ -204,16 +201,8 @@ def _conv3d_workspace(xs, out, a, ps):
                                   size=a.get("size"), crops=a.get("crops"))
 
 
-def _conv1d(xs, p, a, out, ws):
-    return conv1d_raw(xs[0], p["w"], a["dilation"], b=p.get("b"), relu=a.get("relu", False), out=out)
-
-
-def _linear(xs, p, a, out, ws):
-    return linear_raw(xs[0], p["w"], b=p.get("b"), relu=a.get("relu", False), out=out)
-
-
 def _weight_macs(out, ps):
-    """conv/linear: each output element sums over all but the weight's first axis."""
+    """conv3d: each output element sums over all but the weight's first axis."""
     return int(np.prod(out)) * int(np.prod(ps["w"][1:]))
 
 
@@ -260,11 +249,6 @@ def _nonlocal(xs, p, a, out, ws):
     return nonlocal_raw(xs[0], p["wt"], p["wp"], p["wg"], p["wo"], out=out, workspace=ws)
 
 
-def _nonlocal1d(xs, p, a, out, ws):
-    y = _nonlocal([xs[0][None]], p, a, None if out is None else out[None], ws)
-    return y[0] if out is None else out
-
-
 def _concat_shape(xs, a, ps):
     axis = a["axis"]
     base = list(xs[0])
@@ -287,10 +271,6 @@ OPS: Dict[str, OpSpec] = {
     # an optional "crops" attr selects which of the ten crops the node yields, in order
     "ten_crop": OpSpec(lambda xs, a, ps: ten_crop_shape(xs[0], a["size"], a.get("crops")),
                        lambda xs, p, a, out, ws: ten_crop(xs[0], a["size"], a.get("crops"), out=out)),
-    "conv1d": OpSpec(lambda xs, a, ps: conv1d_shape(xs[0], ps["w"], ps.get("b"), a["dilation"]),
-                     _conv1d, _weight_macs, bias_axis=0),
-    "linear": OpSpec(lambda xs, a, ps: linear_shape(xs[0], ps["w"], ps.get("b")),
-                     _linear, _weight_macs, bias_axis=-1),
     "bias_add": OpSpec(_bias_shape, _bias_add),
     "relu": OpSpec(_same, lambda xs, p, a, out, ws: np.maximum(xs[0], 0.0, out=out)),
     "sigmoid": OpSpec(_same, lambda xs, p, a, out, ws: 1.0 / (1.0 + np.exp(-xs[0]))),
@@ -301,9 +281,6 @@ OPS: Dict[str, OpSpec] = {
                     lambda xs, p, a, out, ws: np.mean(xs[0], axis=(2, 3, 4), dtype=np.float32)),
     # one item's [P,P] logits at a time
     "nonlocal3d": OpSpec(_same, _nonlocal, _attention_macs, lambda xs, out, a, ps: int(np.prod(out[2:])) ** 2),
-    "nonlocal1d": OpSpec(_same, _nonlocal1d, lambda out, ps: _attention_macs((1,) + tuple(out), ps)),
-    "transpose2d": OpSpec(lambda xs, a, ps: (xs[0][1], xs[0][0]),
-                          lambda xs, p, a, out, ws: np.ascontiguousarray(xs[0].T)),
     "concat": OpSpec(_concat_shape, lambda xs, p, a, out, ws: np.concatenate(xs, axis=a["axis"], out=out)),
 }
 
@@ -381,12 +358,6 @@ class GraphBuilder:
     def ten_crop(self, x, size, name=None):
         return self.op("ten_crop", [x], {"size": int(size)}, name=name)
 
-    def conv1d(self, x, w_name, dilation=1, name=None):
-        return self.op("conv1d", [x], {"dilation": int(dilation)}, {"w": w_name}, name)
-
-    def linear(self, x, w_name, name=None):
-        return self.op("linear", [x], {}, {"w": w_name}, name)
-
     def bias(self, x, b_name, axis, name=None):
         return self.op("bias_add", [x], {"axis": int(axis)}, {"b": b_name}, name)
 
@@ -408,14 +379,8 @@ class GraphBuilder:
     def nonlocal3d(self, x, wt, wp, wg, wo, name=None):
         return self.op("nonlocal3d", [x], {}, {"wt": wt, "wp": wp, "wg": wg, "wo": wo}, name)
 
-    def nonlocal1d(self, x, wt, wp, wg, wo, name=None):
-        return self.op("nonlocal1d", [x], {}, {"wt": wt, "wp": wp, "wg": wg, "wo": wo}, name)
-
     def concat(self, xs, axis, name=None):
         return self.op("concat", list(xs), {"axis": int(axis)}, name=name)
-
-    def transpose2d(self, x, name=None):
-        return self.op("transpose2d", [x], name=name)
 
     def output(self, tid: str) -> None:
         self._outputs.append(tid)
@@ -449,12 +414,13 @@ def _sole_consumers(nodes: List[Node], outputs: Sequence[str]) -> Dict[str, int]
 
 def fuse(graph: ComputeGraph) -> ComputeGraph:
     """Collapse `kind -> bias_add -> relu` chains, where `kind` has a bias axis
-    in the op table, the node has no bias yet and the intermediates have a
-    single consumer, into the first node with the bias as its `b` param and a
-    `"relu": True` attr. Then fold each `ten_crop` whose sole consumer is a
-    conv3d into that conv3d, which gets the crop's `size` (and `crops`) attrs
-    and reads the crops in place. No node changes kind, and fusing a fused
-    graph again changes nothing. Semantics preserved bitwise in F32."""
+    in the op table (conv3d does), the node has no bias yet and the
+    intermediates have a single consumer, into the first node with the bias
+    as its `b` param and a `"relu": True` attr. Then fold each `ten_crop`
+    whose sole consumer is a conv3d into that conv3d, which gets the crop's
+    `size` (and `crops`) attrs and reads the crops in place. No node changes
+    kind, and fusing a fused graph again changes nothing. Semantics preserved
+    bitwise in F32."""
     sole = _sole_consumers(graph.nodes, graph.outputs)
 
     def sole_consumer(t: str, kind: str) -> Optional[int]:

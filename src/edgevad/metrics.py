@@ -41,8 +41,9 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 def video_verdict(records: Sequence, rule: str = "any-alert", n: int = 2) -> bool:
     """True when the video counts as detected under the given rule.
 
-    "any-alert": any snippet alert fires. "run-n": at least n consecutive alerts.
-    Records may be ScoreRecord objects or dicts with an "alert" key.
+    "any-alert": any snippet alert fires. "run-n": at least n consecutive
+    alerts; ValueError for n < 1. Records may be ScoreRecord objects or dicts
+    with an "alert" key.
     """
     if len(records) == 0:
         raise ValueError("no records")
@@ -50,6 +51,8 @@ def video_verdict(records: Sequence, rule: str = "any-alert", n: int = 2) -> boo
     if rule == "any-alert":
         return any(alerts)
     if rule == "run-n":
+        if n < 1:
+            raise ValueError(f"run-n needs n >= 1, got {n}")
         run = 0
         for a in alerts:
             run = run + 1 if a else 0

@@ -9,7 +9,9 @@ magnitude-separability idea: hinge on the top-k mean feature magnitudes of
 abnormal-vs-normal videos, plus BCE on the scores of the top-k-magnitude
 snippets (label 1 abnormal, 0 normal). Only this head trains; the extractor
 stays frozen. Training runs the float64 autodiff tape; inference runs the same
-parameters as the float32 `head_graph` on a plain `GraphRunner`.
+parameters as the float32 `head_graph` on a plain `GraphRunner`, built from
+the extractor's node kinds (temporal convs and fc layers as conv3d, the
+attention as nonlocal3d), all crops of a video in one run.
 """
 
 from __future__ import annotations
@@ -173,18 +175,18 @@ def topk_indices(mags: np.ndarray, k: int) -> np.ndarray:
 # loss
 # ---------------------------------------------------------------------------
 
-def rtfm_loss(
+def rtfm_objective(
     model: RtfmModel,
     normal_batch: Sequence[np.ndarray],
     abnormal_batch: Sequence[np.ndarray],
     cfg: TrainConfig,
     dropout_rng: Optional[np.random.Generator] = None,
     masks: Optional[Sequence[Optional[np.ndarray]]] = None,
-) -> Tuple[float, Dict[str, np.ndarray], Dict[str, float]]:
-    """Margin + BCE objective over paired normal/abnormal feature videos.
-
-    Returns (loss, gradients, parts). Dropout masks apply to the concatenated
-    [normal..., abnormal...] video list; pass `masks` for deterministic replay.
+) -> Tuple[Var, Dict[str, Var], Dict[str, float]]:
+    """Margin + BCE objective over paired normal/abnormal feature videos, on
+    the tape: (the loss Var, the parameter Vars it reads, its parts).
+    Dropout masks apply to the concatenated [normal..., abnormal...] video
+    list; pass `masks` for deterministic replay.
     """
     if len(normal_batch) == 0 or len(abnormal_batch) == 0:
         raise ValueError("both normal and abnormal batches must be nonempty")
@@ -219,10 +221,22 @@ def rtfm_loss(
         hinges.append(ad.relu(ad.add(ad.sub(mn, ma), cfg.margin)))
     margin_term = ad.mul(_sum_vars(hinges), 1.0 / n_pairs)
     bce_term = ad.mul(_sum_vars(bce_terms), 1.0 / len(bce_terms))
-    loss = ad.add(margin_term, bce_term)
+    parts = {"margin": float(margin_term.value), "bce": float(bce_term.value)}
+    return ad.add(margin_term, bce_term), pv, parts
+
+
+def rtfm_loss(
+    model: RtfmModel,
+    normal_batch: Sequence[np.ndarray],
+    abnormal_batch: Sequence[np.ndarray],
+    cfg: TrainConfig,
+    dropout_rng: Optional[np.random.Generator] = None,
+    masks: Optional[Sequence[Optional[np.ndarray]]] = None,
+) -> Tuple[float, Dict[str, np.ndarray], Dict[str, float]]:
+    """rtfm_objective and its gradients: (loss, gradients, parts)."""
+    loss, pv, parts = rtfm_objective(model, normal_batch, abnormal_batch, cfg, dropout_rng, masks)
     loss.backward()
     grads = {k: v.grad if v.grad is not None else np.zeros_like(v.value) for k, v in pv.items()}
-    parts = {"margin": float(margin_term.value), "bce": float(bce_term.value)}
     return float(loss.value), grads, parts
 
 
@@ -238,22 +252,23 @@ def _sum_vars(vs: Sequence[Var]) -> Var:
 # ---------------------------------------------------------------------------
 
 def _head_forward(feats: np.ndarray, model: RtfmModel,
-                  runners: Optional[Dict[int, GraphRunner]] = None) -> Tuple[np.ndarray, np.ndarray]:
+                  runners: Optional[Dict[Tuple[int, int], GraphRunner]] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Per-crop scores [crops,T] and temporal features [crops,T,out_dim] of
-    [T,D] or [crops,T,D] features, one head_graph run per crop. A runner is
-    built for each new T in `runners` (fresh by default, so it reads the current
-    parameters); pass one dict to share it across videos with fixed parameters.
-    Plain, not fused+planned: the outputs are bitwise equal and it builds faster."""
+    [T,D] or [crops,T,D] features, from one head_graph run over all the crops.
+    A runner is built for each new (crops, T) in `runners` (fresh by default,
+    so it reads the current parameters); pass one dict to share it across
+    videos with fixed parameters. Plain, not fused+planned: the outputs are
+    bitwise equal and it builds faster."""
     arr = np.asarray(feats, dtype=np.float32)
     if arr.ndim == 2:
         arr = arr[None]
     if arr.ndim != 3:
         raise ValueError(f"expected [T,D] or [crops,T,D], got {arr.shape}")
-    t, runners = arr.shape[1], {} if runners is None else runners
-    if t not in runners:
-        runners[t] = GraphRunner(head_graph(model, t))
-    outs = [runners[t].run(Tensor(crop.T)) for crop in arr]  # the graph takes channels-first [D,T]
-    return np.stack([s.data[:, 0] for s, _ in outs]), np.stack([x.data for _, x in outs])
+    key, runners = arr.shape[:2], {} if runners is None else runners
+    if key not in runners:
+        runners[key] = GraphRunner(head_graph(model, key[1], key[0]))
+    scores, xs = runners[key].run(Tensor(arr.transpose(0, 2, 1)[..., None, None]))  # channels-first
+    return scores.data[:, 0, :, 0, 0], np.ascontiguousarray(xs.data[..., 0, 0].transpose(0, 2, 1))
 
 
 def video_score(feats: np.ndarray, model: RtfmModel) -> np.ndarray:
@@ -360,44 +375,46 @@ def training_auc(result_model: RtfmModel, dataset, k: int = 3) -> float:
     """Video-level ROC-AUC of top-k scores against the dataset labels."""
     from .metrics import roc_auc
 
-    runners: Dict[int, GraphRunner] = {}  # the parameters are fixed for the call: one build per T
+    runners: Dict[Tuple[int, int], GraphRunner] = {}  # the parameters are fixed for the call: one build per shape
     scores = [_topk_magnitude_score(*_head_forward(f, result_model, runners), k) for f, _ in dataset]
     labels = [y for _, y in dataset]
     return roc_auc(scores, labels)
 
 
-def head_graph(model: RtfmModel, snippets: int = 32) -> ComputeGraph:
-    """The model's head as a float32 compute graph: channels-first [D,T]
-    features in; per-snippet scores [T,1] and temporal features [T,out_dim]
-    out. fc weights go in transposed ([O,I], as `linear` takes them)."""
-    mstn = model.mstn
-    b = GraphBuilder(f"head-d{mstn.in_dim}")
-    x = b.input((mstn.in_dim, snippets), name="features")
+def head_graph(model: RtfmModel, snippets: int = 32, crops: int = 1) -> ComputeGraph:
+    """The model's head as a float32 compute graph on the extractor's kinds:
+    features [crops,D,T,1,1] in (each crop's [T,D] transposed); per-snippet
+    scores [crops,1,T,1,1] and temporal features [crops,out_dim,T,1,1] out.
+    A temporal conv [O,I,k] is a (k,1,1) conv3d padded along T, an fc layer
+    [I,O] a 1x1x1 conv3d on its transpose, and the attention branch a
+    nonlocal3d over the T positions. ValueError on an even kernel, for which
+    same-length padding is not symmetric."""
+    b = GraphBuilder(f"head-d{model.mstn.in_dim}")
+    x = b.input((crops, model.mstn.in_dim, snippets, 1, 1), name="features")
 
     def par(name):
-        v = model.params[name]
-        return b.param(name, Tensor(v.T if name.startswith("fc") and name.endswith("_w") else v))
+        return b.param(name, Tensor(model.params[name]))
 
-    branches = []
-    for i, dil in enumerate(mstn.dilations):
-        t = b.conv1d(x, par(f"pdc{i}_w"), dilation=dil)
-        t = b.bias(t, par(f"pdc{i}_b"), axis=0)
-        branches.append(b.relu(t))
-    if mstn.use_tsa:
-        proj = b.conv1d(x, par("tsa_proj_w"), dilation=1)
-        branches.append(b.nonlocal1d(proj, par("tsa_q"), par("tsa_k"), par("tsa_g"), par("tsa_o"), name="tsa"))
-    cat = b.concat(branches, axis=0)
-    fused = b.conv1d(cat, par("fuse_w"), dilation=1)
-    fused = b.bias(fused, par("fuse_b"), axis=0)
-    feats = b.transpose2d(fused)  # [T, out_dim]
-    t = b.linear(feats, par("fc1_w"))
-    t = b.bias(t, par("fc1_b"), axis=-1)
-    t = b.relu(t)
-    t = b.linear(t, par("fc2_w"))
-    t = b.bias(t, par("fc2_b"), axis=-1)
-    t = b.relu(t)
-    t = b.linear(t, par("fc3_w"))
-    t = b.bias(t, par("fc3_b"), axis=-1)
-    b.output(b.sigmoid(t))
+    def conv(t, name, dilation=1):
+        w = model.params[name]
+        w = w.T[..., None] if name.startswith("fc") else w
+        k = w.shape[2]
+        if k % 2 == 0:
+            raise ValueError(f"{name}: even kernel size k={k}: symmetric same-padding undefined")
+        return b.conv3d(t, b.param(name, Tensor(w[..., None, None])), pad=((k - 1) * dilation // 2, 0, 0),
+                        dilation=(dilation, 1, 1))
+
+    def bias(t, name):
+        return b.bias(t, par(name), axis=1)
+
+    branches = [b.relu(bias(conv(x, f"pdc{i}_w", dil), f"pdc{i}_b")) for i, dil in enumerate(model.mstn.dilations)]
+    if model.mstn.use_tsa:
+        proj = conv(x, "tsa_proj_w")
+        branches.append(b.nonlocal3d(proj, par("tsa_q"), par("tsa_k"), par("tsa_g"), par("tsa_o"), name="tsa"))
+    feats = bias(conv(b.concat(branches, axis=1), "fuse_w"), "fuse_b")
+    t = feats
+    for fc in ("fc1", "fc2"):
+        t = b.relu(bias(conv(t, f"{fc}_w"), f"{fc}_b"))
+    b.output(b.sigmoid(bias(conv(t, "fc3_w"), "fc3_b")))
     b.output(feats)
     return b.build()

@@ -365,7 +365,9 @@ def conv3d_raw(
     for view, (y, x0, h, wd), dests, box_out, whole, (window, slab, *_) in plan:
         if win.shape != window:
             win = workspace[:math.prod(window)].reshape(window)
-            win.fill(0.0)  # the W border stays zero; each slab fills or zeroes the planes and rows it reads
+            # zero the W border, which stays zero; each slab fills or zeroes the planes and rows it reads
+            win[..., :pad[2]] = 0.0
+            win[..., window[3] - pad[2]:] = 0.0
         _conv3d_box(views[view][..., y:y + h, x0:x0 + wd], out, dests, whole, win, col, acc, wmat, w.shape[1:],
                     box_out, slab, stride, pad, dilation)
     if b is not None:
@@ -398,88 +400,6 @@ def crop_views(clip: np.ndarray, size: int, crops: Optional[Sequence[int]] = Non
     view of the clip reversed along W (see _crop_origins)."""
     views = (clip, clip[..., ::-1])
     return [views[m][..., y:y + size, x:x + size] for m, y, x in _crop_origins(clip.shape[-2:], size, crops)]
-
-
-def conv1d_shape(x: tuple, w: tuple, b: Optional[tuple], dilation: int) -> tuple:
-    """The [O,T] output shape of conv1d_raw on an input of shape `x` [C,T],
-    a weight of shape `w` [O,C,k] and a bias of shape `b` (None without
-    one); ShapeError where conv1d_raw rejects them."""
-    if len(x) != 2:
-        raise ShapeError(f"conv1d input must be 2-D [C,T], got {len(x)}-D")
-    if len(w) != 3:
-        raise ShapeError(f"conv1d weight must be 3-D [O,C,k], got {len(w)}-D")
-    (c, t), (o, cw, k) = x, w
-    _channels(c, cw)
-    _bias(o, b)
-    if k % 2 == 0:
-        raise ShapeError(f"even kernel size k={k}: symmetric same-padding undefined")
-    if t < 1:
-        raise ShapeError("temporal axis must have extent >= 1")
-    if dilation < 1:  # conv1d_raw's strided view reads in bounds only for dilation >= 1
-        raise ShapeError(f"dilation must be >= 1, got {dilation}")
-    return (o, t)
-
-
-def conv1d_raw(
-    x: np.ndarray,
-    w: np.ndarray,
-    dilation: int,
-    b: Optional[np.ndarray] = None,
-    relu: bool = False,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Same-length dilated cross-correlation on [C,T] input, weight [O,C,k], k odd."""
-    o, t = conv1d_shape(x.shape, w.shape, None if b is None else b.shape, dilation)
-    c, k = w.shape[1:]
-    half = (k - 1) * dilation // 2
-    xp = np.zeros((c, t + 2 * half), dtype=x.dtype)
-    xp[:, half:half + t] = x
-    # tap j of output position i reads xp[:, i + j*dilation]; k == 1 stays a transposed view
-    s0, s1 = xp.strides
-    col = as_strided(xp, (t, c, k), (s1, s0, s1 * dilation), writeable=False).reshape(t, c * k)
-    y = col @ w.reshape(o, -1).T  # [t,o]
-    if b is not None:
-        y += b
-    if relu:
-        np.maximum(y, 0.0, out=y)
-    res = y.T
-    if out is not None:
-        out[...] = res
-        return out
-    return np.ascontiguousarray(res)
-
-
-def linear_shape(x: tuple, w: tuple, b: Optional[tuple]) -> tuple:
-    """The [...,O] output shape of linear_raw on an input of shape `x`
-    [...,I], a weight of shape `w` [O,I] and a bias of shape `b` (None
-    without one); ShapeError where linear_raw rejects them."""
-    if len(w) != 2:
-        raise ShapeError(f"linear weight must be 2-D [O,I], got {len(w)}-D")
-    o, i = w
-    if tuple(x[-1:]) != (i,):
-        raise ShapeError(f"trailing axis mismatch: input shape {tuple(x)} vs weight I={i}")
-    _bias(o, b)
-    return tuple(x[:-1]) + (o,)
-
-
-def linear_raw(
-    x: np.ndarray,
-    w: np.ndarray,
-    b: Optional[np.ndarray] = None,
-    relu: bool = False,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Affine map on the trailing axis: x[...,I] @ w[O,I]^T (+ b)."""
-    linear_shape(x.shape, w.shape, None if b is None else b.shape)
-    y = x @ w.T
-    if b is not None:
-        y += b
-    if relu:
-        np.maximum(y, 0.0, out=y)
-    if out is not None:
-        out[...] = y
-        return out
-    return y
 
 
 def softmax_raw(x: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:

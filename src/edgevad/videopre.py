@@ -45,9 +45,10 @@ RESIZE_BLOCK = 32
 
 @dataclass
 class RawVideo:
-    """Uniform-dimension frame sequence with pixel values on the 0-255 scale:
-    a list of HxWx3 arrays, or a sequence whose [N,H,W,3] `shape` is checked
-    instead of its frames (an array, a file source's lazy `FileFrames`)."""
+    """Uniform-dimension frame sequence, at least 1x1, with pixel values on
+    the 0-255 scale: a list of HxWx3 arrays, or a sequence whose [N,H,W,3]
+    `shape` is checked instead of its frames (an array, a file source's lazy
+    `FileFrames`)."""
 
     frames: Sequence[np.ndarray]
     fps: float = 30.0
@@ -64,6 +65,8 @@ class RawVideo:
                 raise ValueError(f"frame {i} is not HxWx3")
             if s[:2] != (h, w):
                 raise ValueError(f"frame {i} dimensions {s[:2]} differ from frame 0 {(h, w)}")
+        if h < 1 or w < 1:
+            raise ValueError(f"frames of {h}x{w} hold no pixels")
 
     @property
     def frame_count(self) -> int:

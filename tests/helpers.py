@@ -19,8 +19,9 @@ def random_graph(seed, min_ops=3, max_ops=8):
     """A random valid DAG over small 5-D tensors.
 
     Seeds conv->bias->relu triples (fusion targets), branch+add joins
-    (two-consumer intermediates, fusion blockers), pools, and a gap3d/linear
-    tail about half the time. Returns (graph, [input tensors]).
+    (two-consumer intermediates, fusion blockers), pools, and about half the
+    time the extractor's projection tail: a 1x1x1 conv3d -> bias -> relu ->
+    gap3d. Returns (graph, [input tensors]).
     """
     rng = np.random.default_rng(seed)
     b = GraphBuilder(name=f"rand{seed}")
@@ -68,13 +69,13 @@ def random_graph(seed, min_ops=3, max_ops=8):
         else:
             cur = b.relu(cur)
     if rng.random() < 0.5:
-        cur = b.gap3d(cur)
         o = int(rng.integers(1, 5))
-        wgt = fresh("fw", rng.normal(scale=0.5, size=(o, cur_shape[1])))
-        cur = b.linear(cur, wgt)
+        wgt = fresh("fw", rng.normal(scale=0.5, size=(o, cur_shape[1], 1, 1, 1)))
+        cur = b.conv3d(cur, wgt)
         bias = fresh("fb", rng.normal(scale=0.5, size=(o,)))
-        cur = b.bias(cur, bias, axis=-1)
+        cur = b.bias(cur, bias, axis=1)
         cur = b.relu(cur)
+        cur = b.gap3d(cur)
     b.output(cur)
     g = b.build()
     inputs = [Tensor(rng.normal(scale=1.0, size=shape).astype(np.float32))]

@@ -25,7 +25,8 @@ from helpers import check_plan_no_overlap, nonlocal_weights, random_graph
 from test_bench import recount_oracle
 from test_metrics import pairwise_auc_oracle
 from test_rtfm import gradcheck_instance
-from test_tensor import conv1d_loops, conv3d_loops, l2_loops, rel_err, softmax64, topk_sort_oracle
+from test_tensor import (conv1d_loops, conv1d_via_conv3d, conv3d_loops, l2_loops, rel_err, softmax64,
+                         topk_sort_oracle)
 
 
 def _report(n, text):
@@ -72,14 +73,14 @@ def test_criterion_02_kernel_oracles():
             continue
         got = tc.conv3d_raw(x, wt, b, stride, pad, (1, 1, 1))
         assert rel_err(got, want) <= 1e-6
-    # conv1d: 450 randomized instances
+    # the head's temporal conv (conv3d on [1,C,T,1,1]): 450 randomized instances
     for _ in range(450):
         c, t, o = int(rng.integers(1, 4)), int(rng.integers(1, 14)), int(rng.integers(1, 4))
         k = int(rng.choice([1, 3, 5]))
         dil = int(rng.integers(1, 4))
         x = rng.normal(size=(c, t)).astype(np.float32)
         w = rng.normal(size=(o, c, k)).astype(np.float32)
-        got = tc.conv1d_raw(x, w, dil)
+        got = conv1d_via_conv3d(x, w, dil)
         assert rel_err(got, conv1d_loops(x, w, dil)) <= 1e-6
     # softmax: 450 instances vs float64 elementwise reference
     for _ in range(450):

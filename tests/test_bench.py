@@ -30,32 +30,23 @@ def recount_oracle(graph):
         if n.kind == "conv3d":
             o, c, kd, kh, kw = graph.params[n.params["w"]].shape
             flops += 2 * int(np.prod(out)) * c * kd * kh * kw
-        elif n.kind == "conv1d":
-            o, c, k = graph.params[n.params["w"]].shape
-            flops += 2 * int(np.prod(out)) * c * k
-        elif n.kind == "linear":
-            o, i = graph.params[n.params["w"]].shape
-            flops += 2 * int(np.prod(out)) * i
         elif n.kind == "nonlocal3d":
             nn, c = out[0], out[1]
             p = int(np.prod(out[2:]))
             ci = graph.params[n.params["wt"]].shape[1]
             flops += 2 * nn * (3 * p * c * ci + p * ci * c + 2 * p * p * ci)
-        elif n.kind == "nonlocal1d":
-            c, t = out
-            ci = graph.params[n.params["wt"]].shape[1]
-            flops += 2 * (3 * t * c * ci + t * ci * c + 2 * t * t * ci)
     return params, flops
 
 
 class TestCounting:
     def test_linear_with_bias_spec_example(self):
+        # a biased O x I linear layer, as the head runs it: a 1x1x1 conv over one position
         b = GraphBuilder()
-        x = b.input((1, 4))
-        w = b.param("w", Tensor(np.zeros((3, 4), np.float32)))
+        x = b.input((1, 4, 1, 1, 1))
+        w = b.param("w", Tensor(np.zeros((3, 4, 1, 1, 1), np.float32)))
         bb = b.param("b", Tensor(np.zeros(3, np.float32)))
-        t = b.linear(x, w)
-        t = b.bias(t, bb, axis=-1)
+        t = b.conv3d(x, w)
+        t = b.bias(t, bb, axis=1)
         b.output(t)
         params, flops = count_params_flops(b.build())
         assert params == 15 and flops == 24

@@ -181,6 +181,22 @@ class TestFileSourceErrors:
         assert code == 2
         assert "raw size mismatch at byte offset 138239" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, width, height, nbytes", [
+        ("raw_rgb24", 0, 40, 0), ("raw_rgb24", -1, -1, 3), ("synthetic", 0, 40, None),
+    ], ids=["raw-zero-width", "raw-negative-size", "synthetic-zero-width"])
+    def test_frames_without_pixels_exit_2_at_load(self, tiny_config, tmp_path, capsys, kind, width, height, nbytes):
+        if kind == "raw_rgb24":
+            spec = {"kind": kind, "path": str(tmp_path / "v.rgb")}
+            (tmp_path / "v.rgb").write_bytes(b"\x00" * nbytes)
+            (tmp_path / "v.json").write_text(json.dumps({"width": width, "height": height, "frame_count": 1}))
+        else:
+            spec = {"kind": kind, "pattern": "noise", "frames": 24, "width": width, "height": height}
+        code = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "r.jsonl"),
+                     "--set", f"source={json.dumps(spec)}"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"config error: frames of {height}x{width} hold no pixels" in err, err
+
 
 class TestEval:
     def _records(self, tmp_path, scores):
@@ -215,6 +231,17 @@ class TestEval:
         labels.write_text("0,7\n1,1\n")
         assert main(["eval", "--records", str(records), "--labels", str(labels)]) == 2
         assert "snippet 0's label must be 0 or 1, got 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_run_n_below_1_exits_2(self, tmp_path, capsys, n):
+        # a run of n < 1 alerts is found in any video, so it would detect one with no alert
+        records = self._records(tmp_path, [0.1, 0.2])
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0,0\n1,1\n")
+        assert main(["eval", "--records", str(records), "--labels", str(labels),
+                     "--rule", "run-n", "--run-n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: run-n needs n >= 1, got {n}" in captured.err and not captured.out
 
 
 class TestTrain:
@@ -314,6 +341,27 @@ class TestConfigErrorsExit2:
         assert "anomaly_rows" in capsys.readouterr().err
 
 
+# `edgevad count` output, pinned: how a graph is built may change, its counts may not
+COUNT_OUTPUT = {
+    "desk": (
+        "profile: desk (FLOPs = 2 x multiply-accumulates, single clip [1,3,16,224,224]; head over 32 snippets)\n"
+        "component            params       flops/clip   published reference (informational)\n"
+        "extractor             8,072      138,686,464   34.582M / 38.272G\n"
+        "head                  3,657          246,272   24.719M / 3.461G\n"
+        "total                11,729      138,932,736   59.301M / 41.733G\n"
+        "per video (10 crops x 32 snippets): 44,458,475,520 flops\n"
+    ),
+    "full": (
+        "profile: full (FLOPs = 2 x multiply-accumulates, single clip [1,3,16,224,224]; head over 32 snippets)\n"
+        "component            params       flops/clip   published reference (informational)\n"
+        "extractor        37,650,304   71,316,553,728   34.582M / 38.272G\n"
+        "head             24,711,425    1,582,309,376   24.719M / 3.461G\n"
+        "total            62,361,729   72,898,863,104   59.301M / 41.733G\n"
+        "per video (10 crops x 32 snippets): 23,327,636,193,280 flops\n"
+    ),
+}
+
+
 class TestOptimizeAndCount:
     def test_optimize_dumps_graph_and_plan(self, tiny_config, tmp_path):
         graph_path = tmp_path / "graph.json"
@@ -363,6 +411,11 @@ class TestOptimizeAndCount:
         assert main(["count", "--profile", "desk"]) == 0
         out = capsys.readouterr().out
         assert "59.301M" in out and "41.733G" in out and "34.582M" in out
+
+    @pytest.mark.parametrize("profile", ["desk", "full"])
+    def test_count_output_pinned(self, capsys, profile):
+        assert main(["count", "--profile", profile]) == 0
+        assert capsys.readouterr().out == COUNT_OUTPUT[profile]
 
     def test_bench_deterministic_accounting(self, tiny_config, tmp_path, capsys):
         args = ["bench", "--config", str(tiny_config), "--repeats", "1",

@@ -96,6 +96,12 @@ class TestVideoVerdict:
         with pytest.raises(ValueError):
             video_verdict([])
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_run_n_below_1_rejected(self, n):
+        # a run of n < 1 alerts would be found in any video, alerts or not
+        with pytest.raises(ValueError, match=f"run-n needs n >= 1, got {n}"):
+            video_verdict(self._records([False, False]), rule="run-n", n=n)
+
     def test_monotone_in_scores(self):
         # raising any score can only turn detection on, never off
         alerts = [False, False, True, False]

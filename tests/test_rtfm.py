@@ -198,7 +198,8 @@ class TestLoss:
 
 
 def _loss_value(model, nb, ab, cfg, masks):
-    return rtfm_loss(model, nb, ab, cfg, masks=masks)[0]
+    """The objective's value, without the backward pass rtfm_loss adds."""
+    return float(rtfm.rtfm_objective(model, nb, ab, cfg, masks=masks)[0].value)
 
 
 def _fd_coord(model, nb, ab, cfg, masks, key, j, h):
@@ -419,9 +420,29 @@ class TestVideoScore:
         want = roc_auc([rtfm.video_anomaly_score(f, model, k=2) for f, _ in data], [y for _, y in data])
         built = []
         real = rtfm.head_graph
-        monkeypatch.setattr(rtfm, "head_graph", lambda m, t: built.append(t) or real(m, t))
+        monkeypatch.setattr(rtfm, "head_graph", lambda m, t, crops: built.append((crops, t)) or real(m, t, crops))
         assert rtfm.training_auc(model, data, k=2) == want
-        assert sorted(built) == [6, 8]
+        assert sorted(built) == [(1, 6), (1, 8)]
+
+
+HEAD_KINDS = {"conv3d", "bias_add", "relu", "nonlocal3d", "concat", "sigmoid"}
+
+
+def biased_model(seed, rng, model=None):
+    """RtfmModel(seed=seed) with random biases and attention output
+    projection, which are zero at init."""
+    model = model or RtfmModel(seed=seed)
+    for name, v in model.params.items():
+        if name.endswith("_b") or name == "tsa_o":
+            model.params[name] = rng.normal(scale=0.5, size=v.shape)
+    return model
+
+
+def head_input(feats):
+    """The [crops,D,T,1,1] head_graph input of [crops,T,D] features."""
+    from edgevad.tensor import Tensor
+
+    return Tensor(np.asarray(feats, np.float32).transpose(0, 2, 1)[..., None, None])
 
 
 class TestHeadGraph:
@@ -429,23 +450,53 @@ class TestHeadGraph:
     def test_graph_matches_autodiff_forward(self, seed):
         """head_graph on GraphRunner, plain and fused+planned, scores as the tape does."""
         from edgevad import graphopt as go
-        from edgevad.tensor import Tensor
 
         rng = np.random.default_rng(seed)
-        model = RtfmModel(seed=seed)
-        for name, v in model.params.items():
-            if name.endswith("_b") or name == "tsa_o":  # zero at init; make them count
-                model.params[name] = rng.normal(scale=0.5, size=v.shape)
+        model = biased_model(seed, rng)
         t = 32
         feats = rng.normal(size=(t, model.mstn.in_dim))
         g = rtfm.head_graph(model, t)
-        x = Tensor(feats.T.astype(np.float32))  # the graph takes channels-first [D,T]
+        assert {n.kind for n in g.nodes} == HEAD_KINDS
+        x = head_input(feats[None])
         plain = [o.data for o in go.GraphRunner(g).run(x)]
+        assert [p.shape for p in plain] == [(1, 1, t, 1, 1), (1, model.mstn.out_dim, t, 1, 1)]
         opt, plan = go.optimize(g, do_fuse=True, do_memplan=True)
-        assert {("conv1d", True), ("linear", True)} <= {(n.kind, n.attrs.get("relu", False)) for n in opt.nodes}
+        assert ("conv3d", True) in {(n.kind, n.attrs.get("relu", False)) for n in opt.nodes}
         fused = [o.data for o in go.GraphRunner(opt, plan).run(x)]
         temporal = tape_temporal(model, feats)
-        np.testing.assert_allclose(plain[0][:, 0], tape_scores(model, temporal), rtol=0, atol=1e-5)
-        np.testing.assert_allclose(plain[1], temporal, rtol=1e-6, atol=1e-5)
+        np.testing.assert_allclose(plain[0][0, 0, :, 0, 0], tape_scores(model, temporal), rtol=0, atol=1e-5)
+        np.testing.assert_allclose(plain[1][0, :, :, 0, 0].T, temporal, rtol=1e-6, atol=1e-5)
         for a, b in zip(fused, plain):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batched_crops_equal_per_crop_runs(self, seed, monkeypatch):
+        """One run over ten crops gives each crop the bits of its own run,
+        plain and fused+planned alike; _head_forward makes that one run."""
+        from edgevad import graphopt as go
+
+        rng = np.random.default_rng(50 + seed)
+        model = biased_model(seed, rng)
+        feats = rng.normal(size=(10, 12, model.mstn.in_dim))
+        g = rtfm.head_graph(model, 12, crops=10)
+        plain = [o.data for o in go.GraphRunner(g).run(head_input(feats))]
+        one = go.GraphRunner(rtfm.head_graph(model, 12))
+        for c in range(10):
+            for whole, alone in zip(plain, one.run(head_input(feats[c:c + 1]))):
+                np.testing.assert_array_equal(whole[c:c + 1], alone.data)
+        opt, plan = go.optimize(g, do_fuse=True, do_memplan=True)
+        for a, b in zip(go.GraphRunner(opt, plan).run(head_input(feats)), plain):
+            np.testing.assert_array_equal(a.data, b)
+        runs = []
+        real = go.GraphRunner.run
+        monkeypatch.setattr(go.GraphRunner, "run", lambda self, xs: runs.append(1) or real(self, xs))
+        scores, xs = rtfm._head_forward(feats, model)
+        assert len(runs) == 1
+        np.testing.assert_array_equal(scores, plain[0][:, 0, :, 0, 0])
+        np.testing.assert_array_equal(xs, plain[1][..., 0, 0].transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("field", ["kernel", "fuse_kernel"])
+    def test_even_kernel_rejected(self, field):
+        model = RtfmModel(mstn=MstnConfig(in_dim=8, branch_channels=4, out_dim=6, **{field: 2}))
+        with pytest.raises(ValueError, match="even kernel size k=2"):
+            rtfm.head_graph(model, 5)
