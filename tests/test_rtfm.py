@@ -428,10 +428,10 @@ class TestVideoScore:
 HEAD_KINDS = {"conv3d", "bias_add", "relu", "nonlocal3d", "concat", "sigmoid"}
 
 
-def biased_model(seed, rng, model=None):
+def biased_model(seed, rng):
     """RtfmModel(seed=seed) with random biases and attention output
     projection, which are zero at init."""
-    model = model or RtfmModel(seed=seed)
+    model = RtfmModel(seed=seed)
     for name, v in model.params.items():
         if name.endswith("_b") or name == "tsa_o":
             model.params[name] = rng.normal(scale=0.5, size=v.shape)
