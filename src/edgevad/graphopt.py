@@ -3,8 +3,9 @@
 A ComputeGraph is a static single-producer DAG of kernel nodes over tensor ids.
 Three passes mirror a deployment-engine builder: operator fusion
 (a conv3d -> bias -> relu chain becomes the conv3d with a bias and a `relu`
-attr, and a ten_crop -> conv3d chain the conv3d with the crop's `size` attr,
-reading the ten crops of its clip in place), precision lowering to emulated
+attr, a ten_crop -> conv3d chain the conv3d with the crop's `size` attr,
+reading the ten crops of its clip in place, and the convs below it the crops'
+shared boxes), precision lowering to emulated
 binary16, and static memory planning (lifetime analysis plus greedy best-fit
 offset assignment of node outputs and kernel scratch into one arena). Fusion
 adds no node kind: every kind is one entry of the op table `OPS`, whose ten
@@ -28,9 +29,8 @@ from .tensor import (
     F32,
     ShapeError,
     Tensor,
+    conv3d_io,
     conv3d_raw,
-    conv3d_shape,
-    conv3d_workspace_elems,
     maxpool3d_raw,
     maxpool3d_shape,
     nonlocal_raw,
@@ -166,16 +166,16 @@ class UnknownNodeKind(GraphError):
 class OpSpec:
     """One node kind. `run` writes into `out` (None when unplanned) where its
     kernel can; the runner copies any other result there. A kind whose `run`
-    adds an optional `b` param and applies ReLU when its `relu` attr is set
-    sets `bias_axis`, and fuse() folds `kind -> bias_add(bias_axis) -> relu`
-    into the node itself."""
+    adds an optional `b` param on its channel axis and applies ReLU when its
+    `relu` attr is set sets `bias`, and fuse() folds `kind -> bias_add ->
+    relu` into the node itself."""
 
     shape: Callable  # (input shapes, attrs, param shapes) -> output shape; ShapeError if inconsistent
     run: Callable  # (input arrays, param arrays, attrs, out, workspace) -> result
     macs: Callable = lambda out, ps: 0  # (output shape, param shapes) -> multiply-accumulates
     # (input shapes, output shape, attrs, param shapes) -> scratch floats, planned by plan_memory
     workspace: Callable = lambda xs, out, a, ps: 0
-    bias_axis: Optional[int] = None
+    bias: bool = False
 
 
 def _conv_geometry(a: dict) -> tuple:
@@ -183,22 +183,19 @@ def _conv_geometry(a: dict) -> tuple:
     return a["stride"], a["pad"], a.get("dilation", (1, 1, 1))
 
 
-def _conv3d_input(xs, a) -> tuple:
-    """The shape of what a conv3d node convolves: its input, or the crops of
-    its input clip when a folded ten_crop gave it a crop `size`."""
-    return ten_crop_shape(xs[0], a["size"], a.get("crops")) if "size" in a else tuple(xs[0])
+def _crop_attrs(a: dict) -> dict:
+    """The attrs that place a conv3d node's input in the crops of a clip."""
+    return {k: a[k] for k in ("size", "crops", "trunk") if k in a}
 
 
 def _conv3d(xs, p, a, out, ws):
     return conv3d_raw(xs[0], p["w"], p.get("b"), *_conv_geometry(a), relu=a.get("relu", False), out=out,
-                      workspace=ws, size=a.get("size"), crops=a.get("crops"))
+                      workspace=ws, boxed=a.get("boxed", False), **_crop_attrs(a))
 
 
-def _conv3d_workspace(xs, out, a, ps):
-    w = ps["w"]
-    stride, pad, dilation = _conv_geometry(a)
-    return conv3d_workspace_elems(xs[0], out, w[1], w[2:], pad, stride=stride, dilation=dilation,
-                                  size=a.get("size"), crops=a.get("crops"))
+def _conv3d_io(xs, a, ps) -> tuple:
+    """(output shape, scratch floats, plan) of a conv3d node (tensor.conv3d_io)."""
+    return conv3d_io(xs[0], ps["w"], ps.get("b"), *_conv_geometry(a), boxed=a.get("boxed", False), **_crop_attrs(a))
 
 
 def _weight_macs(out, ps):
@@ -207,17 +204,17 @@ def _weight_macs(out, ps):
 
 
 def _bias_shape(xs, a, ps):
-    x, b, axis = tuple(xs[0]), ps["b"], a["axis"]
-    if x[axis] != b[0]:
-        raise ShapeError(f"bias extent {b[0]} != input axis {axis} extent {x[axis]}")
+    x, b = tuple(xs[0]), ps["b"]
+    if a["axis"] != 1:
+        raise ShapeError(f"bias_add adds along the channel axis 1, got axis {a['axis']}")
+    if x[1] != b[0]:
+        raise ShapeError(f"bias extent {b[0]} != input channel extent {x[1]}")
     return x
 
 
 def _bias_add(xs, p, a, out, ws):
     x = xs[0]
-    shape = [1] * x.ndim
-    shape[a["axis"] % x.ndim] = p["b"].shape[0]
-    return np.add(x, p["b"].reshape(shape), out=out)
+    return np.add(x, p["b"].reshape((-1,) + (1,) * (x.ndim - 2)), out=out)
 
 
 def _same(xs, a, ps):
@@ -263,14 +260,15 @@ def _concat_shape(xs, a, ps):
 
 
 OPS: Dict[str, OpSpec] = {
-    # the kernel-backed kinds' shapes are their kernels' own rules (tensor.*_shape); a conv3d
-    # with a crop `size` (and optional "crops") attr reads those crops of its [C,L,H,W] clip input
-    "conv3d": OpSpec(lambda xs, a, ps: conv3d_shape(_conv3d_input(xs, a), ps["w"], ps.get("b"),
-                                                    *_conv_geometry(a)),
-                     _conv3d, _weight_macs, _conv3d_workspace, bias_axis=1),
+    # the kernel-backed kinds' shapes are their kernels' own rules (tensor.*_shape, conv3d_io); a
+    # conv3d with a crop `size` (and optional "crops") attr reads those crops of its [C,L,H,W] clip
+    # input, or with a "trunk" the flat boxes of an earlier "boxed" conv3d (tensor.conv3d_raw)
+    "conv3d": OpSpec(lambda xs, a, ps: _conv3d_io(xs, a, ps)[0], _conv3d, _weight_macs,
+                     lambda xs, out, a, ps: _conv3d_io(xs, a, ps)[1], bias=True),
     # an optional "crops" attr selects which of the ten crops the node yields, in order
     "ten_crop": OpSpec(lambda xs, a, ps: ten_crop_shape(xs[0], a["size"], a.get("crops")),
                        lambda xs, p, a, out, ws: ten_crop(xs[0], a["size"], a.get("crops"), out=out)),
+    # along the channel axis: its "axis" attr must be 1
     "bias_add": OpSpec(_bias_shape, _bias_add),
     "relu": OpSpec(_same, lambda xs, p, a, out, ws: np.maximum(xs[0], 0.0, out=out)),
     "sigmoid": OpSpec(_same, lambda xs, p, a, out, ws: 1.0 / (1.0 + np.exp(-xs[0]))),
@@ -413,13 +411,17 @@ def _sole_consumers(nodes: List[Node], outputs: Sequence[str]) -> Dict[str, int]
 
 
 def fuse(graph: ComputeGraph) -> ComputeGraph:
-    """Collapse `kind -> bias_add -> relu` chains, where `kind` has a bias axis
+    """Collapse `kind -> bias_add -> relu` chains, where `kind` takes a bias
     in the op table (conv3d does), the node has no bias yet and the
     intermediates have a single consumer, into the first node with the bias
     as its `b` param and a `"relu": True` attr. Then fold each `ten_crop`
     whose sole consumer is a conv3d into that conv3d, which gets the crop's
-    `size` (and `crops`) attrs and reads the crops in place. No node changes
-    kind, and fusing a fused graph again changes nothing. Semantics preserved
+    `size` (and `crops`) attrs and reads the crops in place; and carry the
+    crops' boxes down the trunk of convs below it: while a crop-reading
+    conv3d's sole consumer is a conv3d, the first gets a `"boxed": True` attr
+    and the second its crop attrs and a `trunk` (tensor.conv3d_raw), so the
+    crops are cut once, by the last conv of the trunk. No node changes kind,
+    and fusing a fused graph again changes nothing. Semantics preserved
     bitwise in F32."""
     sole = _sole_consumers(graph.nodes, graph.outputs)
 
@@ -433,10 +435,8 @@ def fuse(graph: ComputeGraph) -> ComputeGraph:
     for i, n in enumerate(graph.nodes):
         if i in skip:
             continue
-        axis = op_spec(n.kind).bias_axis
-        j = sole_consumer(n.output, "bias_add") if axis is not None and "b" not in n.params else None
-        ndim = len(graph.meta[n.output].shape)
-        if j is not None and graph.nodes[j].attrs["axis"] % ndim == axis % ndim:
+        j = sole_consumer(n.output, "bias_add") if op_spec(n.kind).bias and "b" not in n.params else None
+        if j is not None:
             nb = graph.nodes[j]
             k = sole_consumer(nb.output, "relu")
             if k is not None:
@@ -458,29 +458,41 @@ def fuse(graph: ComputeGraph) -> ComputeGraph:
             c = crops.pop(n.inputs[0])
             n = replace(n, name=f"{n.name}+{c.name}", inputs=c.inputs, attrs={**n.attrs, **c.attrs})
         folded.append(n)
-    new_nodes = folded
-    meta = {t: m for t, m in graph.meta.items() if t not in dead_tensors}
-    g = ComputeGraph(new_nodes, list(graph.inputs), list(graph.outputs), meta, dict(graph.params), graph.name)
-    g.validate()
+    sole = _sole_consumers(folded, graph.outputs)
+    for i, n in enumerate(folded):
+        j = sole.get(n.output)
+        if n.kind == "conv3d" and "size" in n.attrs and j is not None and folded[j].kind == "conv3d":
+            conv = (graph.params[n.params["w"]].shape, *_conv_geometry(n.attrs))
+            trunk = n.attrs.get("trunk", (graph.meta[n.inputs[0]].shape,)) + (conv,)
+            folded[i] = replace(n, attrs={**n.attrs, "boxed": True})
+            folded[j] = replace(folded[j], attrs={**folded[j].attrs, **_crop_attrs(n.attrs), "trunk": trunk})
+    return _reshaped(graph, folded, dict(graph.params), dead_tensors)
+
+
+def _reshaped(graph: ComputeGraph, nodes: List[Node], params: Dict[str, Tensor], dead=()) -> ComputeGraph:
+    """`graph` with `nodes` and `params` in place of its own, without the
+    tensors `dead`, and with every node's output shape inferred again."""
+    meta = {t: m for t, m in graph.meta.items() if t not in dead}
+    for n in nodes:
+        meta[n.output] = replace(meta[n.output], shape=_infer(n, [meta[t].shape for t in n.inputs],
+                                                              graph.param_shapes(n)))
+    g = ComputeGraph(nodes, list(graph.inputs), list(graph.outputs), meta, params, graph.name)
+    g.validate(infer_shapes=False)  # the loop above has just inferred them
     return g
 
 
 def select_crops(graph: ComputeGraph, crops: Sequence[int]) -> ComputeGraph:
     """`graph` with its ten-crop nodes (those with a crop `size` attr:
-    `ten_crop`, and each conv3d that fuse() gave a ten_crop) yielding only
-    `crops`, indices into the ten crops, in that order, and every shape
-    inferred again. The parameters are shared, not copied. The rows of the
-    result are the matching rows of `graph`'s, bit for bit: every kernel runs
-    one batch item at a time."""
+    `ten_crop`, and each conv3d of a trunk that fuse() gave a ten_crop)
+    yielding only `crops`, indices into the ten crops, in that order, and
+    every shape inferred again. The parameters are shared, not copied. The
+    rows of the result are the matching rows of `graph`'s, bit for bit: every
+    kernel but the trunk's convs runs one batch item at a time, and those
+    give each crop the bits of its own conv in whichever box or strip
+    (tensor.GEMM_COLS)."""
     crops = tuple(crops)
-    nodes = [replace(n, attrs={**n.attrs, "crops": crops}) if "size" in n.attrs else n for n in graph.nodes]
-    meta = dict(graph.meta)
-    for n in nodes:
-        meta[n.output] = replace(meta[n.output], shape=_infer(n, [meta[t].shape for t in n.inputs],
-                                                              graph.param_shapes(n)))
-    g = ComputeGraph(nodes, list(graph.inputs), list(graph.outputs), meta, graph.params, graph.name)
-    g.validate(infer_shapes=False)  # the loop above has just inferred them
-    return g
+    return _reshaped(graph, [replace(n, attrs={**n.attrs, "crops": crops}) if "size" in n.attrs else n
+                             for n in graph.nodes], graph.params)
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +612,13 @@ def plan_memory(graph: ComputeGraph) -> MemoryPlan:
 class GraphRunner:
     """Reusable executor: with a plan, its arena is allocated once as `pool`
     and reused across calls (ahead-of-time static memory). Each node writes
-    into its output slot where its kernel can, and conv and non-local nodes
-    keep their scratch in theirs; scratch is one zero-padded input window
-    (the planes and rows one slab reads), one column slab (at most
-    tensor.COL_SLAB_BYTES) and one slab of GEMM output per conv, sized for
-    the largest box a crop-reading conv shares between crops, and one
-    item's [P,P] logits per non-local block. Without a plan, nodes allocate
-    fresh. One runner serves one execution context; calls are not
+    into its output slot where its kernel can (a boxed conv its flat boxes
+    and strips), and conv and non-local nodes keep their scratch in theirs;
+    scratch is one zero-padded input window (the planes and rows one slab
+    reads), one column slab (at most tensor.COL_SLAB_BYTES) and one slab of
+    GEMM output per conv, sized for the largest box or strip a conv of the
+    crops' trunk runs, and one item's [P,P] logits per non-local block.
+    Without a plan, nodes allocate fresh. One runner serves one execution context; calls are not
     thread-safe. So `run_pipeline` gives each crop half (`select_crops`) its
     own runner, and with it its own arena, on its own thread."""
 

@@ -42,13 +42,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# Clips that may wait, built, for the extractor behind the one it is running.
-# A deeper queue bought no measured fps on a 2-CPU box; each clip costs memory.
-QUEUE_CAPACITY = 4
+# Clips that may wait, built, for the extractor behind the one it is running,
+# beyond the one each preprocess worker builds meanwhile. On a 2-CPU box depth 0
+# cost no fps beyond noise against 4, and each clip costs memory; but a source
+# that stalls then stalls the extractor after one clip.
+QUEUE_CAPACITY = 0
 
 # Each clip's ten crops as two halves, extracted at once on two threads: the
 # base crops 0-4, and their mirrors 5-9, which read the clip reversed along W.
-# The crops of one orientation share the stem's box convs (tensor.conv3d_raw).
+# The crops of one orientation share the box convs of the trunk from the stem
+# to the non-local block (tensor.conv3d_raw), which cuts the crops once.
 CROP_HALVES = ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))
 
 

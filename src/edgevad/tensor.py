@@ -6,7 +6,8 @@ executor (`graphopt.OPS`) is its caller. Each `*_shape` function is the shape
 rule of its kernel, checked by both the kernel and the graph. `conv3d_raw` is
 the one conv3d kernel: given a crop `size`, it convolves the ten crops of an
 uncropped clip without materializing them, once per union box of the crops
-that share an orientation and a stride phase. Its GEMMs round their column
+that share an orientation and a stride phase, and the boxes can carry on
+through a trunk of convs. Its GEMMs round their column
 counts up to GEMM_COLS, so each output column has the same bits in any slab
 or box. A Tensor is an immutable float32 array with a precision tag. F16 is
 emulated: values are rounded through IEEE binary16 on construction, and the
@@ -16,6 +17,7 @@ deterministic and hardware-independent.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -147,16 +149,17 @@ def _crop_origins(hw: tuple, size: int, crops: Optional[Sequence[int]]) -> list:
     return [(k >= 5, *origins[k]) for k in (range(10) if crops is None else crops)]
 
 
-def _border(c: int, box: int, size: int, k: int, s: int, p: int, d: int) -> tuple:
+def _border(c: int, box: int, size: int, k: int, s: int, p: int, d: int, dirt: tuple) -> tuple:
     """Along one axis, for a crop of `size` entries at offset `c` (a multiple
-    of the stride `s`) in a box of `box` entries, convolved with `k` taps at
-    pad `p` and dilation `d`: the crop outputs [lo, hi) that the box gives,
-    and a (start, extent, (a, b)) per strip of crop entries [start, start +
-    extent) that gives the crop outputs [a, b) whose taps reach past an edge
-    of the crop where the box holds more input."""
+    of the stride `s`) in a box of `box` entries, whose leading and trailing
+    `dirt` entries may differ from the box's, convolved with `k` taps at pad
+    `p` and dilation `d`: the crop outputs [lo, hi) that the box gives, and a
+    (start, extent, (a, b)) per strip of crop entries [start, start + extent)
+    that gives the crop outputs [a, b) whose taps reach a dirty entry, or
+    past an edge of the crop where the box holds more input."""
     o = (size + 2 * p - (k - 1) * d - 1) // s + 1
-    lo = min(o, -(-p // s)) if c else 0
-    hi = max(lo, min(o, -(-(size + p - (k - 1) * d) // s))) if c + size < box else o
+    lo = min(o, -(-(p + dirt[0]) // s)) if c or dirt[0] else 0
+    hi = max(lo, min(o, -(-(size - dirt[1] + p - (k - 1) * d) // s))) if c + size < box or dirt[1] else o
     strips = [(0, max(1, min(size, s * (lo - 1) - p + (k - 1) * d + 1)), (0, lo))] if lo else []
     if hi < o:
         start = max(0, s * hi - p) // s * s
@@ -186,106 +189,151 @@ def _conv3d_scratch(item: tuple, out: tuple, taps: tuple, pad: tuple, stride: Op
     return window, (planes, rows), math.prod(window), k * n, o * n if spill else 0
 
 
-def _conv3d_plan(x_shape: tuple, out_shape: tuple, taps: tuple, stride: Optional[tuple], pad: tuple,
-                 dilation: Optional[tuple], size: Optional[int] = None, crops: Optional[Sequence[int]] = None) -> tuple:
-    """The boxes conv3d_raw convolves, and the most floats of window, column
-    slab and GEMM output one box needs. A box is (view, (y, x, h, w), dests,
-    its [O,od,oh,ow] outputs, whether it is one whole output item, its
-    _conv3d_scratch): [..., y:y+h, x:x+w] of batch item `view`, or with a
-    crop `size` of the clip (reversed along W when `view` is True). Each
-    (item, (Y, X), (i0, i1, j0, j1)) of dests takes the item's output rows
-    [i0, i1) and columns [j0, j1), [i, j] being the box's output [i+Y, j+X].
-    The crops of one orientation whose origins share a phase of the H and W
-    strides are one box, their hull, and the outputs whose taps reach a
-    crop's border inside it come from strips of that crop, one box each
-    (see _border)."""
-    oh, ow = out_shape[3:]
-    if size is None:
-        boxes = [(i, (0, 0, *x_shape[-2:]), [(i, (0, 0), (0, oh, 0, ow))]) for i in range(x_shape[0])]
+@functools.lru_cache(maxsize=64)
+def _conv3d_plan(x_shape: Optional[tuple], w_shape: tuple, stride: tuple, pad: tuple, dilation: tuple,
+                 size: Optional[int], crops: Optional[tuple], trunk: Optional[tuple], boxed: bool,
+                 slab_bytes: int) -> tuple:
+    """How conv3d_raw convolves, from its arguments' shapes (`x_shape` only
+    for a batch; `slab_bytes` is the COL_SLAB_BYTES that cut the slabs): (its
+    entries; the most floats of window, column slab and GEMM output that one
+    entry needs; the [N,O,od,oh,ow] shape of its items' outputs; the shapes
+    of a `trunk` input's pieces; a `boxed` output's layout, the shapes of its
+    pieces and its items).
+
+    An item (batch item or crop) is (its box, (Y, X), sources, its (rows,
+    columns) dirt): its entries are its box's from (Y, X) on, but for its
+    leading and trailing dirt, which its other sources hold. Each (src, (Y,
+    X), (i0, i1, j0, j1)) of sources holds entries [i0, i1) x [j0, j1) as
+    src[..., i+Y, j+X], src indexing the batch, the clip and its mirror, or
+    the pieces. The items of one box whose offsets share a phase of the H and
+    W strides are one entry, their hull; the outputs whose taps reach an
+    item's border or dirt inside the hull come from strips of the item, one
+    entry each (see _border). An entry is (sources, its input [C,D,H,W],
+    dests, its [O,od,oh,ow] outputs, whether it is one whole output item or
+    piece, its _conv3d_scratch); each (item, (Y, X), (i0, i1, j0, j1)) of
+    dests takes the item's outputs [i0, i1) x [j0, j1) as the entry's
+    [i+Y, j+X]. A `boxed` output keeps each entry's outputs, one piece each."""
+    if size is not None and len(trunk) > 1:
+        _, _, in_shape, _, (pieces, items) = _conv3d_plan(None, *trunk[-1], size, crops, trunk[:-1], True, slab_bytes)
     else:
-        sh, sw = stride[1:]
-        groups: dict = {}
-        for item, (m, y, x) in enumerate(_crop_origins(x_shape[-2:], size, crops)):
-            groups.setdefault((m, y % sh, x % sw), (m, []))[1].append((item, y, x))
-        boxes, strips = [], []
-        for m, group in groups.values():
-            y0, x0 = min(y for _, y, _ in group), min(x for _, _, x in group)
-            h, w = max(y for _, y, _ in group) + size - y0, max(x for _, _, x in group) + size - x0
-            dests = []
-            for item, y, x in group:
-                (i0, i1), rows = _border(y - y0, h, size, taps[2], sh, pad[1], dilation[1])
-                (j0, j1), cols = _border(x - x0, w, size, taps[3], sw, pad[2], dilation[2])
-                dests.append((item, ((y - y0) // sh, (x - x0) // sw), (i0, i1, j0, j1)))
-                strips += [(m, (y + s, x, e, size), [(item, (-s // sh, 0), (a, b, 0, ow))]) for s, e, (a, b) in rows]
-                strips += [(m, (y, x + s, size, e), [(item, (0, -s // sw), (0, oh, a, b))]) for s, e, (a, b) in cols]
-            boxes.append((m, (y0, x0, h, w), dests))
-        boxes += strips
-    item_hw = tuple(x_shape[-2:]) if size is None else (size, size)
-    geometry: dict = {}  # (box extent, whole) -> (outputs, scratch): most boxes share one
-    plan = []
-    for view, box, dests in boxes:
-        whole = len(dests) == 1 and box[2:] == item_hw  # the box is that item
-        if (box[2:], whole) not in geometry:
-            item = (taps[0], x_shape[-3], *box[2:])
-            out = out_shape[1:] if stride is None else \
-                (out_shape[1],) + _window("conv3d", item[1:], taps[1:], stride, pad, dilation)
-            geometry[box[2:], whole] = out, _conv3d_scratch(item, out, taps, pad, stride, dilation, whole)
-        plan.append((view, box, dests, geometry[box[2:], whole][0], whole, geometry[box[2:], whole][1]))
-    return plan, [max(scratch[i] for _, scratch in geometry.values()) for i in (2, 3, 4)]
+        in_shape, pieces = x_shape if size is None else ten_crop_shape(trunk[0], size, crops), None
+    out_shape = conv3d_shape(in_shape, w_shape, None, stride, pad, dilation)
+    (sh, sw), (ph, pw), (dh, dw), (eh, ew), (oh, ow) = stride[1:], pad[1:], dilation[1:], in_shape[3:], out_shape[3:]
+    if pieces is None:
+        origins = [(i, 0, 0) for i in range(in_shape[0])] if size is None else \
+            _crop_origins(trunk[0][-2:], size, crops)
+        items = [(b, (y, x), ((b, (y, x), (0, eh, 0, ew)),), ((0, 0), (0, 0))) for b, y, x in origins]
+    groups: dict = {}
+    for k, (box, (y, x), _, _) in enumerate(items):
+        groups.setdefault((box, y % sh, x % sw), []).append(k)
+    entries, strips = [], []
+    for (box, _, _), group in groups.items():
+        y0, x0 = min(items[k][1][0] for k in group), min(items[k][1][1] for k in group)
+        h, w = max(items[k][1][0] for k in group) + eh - y0, max(items[k][1][1] for k in group) + ew - x0
+        dests = []
+        for k in group:
+            _, (y, x), src, (rows_dirt, cols_dirt) = items[k]
+            (i0, i1), rows = _border(y - y0, h, eh, w_shape[3], sh, ph, dh, rows_dirt)
+            (j0, j1), cols = _border(x - x0, w, ew, w_shape[4], sw, pw, dw, cols_dirt)
+            dests.append((k, ((y - y0) // sh, (x - x0) // sw), (i0, i1, j0, j1)))
+            # a strip reads the item's own entries: its sources, moved to the strip's origin
+            strips += [(tuple((p, (Y + s, X), (a0 - s, a1 - s, b0, b1)) for p, (Y, X), (a0, a1, b0, b1) in src),
+                        (e, ew), [(k, (-s // sh, 0), (a, b, 0, ow))]) for s, e, (a, b) in rows]
+            strips += [(tuple((p, (Y, X + s), (a0, a1, b0 - s, b1 - s)) for p, (Y, X), (a0, a1, b0, b1) in src),
+                        (eh, e), [(k, (0, -s // sw), (0, oh, a, b))]) for s, e, (a, b) in cols]
+        entries.append((((box, (y0, x0), (0, h, 0, w)),), (h, w), dests))
+    geometry: dict = {}  # (entry extent, whole) -> (outputs, scratch): most entries share one
+    plan, held = [], [[] for _ in items]
+    for e, (src, hw, dests) in enumerate(entries + strips):
+        whole = boxed or (len(dests) == 1 and hw == (eh, ew))  # a piece, or the entry is that item
+        item = (w_shape[1], in_shape[2], *hw)
+        if (hw, whole) not in geometry:
+            out = (w_shape[0],) + _window("conv3d", item[1:], w_shape[2:], stride, pad, dilation)
+            geometry[hw, whole] = out, _conv3d_scratch(item, out, w_shape[1:], pad, stride, dilation, whole)
+        out, scratch = geometry[hw, whole]
+        for k, at, region in dests:
+            held[k].append((e, at, region))
+        plan.append((src, item, [(e, (0, 0), (0, out[2], 0, out[3]))] if boxed else dests, out, whole, scratch))
+    # each item's first source is its box, the entry of its group
+    layout = (tuple(out for *_, out, _, _ in plan),
+              tuple((s[0][0], s[0][1], tuple(s), ((s[0][2][0], oh - s[0][2][1]), (s[0][2][2], ow - s[0][2][3])))
+                    for s in held))
+    need = tuple(max(scratch[i] for _, scratch in geometry.values()) for i in (2, 3, 4))
+    return tuple(plan), need, out_shape, pieces, layout if boxed else None
+
+
+def conv3d_io(x_shape: tuple, w_shape: tuple, b_shape: Optional[tuple], stride: tuple, pad: tuple,
+              dilation: tuple, size: Optional[int] = None, crops: Optional[Sequence[int]] = None,
+              trunk: Optional[tuple] = None, boxed: bool = False) -> tuple:
+    """(the shape of conv3d_raw's `out`, the scratch floats it wants, its
+    _conv3d_plan) on an input of shape `x_shape`, a weight of shape `w_shape`
+    and a bias of shape `b_shape` (None without one); ShapeError where
+    conv3d_raw rejects them."""
+    plan = _conv3d_plan(None if size is not None else tuple(x_shape), tuple(w_shape), tuple(stride), tuple(pad),
+                        tuple(dilation), size, None if crops is None else tuple(crops),
+                        None if size is None else trunk or (tuple(x_shape),), boxed, COL_SLAB_BYTES)
+    _bias(w_shape[0], b_shape)
+    if plan[3] is not None and tuple(x_shape) != (sum(math.prod(s) for s in plan[3]),):
+        raise ShapeError(f"conv3d trunk input must be its {len(plan[3])} pieces, flat, got {tuple(x_shape)}")
+    return (sum(math.prod(s) for s in plan[4][0]),) if boxed else plan[2], sum(plan[1]), plan
 
 
 def conv3d_workspace_elems(in_shape: tuple, out_shape: tuple, c: int, kernel: tuple, pad: tuple, *,
                            stride: Optional[tuple] = None, dilation: Optional[tuple] = None,
                            size: Optional[int] = None, crops: Optional[Sequence[int]] = None) -> int:
-    """Scratch floats conv3d_raw wants (see _conv3d_plan): the exact need
-    given the conv's `stride` and `dilation`, and without them an upper bound
-    with the whole padded item as the window. With a crop `size` (which needs
-    both), `in_shape` is the [C,L,H,W] clip of the crops `crops`. The column
-    slab is at most COL_SLAB_BYTES unless one output row alone is larger;
-    nothing grows with N."""
-    return sum(_conv3d_plan(in_shape, out_shape, (c, *kernel), stride, pad, dilation, size, crops)[1])
+    """Scratch floats conv3d_raw wants (see conv3d_io) for an output of
+    `out_shape` [N,O,od,oh,ow]: the exact need given the conv's `stride` and
+    `dilation`, and without them an upper bound with the whole padded item
+    as the window. With a crop `size` (which needs both), `in_shape` is the
+    [C,L,H,W] clip of the crops `crops`. The column slab is at most
+    COL_SLAB_BYTES unless one output row alone is larger; nothing grows with
+    N."""
+    if stride is None or dilation is None:
+        return sum(_conv3d_scratch((c, *in_shape[-3:]), tuple(out_shape[1:]), (c, *kernel), pad)[2:])
+    return conv3d_io(in_shape, (out_shape[1], c, *kernel), None, stride, pad, dilation, size, crops)[1]
 
 
-def _fill_window(win: np.ndarray, src: np.ndarray, starts: tuple, reads: tuple, pad: tuple) -> None:
+def _fill_window(win: np.ndarray, views, sources: tuple, extent: tuple, starts: tuple, reads: tuple,
+                 pad: tuple) -> None:
     """win[:, :nd, :nh] = the `reads` (nd, nh) planes and rows from padded
-    index `starts` of src [C,D,H,W] zero-padded by `pad`; the W border of
+    index `starts` of an input of `extent` [D,H,W] zero-padded by `pad`,
+    whose `sources` hold it in `views` (see _conv3d_plan); the W border of
     `win` is zero already."""
-    into, src_box = [slice(None)], [slice(None)]
-    for axis, (start, n, p, size) in enumerate(zip(starts, reads, pad, src.shape[1:3]), 1):
+    held = []
+    for axis, (start, n, p, size) in enumerate(zip(starts, reads, pad, extent), 1):
         lo = min(n, max(0, p - start))  # entries [lo, hi) of the n read hold input, the rest padding
         hi = max(lo, min(n, p + size - start))
         for a, e in ((0, lo), (hi, n)):
             if a < e:
                 win[(slice(None),) * axis + (slice(a, e),)] = 0.0
-        into.append(slice(lo, hi))
-        src_box.append(slice(start - p + lo, start - p + hi))
-    win[(*into, slice(pad[2], pad[2] + src.shape[3]))] = src[tuple(src_box)]
+        held.append((start - p, lo, hi))  # window index i holds input index i + start - p
+    (dz, z0, z1), (dr, r0, r1) = held
+    for src, (y, x), (i0, i1, j0, j1) in sources:
+        a, e, j0, j1 = max(i0, r0 + dr), min(i1, r1 + dr), max(j0, 0), min(j1, extent[2])
+        if a < e and j0 < j1:
+            win[:, z0:z1, a - dr:e - dr, pad[2] + j0:pad[2] + j1] = \
+                views[src][:, z0 + dz:z1 + dz, a + y:e + y, j0 + x:j1 + x]
 
 
-def _conv3d_box(src, out, dests, whole, win, col, acc, wmat, taps, box_out, slab, stride, pad, dilation) -> None:
-    """The box src [C,D,H,W] convolved into its outputs `box_out`
+def _conv3d_box(views, sources, item, out, dests, whole, win, taps, col, acc, wmat, box_out, stride, pad,
+                dilation) -> None:
+    """The entry (see _conv3d_plan) whose `sources` in `views` hold its
+    input `item` [C,D,H,W], convolved into its outputs `box_out`
     [O,od,oh,ow] one column slab at a time: the slab's input zero-padded
-    into `win`, its taps into `col`, its GEMM into `acc`, whence each dest
-    (see _conv3d_plan) copies its part into `out`; or, needing no rounding,
-    the GEMM straight into the columns of a `whole` item."""
+    into `win`, its `taps` (a view of `win`) into `col`, its GEMM into
+    `acc`, whence each dest copies its part into `out`; or, needing no
+    rounding, the GEMM straight into the columns of a `whole` item."""
     o, od, oh, ow = box_out
-    c, kd, kh, kw = taps
     k = wmat.shape[1]
-    sd, sh, sw = stride
-    dd, dh, dw = dilation
-    planes, rows = slab
-    # every tap of every output position of one slab as one read-only strided view of the window:
-    # tap (a,e,f) of output (z,y,x) reads win[:, a*dd + z*sd, e*dh + y*sh, f*dw + x*sw]
-    s_c, s_d, s_h, s_w = win.strides
-    taps_view = as_strided(win, (c, kd, kh, kw, planes, rows, ow),
-                           (s_c, s_d * dd, s_h * dh, s_w * dw, s_d * sd, s_h * sh, s_w * sw), writeable=False)
+    planes, rows = taps.shape[4:6]
     for z in range(0, od, planes):
         for r in range(0, oh, rows):
             pz, pr = min(planes, od - z), min(rows, oh - r)
-            _fill_window(win, src, (z * sd, r * sh), _reads((pz, pr), (kd, kh), stride, dilation), pad)
+            _fill_window(win, views, sources, item[1:], (z * stride[0], r * stride[1]),
+                         _reads((pz, pr), taps.shape[1:3], stride, dilation), pad)
             n = pz * pr * ow
             cols = col[:k * _gemm_cols(n)].reshape(k, -1)
-            np.copyto(cols[:, :n].reshape(c, kd, kh, kw, pz, pr, ow), taps_view[..., :pz, :pr, :])
+            np.copyto(cols[:, :n].reshape(*taps.shape[:4], pz, pr, ow), taps[..., :pz, :pr, :])
             if n < cols.shape[1]:
                 cols[:, n:] = 0.0  # spare columns, whose outputs are dropped: zeros keep them finite
             elif whole:
@@ -294,10 +342,10 @@ def _conv3d_box(src, out, dests, whole, win, col, acc, wmat, taps, box_out, slab
                 np.matmul(wmat, cols, out=out[dests[0][0]].reshape(o, -1)[:, start:start + n])
                 continue
             res = np.matmul(wmat, cols, out=acc[:o * cols.shape[1]].reshape(o, -1))[:, :n].reshape(o, pz, pr, ow)
-            for item, (y, x), (i0, i1, j0, j1) in dests:
+            for dest, (y, x), (i0, i1, j0, j1) in dests:
                 a, e = max(i0, r - y), min(i1, r + pr - y)
                 if a < e:
-                    out[item, :, z:z + pz, a:e, j0:j1] = res[:, :, a + y - r:e + y - r, j0 + x:j1 + x]
+                    out[dest][:, z:z + pz, a:e, j0:j1] = res[:, :, a + y - r:e + y - r, j0 + x:j1 + x]
 
 
 def conv3d_raw(
@@ -312,6 +360,8 @@ def conv3d_raw(
     workspace: Optional[np.ndarray] = None,
     size: Optional[int] = None,
     crops: Optional[Sequence[int]] = None,
+    trunk: Optional[tuple] = None,
+    boxed: bool = False,
 ) -> np.ndarray:
     """Direct 3-D cross-correlation with zero padding on [N,C,D,H,W] input,
     or, given a crop `size`, on the `size` crops `crops` of a [C,D,H,W] clip.
@@ -341,40 +391,64 @@ def conv3d_raw(
     _border). So the result equals conv3d_raw(ten_crop(x, size, crops)) bit
     for bit.
 
-    `workspace` (flat float32, at least conv3d_workspace_elems) holds the
-    window, one column slab and one slab of GEMM output, so repeated calls
-    allocate nothing; one is allocated when it is not given. `out`, when
-    given, must be a C-contiguous [N,O,od,oh,ow] float32 array (N the number
-    of crops with `size`). Values do not depend on either.
+    The boxes can span a trunk of convs. With `boxed`, the output is flat:
+    each box's and strip's outputs whole, one piece each, where a crop's
+    outputs are its box's but for its dirt, the outputs its strips give.
+    With `trunk` (the [C,L,H,W] clip, then each earlier conv of the trunk as
+    (weight shape, stride, pad, dilation)), `x` is that flat output of the
+    trunk's last conv. Each box of this conv is then the hull of its crops
+    in their box of the last conv, and each strip reads its crop's own
+    entries, from its box and its dirt. So the last conv of a trunk gives
+    the crops that the same convs give on ten_crop(clip) bit for bit.
+
+    `workspace` (flat float32, at least conv3d_io's) holds the window, one
+    column slab and one slab of GEMM output, so repeated calls allocate
+    nothing; one is allocated when it is not given. `out`, when given, must
+    be a C-contiguous float32 array of conv3d_io's shape: [N,O,od,oh,ow] (N
+    the number of crops with `size`), or flat with `boxed`. Values do not
+    depend on either.
     """
-    shape = x.shape if size is None else ten_crop_shape(x.shape, size, crops)
-    out_shape = conv3d_shape(shape, w.shape, None if b is None else b.shape, stride, pad, dilation)
+    shape, _, (plan, need, _, pieces, layout) = conv3d_io(x.shape, w.shape, None if b is None else b.shape, stride,
+                                                          pad, dilation, size, crops, trunk, boxed)
     if out is None:
-        out = np.empty(out_shape, dtype=np.float32)
-    elif out.shape != out_shape or not out.flags.c_contiguous:
-        raise ShapeError(f"conv3d out must be C-contiguous {out_shape}, got {out.shape}")
-    plan, need = _conv3d_plan(x.shape, out_shape, w.shape[1:], stride, pad, dilation, size, crops)
+        out = np.empty(shape, dtype=np.float32)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ShapeError(f"conv3d out must be C-contiguous {shape}, got {out.shape}")
     if workspace is None:
         workspace = np.empty(sum(need), dtype=np.float32)
     elif workspace.size < sum(need):
         raise ShapeError(f"conv3d workspace holds {workspace.size} floats, needs {sum(need)}")
     col, acc = workspace[need[0]:need[0] + need[1]], workspace[need[0] + need[1]:sum(need)]
     wmat = w.reshape(w.shape[0], -1)  # K runs (c,kd,kh,kw), as the column slab's rows do
-    views = x if size is None else (x, x[..., ::-1])
-    win = workspace[:0]  # the first box gives the window its shape
-    for view, (y, x0, h, wd), dests, box_out, whole, (window, slab, *_) in plan:
+    views = x if size is None else (x, x[..., ::-1]) if pieces is None else _pieces(x, pieces)
+    dst = _pieces(out, layout[0]) if boxed else out
+    (sd, sh, sw), (dd, dh, dw) = stride, dilation
+    win = taps = workspace[:0]  # the first entry gives the window its shape
+    for sources, item, dests, box_out, whole, (window, slab, *_) in plan:
         if win.shape != window:
             win = workspace[:math.prod(window)].reshape(window)
             # zero the W border, which stays zero; each slab fills or zeroes the planes and rows it reads
             win[..., :pad[2]] = 0.0
             win[..., window[3] - pad[2]:] = 0.0
-        _conv3d_box(views[view][..., y:y + h, x0:x0 + wd], out, dests, whole, win, col, acc, wmat, w.shape[1:],
-                    box_out, slab, stride, pad, dilation)
+            # the window's shape fixes the slab's (planes, rows) and ow, so one view of it serves each slab:
+            # tap (a,e,f) of output (z,y,x) reads win[:, a*dd + z*sd, e*dh + y*sh, f*dw + x*sw]
+            s_c, s_d, s_h, s_w = win.strides
+            taps = as_strided(win, (*w.shape[1:], *slab, box_out[3]),
+                              (s_c, s_d * dd, s_h * dh, s_w * dw, s_d * sd, s_h * sh, s_w * sw), writeable=False)
+        _conv3d_box(views, sources, item, dst, dests, whole, win, taps, col, acc, wmat, box_out, stride, pad,
+                    dilation)
     if b is not None:
-        out += b[:, None, None, None]
+        for part in dst if boxed else (out,):
+            part += b[:, None, None, None]
     if relu:
         np.maximum(out, 0.0, out=out)
     return out
+
+
+def _pieces(flat: np.ndarray, shapes: tuple) -> list:
+    """Views of consecutive parts of the flat `flat`, one per shape of `shapes`."""
+    ends = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
+    return [flat[a:e].reshape(s) for a, e, s in zip(ends, ends[1:], shapes)]
 
 
 def ten_crop_shape(clip: tuple, size: int, crops: Optional[Sequence[int]] = None) -> tuple:

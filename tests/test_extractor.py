@@ -250,19 +250,27 @@ class TestRunnerMemory:
         # what is left is small per-item temporaries
         assert peak < 1 * MIB
 
-    def test_planned_clip_halves_make_no_large_allocation(self):
-        # the crop halves run_pipeline runs: the clip-input graph _startup builds, whose stem
-        # convolves each orientation's crops as shared boxes in planned scratch
-        graph = pl._startup(pl.PipelineConfig(source=DEFAULT_SOURCE))[1]
+    # the default 64x64 source (desk_default) and a 320x180 one (ppm_long), whose phase groups split
+    @pytest.mark.parametrize("width, height", [(64, 64), (320, 180)])
+    def test_planned_clip_halves_make_no_large_allocation(self, width, height):
+        # the crop halves run_pipeline runs: the clip-input graph _startup builds, whose trunk of
+        # convs convolves each orientation's crops as shared boxes, in planned scratch
+        source = {**DEFAULT_SOURCE, "width": width, "height": height}
+        graph = pl._startup(pl.PipelineConfig(source=source))[1]
         x = Tensor(np.random.default_rng(16).standard_normal(graph.meta[graph.inputs[0]].shape, dtype=np.float32))
+        rows = go.execute(graph, x)[0].data
         for crops in pl.CROP_HALVES:
             g = go.select_crops(graph, crops)
             plan = go.plan_memory(g)
-            stem = g.nodes[0]
-            w = g.params[stem.params["w"]].shape
-            assert stem.attrs["crops"] == crops and plan.elems[go.scratch_id(stem)] == tc.conv3d_workspace_elems(
-                x.shape, g.meta[stem.output].shape, w[1], w[2:], stem.attrs["pad"], stride=stem.attrs["stride"],
-                dilation=(1, 1, 1), size=stem.attrs["size"], crops=crops)
+            trunk = [n for n in g.nodes if "size" in n.attrs]
+            assert [n.attrs.get("boxed", False) for n in trunk] == [True, True, False]
+            for n in trunk:
+                w, b = (g.params[n.params[k]].shape for k in ("w", "b"))
+                shape, need, _ = tc.conv3d_io(g.meta[n.inputs[0]].shape, w, b, n.attrs["stride"], n.attrs["pad"],
+                                           n.attrs["dilation"], n.attrs["size"], crops, n.attrs.get("trunk"),
+                                           n.attrs.get("boxed", False))
+                assert n.attrs["crops"] == crops and plan.elems[go.scratch_id(n)] == need
+                assert g.meta[n.output].shape == shape
             runner = go.GraphRunner(g, plan)
             warm = runner.run(x)[0].data
             tracemalloc.start()
@@ -272,4 +280,5 @@ class TestRunnerMemory:
             finally:
                 tracemalloc.stop()
             np.testing.assert_array_equal(again, warm)
+            np.testing.assert_array_equal(again, rows[list(crops)])
             assert peak < 1 * MIB

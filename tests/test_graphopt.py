@@ -190,6 +190,17 @@ class TestShapeRules:
         with pytest.raises(GraphError, match=f"node {conv.name}: conv3d {phrase}"):
             g.validate()
 
+    @pytest.mark.parametrize("axis", [0, 2, -4, -1])
+    def test_bias_add_takes_the_channel_axis_only(self, axis):
+        g, _ = tiny_conv_chain(13)
+        b = GraphBuilder()
+        with pytest.raises(GraphError, match=f"^node bias: bias_add adds along the channel axis 1, got axis {axis}$"):
+            b.bias(b.input((1, 3, 2, 4, 4)), b.param("b", Tensor(np.zeros(3, np.float32))), axis=axis, name="bias")
+        i = [n.kind for n in g.nodes].index("bias_add")
+        g.nodes[i] = dataclasses.replace(g.nodes[i], attrs={"axis": axis})
+        with pytest.raises(GraphError, match=f"node {g.nodes[i].name}: bias_add adds along the channel axis 1"):
+            g.validate()
+
 
 def fused_relu(g, kind):
     """How many `kind` nodes of `g` carry a bias and a `relu` attr."""
@@ -306,6 +317,25 @@ def crop_conv_graph(seed=0, hw=(20, 27), bias_relu=True, extra_reader=False, gap
     return g, [Tensor(rng.normal(size=(3, 4) + hw).astype(np.float32))]
 
 
+def crop_trunk_graph(seed=0, hw=(32, 32), crops_input=False):
+    """clip [3,4,H,W] -> ten_crop(24) -> three conv3d -> bias -> relu, then a
+    maxpool3d and a 1x1x1 conv3d -> bias -> relu that the trunk does not
+    reach, -> gap; with `crops_input`, the same convs on the ten crops."""
+    rng = np.random.default_rng(seed)
+    b = GraphBuilder("trunk")
+    t = b.input((10, 3, 4, 24, 24), name="crops") if crops_input else b.ten_crop(b.input((3, 4) + hw, name="clip"), 24)
+    for i, (c, o, k, stride, pad) in enumerate([(3, 4, (3, 5, 5), (1, 2, 2), (1, 2, 2)), (4, 4, (3, 3, 3), (1, 1, 1),
+                                                 (1, 1, 1)), (4, 5, (1, 3, 3), (2, 2, 2), (0, 1, 1)),
+                                                (5, 6, (1, 1, 1), (1, 1, 1), (0, 0, 0))]):
+        if i == 3:
+            t = b.maxpool3d(t, (1, 2, 2), (1, 2, 2))
+        w = b.param(f"w{i}", Tensor(rng.normal(scale=0.3, size=(o, c) + k).astype(np.float32)))
+        t = b.conv3d(t, w, stride=stride, pad=pad)
+        t = b.relu(b.bias(t, b.param(f"b{i}", Tensor(rng.normal(size=(o,)).astype(np.float32))), axis=1))
+    b.output(b.gap3d(t))
+    return b.build(), [Tensor(rng.normal(size=(3, 4) + hw).astype(np.float32))]
+
+
 class TestTenCropNode:
     def test_shape_and_zero_macs(self):
         g, _ = crop_conv_graph()
@@ -376,6 +406,31 @@ class TestTenCropNode:
         (n,) = [n for n in g.nodes if "size" in n.attrs]
         with pytest.raises(GraphError, match=f"^node {re.escape(n.name)}: crops must be distinct indices"):
             go.select_crops(g, crops)
+
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("hw", [(32, 32), (36, 47)])
+    def test_fuse_carries_the_boxes_down_a_trunk_of_convs(self, hw, lower):
+        g, xs = crop_trunk_graph(hw=hw)
+        fused = go.fuse(g)
+        trunk = [n for n in fused.nodes if n.kind == "conv3d"]
+        assert [n.kind for n in fused.nodes] == ["conv3d"] * 3 + ["maxpool3d", "conv3d", "gap3d"]
+        assert [n.attrs.get("size") for n in trunk] == [24, 24, 24, None]
+        assert [n.attrs.get("boxed", False) for n in trunk] == [True, True, False, False]
+        assert trunk[2].attrs["trunk"] == ((3, 4) + hw, *[(fused.param_shapes(n)["w"], n.attrs["stride"],
+                                                               n.attrs["pad"], n.attrs["dilation"]) for n in trunk[:2]])
+        assert node_list(go.fuse(fused)) == node_list(fused)
+        if lower:  # the same convs on the ten crops, with the same roundings: one per fused conv
+            fused = go.lower_precision(fused)
+            ref = go.execute(go.lower_precision(go.fuse(crop_trunk_graph(hw=hw, crops_input=True)[0])),
+                             Tensor(ten_crop(xs[0].data, 24)))[0].data
+        else:
+            ref = go.execute(g, xs)[0].data
+        for plan in (None, go.plan_memory(fused)):
+            np.testing.assert_array_equal(go.execute(fused, xs, plan)[0].data, ref)
+        for crops in ((0, 1, 2, 3, 4), (9, 2, 5)):
+            sub = go.select_crops(fused, crops)
+            assert all(n.attrs["crops"] == crops for n in sub.nodes if "size" in n.attrs)
+            np.testing.assert_array_equal(go.execute(sub, xs, go.plan_memory(sub))[0].data, ref[list(crops)])
 
     def test_crops_with_two_readers_stay_materialized(self):
         g, xs = crop_conv_graph(extra_reader=True)

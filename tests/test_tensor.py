@@ -357,29 +357,66 @@ class TestSharedBoxes:
     stride phase are convolved once, as the box they span, and the outputs
     whose taps reach a crop's border inside the box come from strips of the
     crop: bit for bit conv3d_raw on ten_crop's crops, also into a NaN-filled
-    out with a NaN-filled workspace of exactly the size the boxes need."""
+    out with a NaN-filled workspace of exactly the size the boxes need. The
+    boxes carry on down a trunk of convs (`boxed` outputs, `trunk` inputs):
+    the last conv of the trunk gives the crops the same convs give on
+    ten_crop's crops."""
 
     @staticmethod
-    def check(clip, w, b, stride, pad, dil, size, crops=None):
-        ref = tc.conv3d_raw(ten_crop(clip, size, crops), w, b, stride, pad, dil, relu=True)
-        need = tc.conv3d_workspace_elems(clip.shape, ref.shape, w.shape[1], w.shape[2:], pad, stride=stride,
-                                         dilation=dil, size=size, crops=crops)
-        out = np.full(ref.shape, np.nan, np.float32)
-        got = tc.conv3d_raw(clip, w, b, stride, pad, dil, relu=True, out=out,
-                            workspace=np.full(need, np.nan, np.float32), size=size, crops=crops)
-        assert got is out
-        np.testing.assert_array_equal(got, ref)
-        np.testing.assert_array_equal(tc.conv3d_raw(clip, w, b, stride, pad, dil, relu=True, size=size, crops=crops),
-                                      ref)
-        # the boxes conv3d_raw ran: (box extent, the dests it feeds) per box
-        plan = tc._conv3d_plan(clip.shape, ref.shape, w.shape[1:], stride, pad, dil, size, crops)[0]
-        return [(box[2:], dests) for _, box, dests, *_ in plan]
+    def chain(clip, convs, size, crops=None):
+        """Run the trunk `convs`, (w, b, stride, pad, dilation) each, on the
+        crops of `clip`, check its crops against the convs run on ten_crop's
+        crops, and return each conv's _conv3d_plan."""
+        ref = ten_crop(clip, size, crops)
+        for w, b, stride, pad, dil in convs:
+            ref = tc.conv3d_raw(ref, w, b, stride, pad, dil, relu=True)
+        x, trunk, boxes = clip, None, []
+        for i, (w, b, stride, pad, dil) in enumerate(convs):
+            boxed = i < len(convs) - 1
+            shape, need, _ = tc.conv3d_io(x.shape, w.shape, b.shape, stride, pad, dil, size, crops, trunk, boxed)
+            out = np.full(shape, np.nan, np.float32)
+            got = tc.conv3d_raw(x, w, b, stride, pad, dil, relu=True, out=out,
+                                workspace=np.full(need, np.nan, np.float32), size=size, crops=crops, trunk=trunk,
+                                boxed=boxed)
+            assert got is out
+            boxes.append(tc._conv3d_plan(None, w.shape, stride, pad, dil, size, crops, trunk or (clip.shape,),
+                                         boxed, tc.COL_SLAB_BYTES))
+            x, trunk = got, (trunk or (clip.shape,)) + ((w.shape, stride, pad, dil),)
+        np.testing.assert_array_equal(x, ref)
+        if len(convs) == 1:  # unplanned, into fresh buffers
+            np.testing.assert_array_equal(tc.conv3d_raw(clip, *convs[0][:2], *convs[0][2:], relu=True, size=size,
+                                                        crops=crops), ref)
+        return boxes
+
+    def check(self, clip, w, b, stride, pad, dil, size, crops=None):
+        """One conv's boxes, (box extent, dests it feeds) each."""
+        entries = self.chain(clip, [(w, b, stride, pad, dil)], size, crops)[0][0]
+        return [(item[2:], dests) for _, item, dests, *_ in entries]
+
+    @staticmethod
+    def fed(plan) -> list:
+        """(box extent, the number of crops it feeds) per box of a _conv3d_plan."""
+        entries, *_, layout = plan
+        if layout is None:
+            return sorted((item[2:], len(dests)) for _, item, dests, *_ in entries)
+        return sorted((item[2:], sum(any(s[0] == e for s in srcs) for _, _, srcs, _ in layout[1]))
+                      for e, (_, item, *_) in enumerate(entries))
 
     @staticmethod
     def case(seed, clip_shape, wshape):
         rng = np.random.default_rng(seed)
         return (rng.standard_normal(clip_shape, dtype=np.float32), rng.standard_normal(wshape, dtype=np.float32),
                 rng.standard_normal(wshape[0], dtype=np.float32))
+
+    @staticmethod
+    def trunk(seed, clip_shape, convs):
+        """A clip and a trunk of convs, (weight shape, stride, pad, dilation) each, with random weights
+        scaled to keep the activations near 1."""
+        rng = np.random.default_rng(seed)
+        clip = rng.standard_normal(clip_shape, dtype=np.float32)
+        return clip, [(rng.standard_normal(ws, dtype=np.float32) * np.float32(1 / np.sqrt(np.prod(ws[1:]))),
+                       rng.standard_normal(ws[0], dtype=np.float32) * np.float32(0.1), *geometry)
+                      for ws, *geometry in convs]
 
     def test_desk_stem_is_one_box_per_orientation_and_six_strips(self):
         clip, w, b = self.case(0, (3, 16, 256, 256), (8, 3, 3, 5, 5))
@@ -423,6 +460,53 @@ class TestSharedBoxes:
     def test_mixed_orientation_and_single_crop_selections(self, crops):
         clip, w, b = self.case(len(crops), (2, 3, 24, 30), (4, 2, 3, 3, 3))
         self.check(clip, w, b, (1, 2, 2), (1, 1, 1), (1, 1, 1), 16, crops)
+
+    DESK_TRUNK = [((8, 3, 3, 5, 5), (2, 4, 4), (1, 2, 2), ONES), ((8, 8, 3, 3, 3), (1, 2, 2), ONES, ONES),
+                  ((16, 8, 3, 3, 3), (2, 2, 2), ONES, ONES)]
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_desk_trunk_is_one_box_per_orientation_and_six_strips_per_conv(self, depth):
+        clip, convs = self.trunk(depth, (3, 16, 256, 256), self.DESK_TRUNK[:depth])
+        for crops in ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)):
+            plans = self.chain(clip, convs, 224, crops)
+            # each conv: one box (the clip, then the 64x64 and 32x32 boxes of the convs before), then
+            # strips of the leading rows and columns of the three crops off each leading edge
+            for plan, hw, (h, e) in zip(plans, ((256, 256), (64, 64), (32, 32)), ((224, 3), (56, 2), (28, 2))):
+                assert self.fed(plan) == sorted([(hw, 5)] + [((e, h), 1), ((h, e), 1)] * 3)
+
+    @pytest.mark.parametrize("crops", [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9), (1, 8, 4)])
+    def test_ppm_long_trunk_splits_its_phase_groups(self, crops):
+        # 256x455: the stem's boxes of the TR, BR and center crops put their W origins 29 apart, odd
+        # at s0b0's stride 2, so s0b0 splits the box in two: more boxes than the stem ran
+        clip, convs = self.trunk(len(crops), (3, 16, 256, 455), self.DESK_TRUNK)
+        stem, s0b0, _ = self.chain(clip, convs, 224, crops)
+        # the boxes that hold the crops in each conv's output: two of the stem, three of s0b0
+        assert [len({box for box, *_ in plan[4][1]}) for plan in (stem, s0b0)] == [2, 3]
+
+    @pytest.mark.parametrize("crops", [None, (7, 0, 4, 9, 2), (3,), (8,), (9, 4)])
+    @pytest.mark.parametrize("convs", [
+        # the desk trunk's geometry at a small scale, then one with a pointwise conv whose
+        # border outputs read only the dirt of the conv before
+        [((4, 2, 3, 3, 3), (1, 2, 2), ONES, ONES), ((3, 4, 3, 3, 3), (2, 2, 2), ONES, ONES),
+         ((5, 3, 1, 1, 1), ONES, ZEROS, ONES)],
+        # odd strides, trailing strips, pad >= stride and dilation
+        [((3, 2, 1, 4, 4), (1, 3, 3), (0, 3, 3), ONES), ((4, 3, 3, 3, 3), ONES, ONES, (1, 2, 2)),
+         ((2, 4, 1, 3, 3), (1, 2, 2), (0, 2, 2), ONES)],
+    ])
+    def test_three_conv_trunks_on_mixed_selections(self, convs, crops):
+        clip, convs = self.trunk(7, (2, 5, 41, 53), convs)
+        self.chain(clip, convs, 30, crops)
+        self.chain(clip, convs[:2], 30, crops)
+
+    def test_trunk_input_must_be_the_flat_boxes(self):
+        clip, [(w, b, *geometry)] = self.trunk(0, (2, 3, 24, 30), [((4, 2, 3, 3, 3), (1, 2, 2), ONES, ONES)])
+        (flat,), *_ = tc.conv3d_io(clip.shape, w.shape, b.shape, *geometry, 16, None, None, True)
+        trunk = (clip.shape, (w.shape, *geometry))
+        w2 = np.ones((3, 4, 3, 3, 3), np.float32)
+        assert tc.conv3d_raw(np.ones(flat, np.float32), w2, None, ONES, ONES, ONES, size=16, trunk=trunk).shape == \
+            (10, 3, 3, 8, 8)
+        with pytest.raises(ShapeError, match="trunk input must be its"):
+            tc.conv3d_raw(np.ones(flat + 1, np.float32), w2, None, ONES, ONES, ONES, size=16, trunk=trunk)
 
 
 ONE_SLAB = 1 << 62  # a COL_SLAB_BYTES budget that holds every conv's whole column buffer
