@@ -396,10 +396,11 @@ def conv3d_raw(
     outputs are its box's but for its dirt, the outputs its strips give.
     With `trunk` (the [C,L,H,W] clip, then each earlier conv of the trunk as
     (weight shape, stride, pad, dilation)), `x` is that flat output of the
-    trunk's last conv. Each box of this conv is then the hull of its crops
-    in their box of the last conv, and each strip reads its crop's own
-    entries, from its box and its dirt. So the last conv of a trunk gives
-    the crops that the same convs give on ten_crop(clip) bit for bit.
+    conv before this one, the last of `trunk`. Each box of this conv is then
+    the hull of its crops in their box of that conv, and each strip reads
+    its crop's own entries, from its box and its dirt. So the last conv of a
+    trunk gives the crops that the same convs give on ten_crop(clip) bit for
+    bit.
 
     `workspace` (flat float32, at least conv3d_io's) holds the window, one
     column slab and one slab of GEMM output, so repeated calls allocate
