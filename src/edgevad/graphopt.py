@@ -34,6 +34,7 @@ from .tensor import (
     maxpool3d_raw,
     maxpool3d_shape,
     nonlocal_raw,
+    nonlocal_workspace_elems,
     round_f16,
     ten_crop_shape,
 )
@@ -277,8 +278,9 @@ OPS: Dict[str, OpSpec] = {
                         lambda xs, p, a, out, ws: maxpool3d_raw(xs[0], a["kernel"], a["stride"])),
     "gap3d": OpSpec(lambda xs, a, ps: tuple(xs[0][:2]),
                     lambda xs, p, a, out, ws: np.mean(xs[0], axis=(2, 3, 4), dtype=np.float32)),
-    # one item's [P,P] logits at a time
-    "nonlocal3d": OpSpec(_same, _nonlocal, _attention_macs, lambda xs, out, a, ps: int(np.prod(out[2:])) ** 2),
+    # attends in blocks of tensor.NL_ROWS query rows (tensor.nonlocal_workspace_elems)
+    "nonlocal3d": OpSpec(_same, _nonlocal, _attention_macs,
+                         lambda xs, out, a, ps: nonlocal_workspace_elems(out, ps["wt"][1])),
     "concat": OpSpec(_concat_shape, lambda xs, p, a, out, ws: np.concatenate(xs, axis=a["axis"], out=out)),
 }
 
@@ -617,7 +619,8 @@ class GraphRunner:
     scratch is one zero-padded input window (the planes and rows one slab
     reads), one column slab (at most tensor.COL_SLAB_BYTES) and one slab of
     GEMM output per conv, sized for the largest box or strip a conv of the
-    crops' trunk runs, and one item's [P,P] logits per non-local block.
+    crops' trunk runs, and per non-local block its projections and one block
+    of logits rows (tensor.nonlocal_workspace_elems).
     Without a plan, nodes allocate fresh. One runner serves one execution context; calls are not
     thread-safe. So `run_pipeline` gives each crop half (`select_crops`) its
     own runner, and with it its own arena, on its own thread."""

@@ -382,9 +382,8 @@ def run_pipeline(
                 except Exception as e:
                     raise PipelineStageError(f"stage 'extract' failed: snippet {i}: {e}") from e
                 ext_ms = (time.perf_counter() - t0) * 1e3
-                # clips resident: this one and those built among the next
-                # QUEUE_CAPACITY snippets
-                built = sum(f.done() for f in futures[i + 1 : i + 1 + QUEUE_CAPACITY])
+                # clips resident: this one and those built in the other buffers
+                built = sum(f.done() for f in futures[i + 1 : i + ahead])
                 clips_high_water = max(clips_high_water, built + 1)
                 latencies.append({"preprocess": pre_ms, "extract": ext_ms})
                 if i + ahead < n:

@@ -226,7 +226,7 @@ def _conv3d_plan(x_shape: Optional[tuple], w_shape: tuple, stride: tuple, pad: t
     groups: dict = {}
     for k, (box, (y, x), _, _) in enumerate(items):
         groups.setdefault((box, y % sh, x % sw), []).append(k)
-    entries, strips = [], []
+    entries, strips = [], ([], [])  # row strips, then column strips: few window shapes in a row
     for (box, _, _), group in groups.items():
         y0, x0 = min(items[k][1][0] for k in group), min(items[k][1][1] for k in group)
         h, w = max(items[k][1][0] for k in group) + eh - y0, max(items[k][1][1] for k in group) + ew - x0
@@ -237,14 +237,14 @@ def _conv3d_plan(x_shape: Optional[tuple], w_shape: tuple, stride: tuple, pad: t
             (j0, j1), cols = _border(x - x0, w, ew, w_shape[4], sw, pw, dw, cols_dirt)
             dests.append((k, ((y - y0) // sh, (x - x0) // sw), (i0, i1, j0, j1)))
             # a strip reads the item's own entries: its sources, moved to the strip's origin
-            strips += [(tuple((p, (Y + s, X), (a0 - s, a1 - s, b0, b1)) for p, (Y, X), (a0, a1, b0, b1) in src),
-                        (e, ew), [(k, (-s // sh, 0), (a, b, 0, ow))]) for s, e, (a, b) in rows]
-            strips += [(tuple((p, (Y, X + s), (a0, a1, b0 - s, b1 - s)) for p, (Y, X), (a0, a1, b0, b1) in src),
-                        (eh, e), [(k, (0, -s // sw), (0, oh, a, b))]) for s, e, (a, b) in cols]
+            strips[0].extend((tuple((p, (Y + s, X), (a0 - s, a1 - s, b0, b1)) for p, (Y, X), (a0, a1, b0, b1) in src),
+                              (e, ew), [(k, (-s // sh, 0), (a, b, 0, ow))]) for s, e, (a, b) in rows)
+            strips[1].extend((tuple((p, (Y, X + s), (a0, a1, b0 - s, b1 - s)) for p, (Y, X), (a0, a1, b0, b1) in src),
+                              (eh, e), [(k, (0, -s // sw), (0, oh, a, b))]) for s, e, (a, b) in cols)
         entries.append((((box, (y0, x0), (0, h, 0, w)),), (h, w), dests))
     geometry: dict = {}  # (entry extent, whole) -> (outputs, scratch): most entries share one
     plan, held = [], [[] for _ in items]
-    for e, (src, hw, dests) in enumerate(entries + strips):
+    for e, (src, hw, dests) in enumerate(entries + strips[0] + strips[1]):
         whole = boxed or (len(dests) == 1 and hw == (eh, ew))  # a piece, or the entry is that item
         item = (w_shape[1], in_shape[2], *hw)
         if (hw, whole) not in geometry:
@@ -478,8 +478,9 @@ def crop_views(clip: np.ndarray, size: int, crops: Optional[Sequence[int]] = Non
 
 
 def softmax_raw(x: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """exp(x - max) / sum along `axis`. The result goes to `out` when given
-    (x itself is allowed), with no x-sized temporary; the values are the same."""
+    """exp(x - max) / sum along `axis` (nonlocal_raw normalizes after its weighted
+    sum instead). The result goes to `out` when given (x itself is allowed),
+    with no x-sized temporary; the values are the same."""
     m = np.max(x, axis=axis, keepdims=True)
     if np.isnan(m).any():  # the max of a row propagates any NaN in it
         warnings.warn("softmax input contains NaN; propagating", RuntimeWarning)
@@ -504,6 +505,17 @@ def maxpool3d_raw(x: np.ndarray, kernel: tuple, stride: tuple) -> np.ndarray:
     return np.ascontiguousarray(win.max(axis=(5, 6, 7)))
 
 
+# Query rows per block of nonlocal_raw: a [NL_ROWS,P] block of logits stays in cache through its softmax.
+NL_ROWS = 128
+
+
+def nonlocal_workspace_elems(x_shape: tuple, ci: int) -> int:
+    """Scratch floats nonlocal_raw wants on [N,C,*spatial] input with `ci` inner channels: theta,
+    phi and g of every item, one block of logits, one item's weighted sums, row sums and projection."""
+    n, c, p = x_shape[0], x_shape[1], math.prod(x_shape[2:])
+    return 3 * n * ci * p + min(NL_ROWS, p) * p + p * (ci + 1 + c)
+
+
 def nonlocal_raw(
     x: np.ndarray,
     w_theta: np.ndarray,
@@ -516,12 +528,16 @@ def nonlocal_raw(
     """Residual softmax self-attention over all positions of [N,C,*spatial] input.
 
     Projections are pointwise (1x1) maps C->Ci given as [C,Ci] matrices; the
-    output projection w_out is [Ci,C]. Attention logits are scaled by 1/sqrt(Ci).
-    Attention runs one batch item at a time, its logits and then its attention
-    in the first P*P floats of the flat float32 `workspace` (P positions;
-    allocated when not given), so repeated calls allocate no [P,P] buffer. The
-    result goes to `out` (same shape as x; allocated when not given), which
-    must not overlap x except as x itself. Values do not depend on either.
+    output projection w_out is [Ci,C]. The logits' 1/sqrt(Ci) scale is folded
+    into w_theta, and one batched GEMM gives every item's theta, phi and g.
+    Each item attends in blocks of NL_ROWS query rows: a block's logits, less
+    their row max, are exponentiated in place, summed per row and multiplied
+    by g, and the item's [P,Ci] weighted sums are divided by the row sums
+    once, so no [P,P] attention is held. It all lives in the flat float32
+    `workspace` (nonlocal_workspace_elems floats or more; allocated when not
+    given), so repeated calls allocate nothing. The result goes to `out` (same
+    shape as x; allocated when not given), which must not overlap x except as
+    x itself. Values do not depend on either.
     """
     n, c = x.shape[0], x.shape[1]
     if w_theta.shape[0] != c:
@@ -531,21 +547,24 @@ def nonlocal_raw(
         out = np.empty(x.shape, dtype=np.float32)
     elif out.shape != x.shape:
         raise ShapeError(f"nonlocal out shape {out.shape} != input shape {x.shape}")
-    p = int(np.prod(x.shape[2:]))
+    p, need = math.prod(x.shape[2:]), nonlocal_workspace_elems(x.shape, ci)
     if workspace is None:
-        workspace = np.empty(p * p, dtype=np.float32)
-    elif workspace.size < p * p:
-        raise ShapeError(f"nonlocal workspace holds {workspace.size} floats, needs {p * p}")
-    logits = workspace[:p * p].reshape(p, p)  # every item's logits, then its attention
-    scale = np.sqrt(np.float32(ci))
+        workspace = np.empty(need, dtype=np.float32)
+    elif workspace.size < need:
+        raise ShapeError(f"nonlocal workspace holds {workspace.size} floats, needs {need}")
+    qkv, logits, y, sums, z = _pieces(workspace, ((n, 3 * ci, p), (min(NL_ROWS, p), p), (p, ci), (p,), (c, p)))
+    w = np.concatenate([w_theta / np.sqrt(np.float32(ci)), w_phi, w_g], axis=1).T  # [3Ci,C]
+    np.matmul(w, x.reshape(n, c, p), out=qkv)
     for i in range(n):
-        flat = x[i].reshape(c, -1).T  # [P, c]
-        theta = flat @ w_theta  # [P,ci]
-        phi = flat @ w_phi
-        g = flat @ w_g
-        np.matmul(theta, phi.T, out=logits)
-        logits /= scale
-        attn = softmax_raw(logits, axis=-1, out=logits)
-        y = (attn @ g) @ w_out  # [P,c]
-        np.add(x[i], y.T.reshape(x.shape[1:]), out=out[i])
+        theta, phi, g = qkv[i, :ci], qkv[i, ci:2 * ci], qkv[i, 2 * ci:]
+        for r in range(0, p, NL_ROWS):
+            e, s = logits[:min(NL_ROWS, p - r)], slice(r, r + NL_ROWS)
+            np.matmul(theta[:, s].T, phi, out=e)
+            e -= e.max(axis=1, keepdims=True)
+            np.exp(e, out=e)
+            np.sum(e, axis=1, out=sums[s])
+            np.matmul(e, g.T, out=y[s])
+        y /= sums[:, None]
+        np.matmul(w_out.T, y.T, out=z)
+        np.add(x[i], z.reshape(x.shape[1:]), out=out[i])
     return out

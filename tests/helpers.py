@@ -130,22 +130,6 @@ def conv3d_rowmajor_ref(x, w, b, stride, pad, dilation, relu=False):
     return out
 
 
-def nonlocal_batched_ref(x, w_theta, w_phi, w_g, w_out):
-    """Reference non-local block: attention over the whole batch at once,
-    with [N,P,P] logits."""
-    n, c = x.shape[0], x.shape[1]
-    ci = w_theta.shape[1]
-    flat = x.reshape(n, c, -1).transpose(0, 2, 1)  # [n, P, c]
-    theta = flat @ w_theta  # [n,P,ci]
-    phi = flat @ w_phi
-    g = flat @ w_g
-    logits = (theta @ phi.transpose(0, 2, 1)) / np.sqrt(np.float32(ci))
-    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))  # the softmax, out of place
-    attn = e / np.sum(e, axis=-1, keepdims=True)
-    y = (attn @ g) @ w_out  # [n,P,c]
-    return np.ascontiguousarray(x + y.transpose(0, 2, 1).reshape(x.shape))
-
-
 def nonlocal_weights(channels, seed=0, zero_out=True):
     """nonlocal_raw's (w_theta, w_phi, w_g, w_out) for `channels` channels and
     C/2 inner ones; w_out is zero when `zero_out`, as the extractor initializes it."""

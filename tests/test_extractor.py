@@ -227,7 +227,7 @@ class TestRunnerMemory:
         g, plan = go.optimize(ex.build_extractor(desk_scale_config(), seed=0))
         runner = go.GraphRunner(g, plan)
         # the arena: activations, and per node one padded input window and one column
-        # slab (conv) or one [P,P] logits buffer (non-local), placed by lifetime
+        # slab (conv) or one block of logits rows (non-local), placed by lifetime
         assert runner.static_bytes < 64 * MIB
         # the stem's scratch is one slab's window and column buffer, not a padded
         # crop or the crop's whole im2col
@@ -246,9 +246,22 @@ class TestRunnerMemory:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(again, warm)
-        # the non-local block's [784,784] logits (2.35 MiB) are planned scratch;
-        # what is left is small per-item temporaries
+        # the non-local block's logits, one block of rows at a time, are planned
+        # scratch; what is left is small temporaries
         assert peak < 1 * MIB
+
+    def test_desk_clip_halves_plan_the_nonlocal_in_blocks(self):
+        # nl_s1b0's planned scratch holds one [NL_ROWS,P] block of logits, not the [P,P] attention
+        graph = pl._startup(pl.PipelineConfig(source=DEFAULT_SOURCE))[1]
+        for crops in pl.CROP_HALVES:
+            g = go.select_crops(graph, crops)
+            (n,) = [n for n in g.nodes if n.kind == "nonlocal3d"]
+            shape, p = g.meta[n.inputs[0]].shape, 4 * 14 * 14
+            assert shape == (5, 16, 4, 14, 14)
+            # theta, phi and g of the five crops; one block; one crop's sums, row sums and projection
+            need = 3 * 5 * 8 * p + tc.NL_ROWS * p + p * (8 + 1 + 16)
+            assert go.plan_memory(g).elems[go.scratch_id(n)] == tc.nonlocal_workspace_elems(shape, 8) == need
+            assert need < p * p // 2
 
     def test_planned_clip_halves_make_no_large_allocation(self):
         self.check_clip_halves(DEFAULT_SOURCE)

@@ -122,17 +122,19 @@ class TestPipelineRuns:
         assert logged[-1].startswith("summary")
 
     def test_backpressure_bounded_residency(self):
-        res = run_pipeline(tiny_cfg(frames=60, snippets=6))
+        cfg = tiny_cfg(frames=60, snippets=6)
+        res = run_pipeline(cfg)
         for name, peak in res.boundary_high_water.items():
-            assert peak <= pl.QUEUE_CAPACITY + 1, f"boundary {name} hit {peak}"
+            assert peak <= pl.QUEUE_CAPACITY + 1 + cfg.stage_workers, f"boundary {name} hit {peak}"
         assert res.boundary_high_water["clips"] >= 1
 
-    def test_clip_gauge_fills_behind_slow_extractor(self, monkeypatch):
-        # while each extraction takes 0.3 s, the worker fills the clip queue:
-        # QUEUE_CAPACITY clips queued plus the one being extracted
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_clip_gauge_fills_behind_slow_extractor(self, monkeypatch, workers):
+        # while each extraction takes 0.3 s, the workers fill every other clip
+        # buffer: QUEUE_CAPACITY + stage_workers built clips plus the one being extracted
         monkeypatch.setattr(pl, "GraphRunner", SlowRunner)
-        cfg = tiny_cfg(frames=60, snippets=6)
-        assert run_pipeline(cfg).boundary_high_water["clips"] == pl.QUEUE_CAPACITY + 1
+        cfg = tiny_cfg(frames=60, snippets=6, stage_workers=workers)
+        assert run_pipeline(cfg).boundary_high_water["clips"] == pl.QUEUE_CAPACITY + 1 + cfg.stage_workers
 
     def test_clip_buffers_allocated_once(self, monkeypatch):
         # QUEUE_CAPACITY + 1 + stage_workers buffers serve every snippet

@@ -16,7 +16,7 @@ from edgevad.rtfm import topk_indices
 from edgevad.tensor import F16, F32, ShapeError, Tensor
 from edgevad.videopre import ten_crop
 
-from helpers import conv3d_rowmajor_ref, nonlocal_batched_ref
+from helpers import conv3d_rowmajor_ref
 
 
 # ---------------------------------------------------------------------------
@@ -233,38 +233,13 @@ class TestKernelReferences:
         for got in conv3d_both_ways(x, w, b, stride, pad, (1, 1, 1), True, ref.shape):
             np.testing.assert_array_equal(got, ref)
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_nonlocal_bitwise_equal_to_batched_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        n, c = int(rng.integers(1, 4)), int(rng.integers(1, 9))
-        spatial = tuple(int(v) for v in rng.integers(1, 6, size=int(rng.integers(1, 4))))
-        ci = max(1, c // 2)
-        x = rng.normal(size=(n, c) + spatial).astype(np.float32)
-        ws = [rng.normal(size=s).astype(np.float32) for s in ((c, ci), (c, ci), (c, ci), (ci, c))]
-        ref = nonlocal_batched_ref(x, *ws)
-        np.testing.assert_array_equal(tc.nonlocal_raw(x, *ws), ref)
-        out = np.full(x.shape, np.nan, np.float32)
-        assert tc.nonlocal_raw(x, *ws, out=out) is out
-        np.testing.assert_array_equal(out, ref)
-        # a used, oversized workspace: the logits overwrite it before any read
-        p = int(np.prod(spatial))
-        scratch = np.full(p * p + 5, np.nan, np.float32)
-        np.testing.assert_array_equal(tc.nonlocal_raw(x, *ws, workspace=scratch), ref)
-
-    def test_nonlocal_bitwise_on_desk_shape(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((10, 16, 4, 14, 14), dtype=np.float32)
-        ws = [rng.standard_normal(s, dtype=np.float32) * np.float32(0.25) for s in ((16, 8),) * 3 + ((8, 16),)]
-        ref = nonlocal_batched_ref(x, *ws)
-        np.testing.assert_array_equal(tc.nonlocal_raw(x, *ws), ref)
-        out = np.full(x.shape, np.nan, np.float32)
-        np.testing.assert_array_equal(tc.nonlocal_raw(x, *ws, out=out), ref)
-
     def test_nonlocal_rejects_small_workspace(self):
         x = np.ones((1, 2, 3, 3), np.float32)
         ws = [np.ones(s, np.float32) for s in ((2, 1), (2, 1), (2, 1), (1, 2))]
-        with pytest.raises(ShapeError, match="workspace holds 80 floats, needs 81"):
-            tc.nonlocal_raw(x, *ws, workspace=np.empty(80, np.float32))
+        # theta, phi and g (27), one block of logits (81), sums, row sums and projection (36)
+        assert tc.nonlocal_workspace_elems(x.shape, 1) == 144
+        with pytest.raises(ShapeError, match="workspace holds 143 floats, needs 144"):
+            tc.nonlocal_raw(x, *ws, workspace=np.empty(143, np.float32))
 
     def test_conv3d_rejects_small_workspace_and_strided_out(self):
         x = np.ones((2, 1, 3, 4, 4), np.float32)
@@ -282,6 +257,73 @@ class TestKernelReferences:
         with pytest.raises(ShapeError, match="workspace"):
             tc.conv3d_raw(clip, w, None, (1, 1, 1), (1, 1, 1), (1, 1, 1),
                           workspace=np.empty(need - 1, np.float32), size=4)
+
+
+def nonlocal64(x, wt, wp, wg, wo):
+    """The non-local block in float64: each item's [P,P] attention at once."""
+    n, c = x.shape[:2]
+    flat = x.reshape(n, c, -1).transpose(0, 2, 1).astype(np.float64)  # [n,P,c]
+    theta, phi, g = (flat @ w.astype(np.float64) for w in (wt, wp, wg))
+    logits = theta @ phi.transpose(0, 2, 1) / np.sqrt(wt.shape[1])
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    y = (e / e.sum(axis=-1, keepdims=True)) @ g @ wo.astype(np.float64)  # [n,P,c]
+    return x + y.transpose(0, 2, 1).reshape(x.shape)
+
+
+def nonlocal_case(rng, n, c, spatial):
+    """A float32 input and weights with a non-zero output projection, Ci = C/2."""
+    ci = max(1, c // 2)
+    x = rng.standard_normal((n, c) + tuple(spatial), dtype=np.float32)
+    ws = [rng.normal(scale=c ** -0.5, size=s).astype(np.float32) for s in ((c, ci),) * 3 + ((ci, c),)]
+    return x, ws
+
+
+def check_nonlocal(x, ws):
+    """nonlocal_raw within 2e-6 * (1 + max|ref|) of the float64 block, the
+    same bits into a NaN-filled out with a NaN-filled oversized workspace and
+    in place; returns the result."""
+    ref = nonlocal64(x, *ws)
+    got = tc.nonlocal_raw(x, *ws)
+    assert np.max(np.abs(got - ref)) <= 2e-6 * (1 + np.max(np.abs(ref)))
+    out = np.full(x.shape, np.nan, np.float32)
+    work = np.full(tc.nonlocal_workspace_elems(x.shape, ws[0].shape[1]) + 5, np.nan, np.float32)
+    assert tc.nonlocal_raw(x, *ws, out=out, workspace=work) is out
+    np.testing.assert_array_equal(out, got)
+    inplace = x.copy()
+    np.testing.assert_array_equal(tc.nonlocal_raw(inplace, *ws, out=inplace, workspace=work), got)
+    return got
+
+
+class TestNonlocalBlocks:
+    """nonlocal_raw, which attends in blocks of NL_ROWS query rows, against a
+    float64 oracle with a non-zero output projection. The bits depend on the
+    block size (a GEMM's M changes its order of summation), so the bound is
+    2e-6 * (1 + max|ref|), about twice the worst error seen on 200 random
+    shapes."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_shapes_match_float64(self, seed):
+        rng = np.random.default_rng(seed)
+        spatial = rng.integers(1, 10, size=int(rng.integers(1, 4)))
+        check_nonlocal(*nonlocal_case(rng, int(rng.integers(1, 4)), int(rng.integers(1, 17)), spatial))
+
+    # one position, below one block, one block, a block and a part, whole blocks
+    @pytest.mark.parametrize("p", [1, 27, tc.NL_ROWS, tc.NL_ROWS + 72, 2 * tc.NL_ROWS])
+    def test_block_edges(self, p):
+        check_nonlocal(*nonlocal_case(np.random.default_rng(p), 3, 6, (p,)))
+
+    def test_desk_shape(self):
+        # s1b0's [16,4,14,14] output: P = 784 is six blocks and 16 rows
+        check_nonlocal(*nonlocal_case(np.random.default_rng(5), 10, 16, (4, 14, 14)))
+
+    def test_nan_in_x_reaches_only_its_item(self):
+        x, ws = nonlocal_case(np.random.default_rng(7), 3, 4, (5, 6))
+        x[1, 2, 3, 4] = np.nan
+        out = tc.nonlocal_raw(x, *ws)
+        assert np.isnan(out[1]).all()
+        keep = [0, 2]
+        ref = nonlocal64(x[keep], *ws)
+        assert np.max(np.abs(out[keep] - ref)) <= 2e-6 * (1 + np.max(np.abs(ref)))
 
 
 class TestTenCropConv:
