@@ -530,14 +530,13 @@ def nonlocal_raw(
     Projections are pointwise (1x1) maps C->Ci given as [C,Ci] matrices; the
     output projection w_out is [Ci,C]. The logits' 1/sqrt(Ci) scale is folded
     into w_theta, and one batched GEMM gives every item's theta, phi and g.
-    Each item attends in blocks of NL_ROWS query rows: a block's logits, less
-    their row max, are exponentiated in place, summed per row and multiplied
-    by g, and the item's [P,Ci] weighted sums are divided by the row sums
-    once, so no [P,P] attention is held. It all lives in the flat float32
+    Each item attends in blocks of NL_ROWS query rows (logits, less their row
+    max, exponentiated in place, summed per row and multiplied by g), and its
+    [P,Ci] weighted sums are divided by the row sums once. The flat float32
     `workspace` (nonlocal_workspace_elems floats or more; allocated when not
-    given), so repeated calls allocate nothing. The result goes to `out` (same
-    shape as x; allocated when not given), which must not overlap x except as
-    x itself. Values do not depend on either.
+    given) holds it all, so repeated calls allocate nothing. The result goes
+    to `out` (same shape as x; allocated when not given), which must not
+    overlap x except as x itself. Values do not depend on either.
     """
     n, c = x.shape[0], x.shape[1]
     if w_theta.shape[0] != c:
