@@ -17,12 +17,12 @@ runs it finished.
 After the runs it prints, for each workload and each end-to-end metric that
 BENCHMARK.json declares, both sides' median and quartiles, the number of
 pairs the change won (ties count for neither side), the change's median
-minus the parent's beside the parent's quartile spread, and whether the
-change's median is within the metric's `bound` of the parent's. These are
-the terms of the acceptance rule: a claimed gain needs the change to win at
-least nine pairs in ten and its median to beat the parent's by more than the
-parent's quartile spread; every other metric must stay within its bound, a
-fraction of the parent's median.
+minus the parent's beside the parent's quartile spread, whether the
+change's median is within the metric's `bound` of the parent's, and whether
+the gain rule is met. These are the terms of the acceptance rule: a claimed
+gain needs the change to win at least nine pairs in ten and its median to
+beat the parent's by more than the parent's quartile spread; every other
+metric must stay within its bound, a fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -84,12 +84,13 @@ def summarize(entries: list, end_to_end: list) -> None:
                 cols.append(f"{side} {q2:.4g} [{q1:.4g}, {q3:.4g}] of {len(vals)} runs")
             pairs = [seed for seed in seeds if (seed, "parent") in value and (seed, "change") in value]
             won = sum(sign * (value[seed, "change"] - value[seed, "parent"]) > 0 for seed in pairs)
-            delta = q["change"][1] - q["parent"][1]
+            delta, spread = q["change"][1] - q["parent"][1], q["parent"][2] - q["parent"][0]
             within = sign * delta >= -spec["bound"] * abs(q["parent"][1])
+            gain = bool(pairs) and 10 * won >= 9 * len(pairs) and sign * delta > spread
             print(f"{workload} {name} ({spec['unit']}, {spec['better']} is better): {'; '.join(cols)}; "
                   f"change won {won} of {len(pairs)} pairs; median moved {delta:+.4g} against a parent "
-                  f"quartile spread of {q['parent'][2] - q['parent'][0]:.4g}; "
-                  f"{'within' if within else 'beyond'} the {spec['bound']:.0%} bound")
+                  f"quartile spread of {spread:.4g}; {'within' if within else 'beyond'} the "
+                  f"{spec['bound']:.0%} bound; gain rule {'met' if gain else 'not met'}")
 
 
 def main() -> int:

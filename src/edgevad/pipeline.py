@@ -49,7 +49,8 @@ EXIT_RUNTIME = 3
 QUEUE_CAPACITY = 0
 
 # Each clip's ten crops as two halves, extracted at once on two threads: the
-# base crops 0-4, and their mirrors 5-9, which read the clip reversed along W.
+# base crops 0-4, and their mirrors 5-9, which read the clip reversed along W
+# into windows held reversed, so that the fills copy forward.
 # The crops of one orientation share the box convs of the trunk from the stem
 # to the non-local block (tensor.conv3d_raw), which cuts the crops once.
 CROP_HALVES = ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))

@@ -383,13 +383,14 @@ def conv3d_raw(
     With `size`, the items are the crops `crops` (indices into the ten crops
     of crop_views, in the order given; all ten when None) of the clip `x`,
     never materialized. The crops of one orientation (a mirror reads the
-    clip reversed along W) whose origins share a phase of the H and W
-    strides are convolved once, as the box they span, zero-padded at its own
-    edges, and each slab's output is copied into each crop it covers. The
-    outputs whose taps reach a crop's border inside the box (zeros in the
-    crop, input in the box) come from a thin strip of the crop instead (see
-    _border). So the result equals conv3d_raw(ten_crop(x, size, crops)) bit
-    for bit.
+    clip reversed along W, into a window held reversed and read through a
+    tap view reversed along W, so that each fill copies forward) whose
+    origins share a phase of the H and W strides are convolved once, as the
+    box they span, zero-padded at its own edges, and each slab's output is
+    copied into each crop it covers. The outputs whose taps reach a crop's
+    border inside the box (zeros in the crop, input in the box) come from a
+    thin strip of the crop instead (see _border). So the result equals
+    conv3d_raw(ten_crop(x, size, crops)) bit for bit.
 
     The boxes can span a trunk of convs. With `boxed`, the output is flat:
     each box's and strip's outputs whole, one piece each, where a crop's
@@ -432,12 +433,16 @@ def conv3d_raw(
             win[..., :pad[2]] = 0.0
             win[..., window[3] - pad[2]:] = 0.0
             # the window's shape fixes the slab's (planes, rows) and ow, so one view of it serves each slab:
-            # tap (a,e,f) of output (z,y,x) reads win[:, a*dd + z*sd, e*dh + y*sh, f*dw + x*sw]
+            # tap (a,e,f) of output (z,y,x) reads win[:, a*dd + z*sd, e*dh + y*sh, f*dw + x*sw]; the second
+            # view reads the window reversed along W, as a mirror's window is held
             s_c, s_d, s_h, s_w = win.strides
-            taps = as_strided(win, (*w.shape[1:], *slab, box_out[3]),
-                              (s_c, s_d * dd, s_h * dh, s_w * dw, s_d * sd, s_h * sh, s_w * sw), writeable=False)
-        _conv3d_box(views, sources, item, dst, dests, whole, win, taps, col, acc, wmat, box_out, stride, pad,
-                    dilation)
+            taps = [as_strided(v, (*w.shape[1:], *slab, box_out[3]),
+                               (s_c, s_d * dd, s_h * dh, t * dw, s_d * sd, s_h * sh, t * sw), writeable=False)
+                    for v, t in ((win, s_w), (win[..., ::-1], -s_w))]
+        # a mirror's window is filled reversed from the reversed clip, so each fill copies forward
+        flip = size is not None and pieces is None and sources[0][0] == 1
+        _conv3d_box(views, sources, item, dst, dests, whole, win[..., ::-1] if flip else win, taps[flip], col, acc,
+                    wmat, box_out, stride, pad, dilation)
     if b is not None:
         for part in dst if boxed else (out,):
             part += b[:, None, None, None]
@@ -478,9 +483,10 @@ def crop_views(clip: np.ndarray, size: int, crops: Optional[Sequence[int]] = Non
 
 
 def softmax_raw(x: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """exp(x - max) / sum along `axis` (nonlocal_raw normalizes after its weighted
-    sum instead). The result goes to `out` when given (x itself is allowed),
-    with no x-sized temporary; the values are the same."""
+    """exp(x - max) / sum along `axis` (nonlocal_raw shifts by a bound on the
+    max instead, and normalizes after its weighted sum). The result goes to
+    `out` when given (x itself is allowed), with no x-sized temporary; the
+    values are the same."""
     m = np.max(x, axis=axis, keepdims=True)
     if np.isnan(m).any():  # the max of a row propagates any NaN in it
         warnings.warn("softmax input contains NaN; propagating", RuntimeWarning)
@@ -511,9 +517,10 @@ NL_ROWS = 128
 
 def nonlocal_workspace_elems(x_shape: tuple, ci: int) -> int:
     """Scratch floats nonlocal_raw wants on [N,C,*spatial] input with `ci` inner channels: theta,
-    phi and g of every item, one block of logits, one item's weighted sums, row sums and projection."""
+    phi and g of every item, each with one more row (-b, then ones), one block of logits, one item's
+    weighted sums, row sums and projection."""
     n, c, p = x_shape[0], x_shape[1], math.prod(x_shape[2:])
-    return 3 * n * ci * p + min(NL_ROWS, p) * p + p * (ci + 1 + c)
+    return 3 * n * (ci + 1) * p + min(NL_ROWS, p) * p + p * (ci + 1 + c)
 
 
 def nonlocal_raw(
@@ -530,9 +537,14 @@ def nonlocal_raw(
     Projections are pointwise (1x1) maps C->Ci given as [C,Ci] matrices; the
     output projection w_out is [Ci,C]. The logits' 1/sqrt(Ci) scale is folded
     into w_theta, and one batched GEMM gives every item's theta, phi and g.
-    Each item attends in blocks of NL_ROWS query rows (logits, less their row
-    max, exponentiated in place, summed per row and multiplied by g), and its
-    [P,Ci] weighted sums are divided by the row sums once. The flat float32
+    Theta gets a row -b, where b_r = |theta_r| max_j |phi_j| is at least each
+    logit of row r (Cauchy-Schwarz), and phi and g a row of ones. Each item
+    attends in blocks of NL_ROWS query rows: one GEMM gives the logits less
+    b, exponentiated in place, and one GEMM with [g;1] their weighted sums
+    and row sums. A block whose smallest row sum is below 2**-60 (exp
+    underflowed where b overshoots a row's max) or NaN is redone with the
+    logits less their row max. The item's [P,Ci] weighted sums are then
+    divided by the row sums once. The flat float32
     `workspace` (nonlocal_workspace_elems floats or more; allocated when not
     given) holds it all, so repeated calls allocate nothing. The result goes
     to `out` (same shape as x; allocated when not given), which must not
@@ -551,18 +563,31 @@ def nonlocal_raw(
         workspace = np.empty(need, dtype=np.float32)
     elif workspace.size < need:
         raise ShapeError(f"nonlocal workspace holds {workspace.size} floats, needs {need}")
-    qkv, logits, y, sums, z = _pieces(workspace, ((n, 3 * ci, p), (min(NL_ROWS, p), p), (p, ci), (p,), (c, p)))
-    w = np.concatenate([w_theta / np.sqrt(np.float32(ci)), w_phi, w_g], axis=1).T  # [3Ci,C]
+    qkv, logits, ys, z = _pieces(workspace, ((n, 3 * ci + 3, p), (min(NL_ROWS, p), p), (p, ci + 1), (c, p)))
+    zero = np.zeros((c, 1), np.float32)
+    w = np.concatenate([w_theta / np.sqrt(np.float32(ci)), zero, w_phi, zero, w_g, zero], axis=1).T  # [3Ci+3,C]
     np.matmul(w, x.reshape(n, c, p), out=qkv)
+    # each item's rows: theta, -b, phi, 1, g, 1; b_r = |theta_r| max_j |phi_j| bounds row r's logits
+    theta, bound, phi = qkv[:, :ci], qkv[:, ci], qkv[:, ci + 1:2 * ci + 1]
+    np.einsum("nkp,nkp->np", phi, phi, out=bound)
+    top = np.sqrt(bound.max(axis=1, keepdims=True))
+    np.einsum("nkp,nkp->np", theta, theta, out=bound)
+    np.sqrt(bound, out=bound)
+    bound *= -top
+    qkv[:, 2 * ci + 1::ci + 1] = 1.0
+    y, sums = ys[:, :ci], ys[:, ci]
     for i in range(n):
-        theta, phi, g = qkv[i, :ci], qkv[i, ci:2 * ci], qkv[i, 2 * ci:]
+        theta, phi, g = qkv[i, :ci + 1], qkv[i, ci + 1:2 * ci + 2], qkv[i, 2 * ci + 2:]
         for r in range(0, p, NL_ROWS):
             e, s = logits[:min(NL_ROWS, p - r)], slice(r, r + NL_ROWS)
-            np.matmul(theta[:, s].T, phi, out=e)
-            e -= e.max(axis=1, keepdims=True)
+            np.matmul(theta[:, s].T, phi, out=e)  # the logits less b
             np.exp(e, out=e)
-            np.sum(e, axis=1, out=sums[s])
-            np.matmul(e, g.T, out=y[s])
+            np.matmul(e, g.T, out=ys[s])  # the weighted sums, then the row sums
+            if not sums[s].min() >= 2.0 ** -60:  # exp underflowed past b, or NaN: redo with the row max
+                np.matmul(theta[:ci, s].T, phi[:ci], out=e)
+                e -= e.max(axis=1, keepdims=True)
+                np.exp(e, out=e)
+                np.matmul(e, g.T, out=ys[s])
         y /= sums[:, None]
         np.matmul(w_out.T, y.T, out=z)
         np.add(x[i], z.reshape(x.shape[1:]), out=out[i])

@@ -258,8 +258,9 @@ class TestRunnerMemory:
             (n,) = [n for n in g.nodes if n.kind == "nonlocal3d"]
             shape, p = g.meta[n.inputs[0]].shape, 4 * 14 * 14
             assert shape == (5, 16, 4, 14, 14)
-            # theta, phi and g of the five crops; one block; one crop's sums, row sums and projection
-            need = 3 * 5 * 8 * p + tc.NL_ROWS * p + p * (8 + 1 + 16)
+            # theta, phi and g of the five crops, each with its extra row; one block; one crop's sums, row sums
+            # and projection
+            need = 3 * 5 * (8 + 1) * p + tc.NL_ROWS * p + p * (8 + 1 + 16)
             assert go.plan_memory(g).elems[go.scratch_id(n)] == tc.nonlocal_workspace_elems(shape, 8) == need
             assert need < p * p // 2
 

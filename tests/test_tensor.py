@@ -236,10 +236,10 @@ class TestKernelReferences:
     def test_nonlocal_rejects_small_workspace(self):
         x = np.ones((1, 2, 3, 3), np.float32)
         ws = [np.ones(s, np.float32) for s in ((2, 1), (2, 1), (2, 1), (1, 2))]
-        # theta, phi and g (27), one block of logits (81), sums, row sums and projection (36)
-        assert tc.nonlocal_workspace_elems(x.shape, 1) == 144
-        with pytest.raises(ShapeError, match="workspace holds 143 floats, needs 144"):
-            tc.nonlocal_raw(x, *ws, workspace=np.empty(143, np.float32))
+        # theta, phi and g, each with its extra row (54), one block of logits (81), sums, row sums and projection (36)
+        assert tc.nonlocal_workspace_elems(x.shape, 1) == 171
+        with pytest.raises(ShapeError, match="workspace holds 170 floats, needs 171"):
+            tc.nonlocal_raw(x, *ws, workspace=np.empty(170, np.float32))
 
     def test_conv3d_rejects_small_workspace_and_strided_out(self):
         x = np.ones((2, 1, 3, 4, 4), np.float32)
@@ -270,21 +270,22 @@ def nonlocal64(x, wt, wp, wg, wo):
     return x + y.transpose(0, 2, 1).reshape(x.shape)
 
 
-def nonlocal_case(rng, n, c, spatial):
-    """A float32 input and weights with a non-zero output projection, Ci = C/2."""
+def nonlocal_case(rng, n, c, spatial, scale=None):
+    """A float32 input and weights with a non-zero output projection, Ci = C/2,
+    the weights at `scale` (the extractor's C**-0.5 when None)."""
     ci = max(1, c // 2)
     x = rng.standard_normal((n, c) + tuple(spatial), dtype=np.float32)
-    ws = [rng.normal(scale=c ** -0.5, size=s).astype(np.float32) for s in ((c, ci),) * 3 + ((ci, c),)]
+    ws = [rng.normal(scale=scale or c ** -0.5, size=s).astype(np.float32) for s in ((c, ci),) * 3 + ((ci, c),)]
     return x, ws
 
 
-def check_nonlocal(x, ws):
-    """nonlocal_raw within 2e-6 * (1 + max|ref|) of the float64 block, the
+def check_nonlocal(x, ws, bound=2e-6):
+    """nonlocal_raw within `bound` * (1 + max|ref|) of the float64 block, the
     same bits into a NaN-filled out with a NaN-filled oversized workspace and
     in place; returns the result."""
     ref = nonlocal64(x, *ws)
     got = tc.nonlocal_raw(x, *ws)
-    assert np.max(np.abs(got - ref)) <= 2e-6 * (1 + np.max(np.abs(ref)))
+    assert np.max(np.abs(got - ref)) <= bound * (1 + np.max(np.abs(ref)))
     out = np.full(x.shape, np.nan, np.float32)
     work = np.full(tc.nonlocal_workspace_elems(x.shape, ws[0].shape[1]) + 5, np.nan, np.float32)
     assert tc.nonlocal_raw(x, *ws, out=out, workspace=work) is out
@@ -315,6 +316,50 @@ class TestNonlocalBlocks:
     def test_desk_shape(self):
         # s1b0's [16,4,14,14] output: P = 784 is six blocks and 16 rows
         check_nonlocal(*nonlocal_case(np.random.default_rng(5), 10, 16, (4, 14, 14)))
+
+    # Blocks of rows whose exp underflows past the shift b_r = |theta_r| max_j |phi_j| (or gives NaN) are redone
+    # with the row max. Larger weights widen the gap between b_r and a row's max: at the extractor's scale no
+    # block does, at unit scale most and at 3x all. The logits are larger there, and so is their float32
+    # rounding: these bounds are ones the kernel that always subtracts the row max meets on the same inputs.
+    LARGE = [(1.0, 2e-5), (3.0, 1e-4)]
+
+    @staticmethod
+    def exp_calls(monkeypatch, x, ws):
+        """nonlocal_raw's np.exp calls on x: one per block, two per block redone."""
+        calls, exp = [], np.exp
+        with monkeypatch.context() as m:
+            m.setattr(np, "exp", lambda *a, **k: calls.append(1) or exp(*a, **k))
+            tc.nonlocal_raw(x, *ws)
+        return len(calls)
+
+    @pytest.mark.parametrize("scale, bound", LARGE)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_large_weights_match_float64(self, seed, scale, bound):
+        rng = np.random.default_rng(100 + seed)
+        spatial = rng.integers(1, 12, size=int(rng.integers(1, 4)))
+        check_nonlocal(*nonlocal_case(rng, int(rng.integers(1, 4)), int(rng.integers(2, 17)), spatial, scale), bound)
+
+    @pytest.mark.parametrize("scale, bound", LARGE)
+    def test_desk_shape_at_large_weights(self, scale, bound):
+        check_nonlocal(*nonlocal_case(np.random.default_rng(6), 3, 16, (4, 14, 14), scale), bound)
+
+    def test_no_block_falls_back_at_the_extractors_scale(self, monkeypatch):
+        x, ws = nonlocal_case(np.random.default_rng(5), 2, 16, (4, 14, 14))
+        assert self.exp_calls(monkeypatch, x, ws) == 2 * 7
+
+    def test_every_block_falls_back(self, monkeypatch):
+        x, ws = nonlocal_case(np.random.default_rng(8), 2, 16, (4, 14, 14), 3.0)
+        assert self.exp_calls(monkeypatch, x, ws) == 2 * 2 * 7
+        got = check_nonlocal(x, ws, 1e-4)
+        assert np.isfinite(got).all()
+
+    def test_some_blocks_fall_back(self, monkeypatch):
+        # the first block's query rows are small, so its shift is too; the second's are large
+        x, ws = nonlocal_case(np.random.default_rng(9), 1, 8, (2 * tc.NL_ROWS,), 1.0)
+        x[..., :tc.NL_ROWS] *= np.float32(0.01)
+        x[..., tc.NL_ROWS:] *= np.float32(4.0)
+        assert self.exp_calls(monkeypatch, x, ws) == 3
+        check_nonlocal(x, ws, 2e-5)
 
     def test_nan_in_x_reaches_only_its_item(self):
         x, ws = nonlocal_case(np.random.default_rng(7), 3, 4, (5, 6))
