@@ -383,14 +383,13 @@ def conv3d_raw(
     With `size`, the items are the crops `crops` (indices into the ten crops
     of crop_views, in the order given; all ten when None) of the clip `x`,
     never materialized. The crops of one orientation (a mirror reads the
-    clip reversed along W, into a window held reversed and read through a
-    tap view reversed along W, so that each fill copies forward) whose
-    origins share a phase of the H and W strides are convolved once, as the
-    box they span, zero-padded at its own edges, and each slab's output is
-    copied into each crop it covers. The outputs whose taps reach a crop's
-    border inside the box (zeros in the crop, input in the box) come from a
-    thin strip of the crop instead (see _border). So the result equals
-    conv3d_raw(ten_crop(x, size, crops)) bit for bit.
+    clip reversed along W into a window held reversed, so that each fill
+    copies forward) whose origins share a phase of the H and W strides are
+    convolved once, as the box they span, zero-padded at its own edges, and
+    each slab's output is copied into each crop it covers. The outputs whose
+    taps reach a crop's border inside the box (zeros in the crop, input in
+    the box) come from a thin strip of the crop instead (see _border). So
+    the result equals conv3d_raw(ten_crop(x, size, crops)) bit for bit.
 
     The boxes can span a trunk of convs. With `boxed`, the output is flat:
     each box's and strip's outputs whole, one piece each, where a crop's
@@ -483,10 +482,9 @@ def crop_views(clip: np.ndarray, size: int, crops: Optional[Sequence[int]] = Non
 
 
 def softmax_raw(x: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """exp(x - max) / sum along `axis` (nonlocal_raw shifts by a bound on the
-    max instead, and normalizes after its weighted sum). The result goes to
-    `out` when given (x itself is allowed), with no x-sized temporary; the
-    values are the same."""
+    """exp(x - max) / sum along `axis` (nonlocal_raw shifts by a bound on the max
+    and normalizes after its weighted sum). The result goes to `out` when given
+    (x itself is allowed), with no x-sized temporary; the values are the same."""
     m = np.max(x, axis=axis, keepdims=True)
     if np.isnan(m).any():  # the max of a row propagates any NaN in it
         warnings.warn("softmax input contains NaN; propagating", RuntimeWarning)
@@ -513,12 +511,14 @@ def maxpool3d_raw(x: np.ndarray, kernel: tuple, stride: tuple) -> np.ndarray:
 
 # Query rows per block of nonlocal_raw: a [NL_ROWS,P] block of logits stays in cache through its softmax.
 NL_ROWS = 128
+# The largest shift b_r of a block that nonlocal_raw exponentiates shifted: each logit of row r is at least
+# -b_r, so exp(logit - b_r) >= exp(-2 * NL_SHIFT) stays a normal float32 (subnormals slow a GEMM several fold).
+NL_SHIFT = 43.0
 
 
 def nonlocal_workspace_elems(x_shape: tuple, ci: int) -> int:
-    """Scratch floats nonlocal_raw wants on [N,C,*spatial] input with `ci` inner channels: theta,
-    phi and g of every item, each with one more row (-b, then ones), one block of logits, one item's
-    weighted sums, row sums and projection."""
+    """Scratch floats nonlocal_raw wants on [N,C,*spatial] input with `ci` inner channels: theta, phi and g
+    of every item, each with one more row, one block of logits, one item's weighted sums, row sums and projection."""
     n, c, p = x_shape[0], x_shape[1], math.prod(x_shape[2:])
     return 3 * n * (ci + 1) * p + min(NL_ROWS, p) * p + p * (ci + 1 + c)
 
@@ -537,13 +537,13 @@ def nonlocal_raw(
     Projections are pointwise (1x1) maps C->Ci given as [C,Ci] matrices; the
     output projection w_out is [Ci,C]. The logits' 1/sqrt(Ci) scale is folded
     into w_theta, and one batched GEMM gives every item's theta, phi and g.
-    Theta gets a row -b, where b_r = |theta_r| max_j |phi_j| is at least each
+    Theta gets a row -b, b_r = |theta_r| max_j |phi_j| being at least each
     logit of row r (Cauchy-Schwarz), and phi and g a row of ones. Each item
     attends in blocks of NL_ROWS query rows: one GEMM gives the logits less
     b, exponentiated in place, and one GEMM with [g;1] their weighted sums
-    and row sums. A block whose smallest row sum is below 2**-60 (exp
-    underflowed where b overshoots a row's max) or NaN is redone with the
-    logits less their row max. The item's [P,Ci] weighted sums are then
+    and row sums. A block with a b_r above NL_SHIFT or NaN, or whose shifted
+    exp underflowed (a row sum below 2**-60) or gave NaN, takes the logits
+    less their row max instead. The item's [P,Ci] weighted sums are then
     divided by the row sums once. The flat float32
     `workspace` (nonlocal_workspace_elems floats or more; allocated when not
     given) holds it all, so repeated calls allocate nothing. The result goes
@@ -571,23 +571,26 @@ def nonlocal_raw(
     theta, bound, phi = qkv[:, :ci], qkv[:, ci], qkv[:, ci + 1:2 * ci + 1]
     np.einsum("nkp,nkp->np", phi, phi, out=bound)
     top = np.sqrt(bound.max(axis=1, keepdims=True))
-    np.einsum("nkp,nkp->np", theta, theta, out=bound)
-    np.sqrt(bound, out=bound)
+    np.sqrt(np.einsum("nkp,nkp->np", theta, theta, out=bound), out=bound)
     bound *= -top
     qkv[:, 2 * ci + 1::ci + 1] = 1.0
+    shifted = np.minimum.reduceat(bound, np.arange(0, p, NL_ROWS), axis=1) >= -NL_SHIFT  # per block; NaN: False
     y, sums = ys[:, :ci], ys[:, ci]
     for i in range(n):
         theta, phi, g = qkv[i, :ci + 1], qkv[i, ci + 1:2 * ci + 2], qkv[i, 2 * ci + 2:]
-        for r in range(0, p, NL_ROWS):
+        for k, r in enumerate(range(0, p, NL_ROWS)):
             e, s = logits[:min(NL_ROWS, p - r)], slice(r, r + NL_ROWS)
-            np.matmul(theta[:, s].T, phi, out=e)  # the logits less b
-            np.exp(e, out=e)
-            np.matmul(e, g.T, out=ys[s])  # the weighted sums, then the row sums
-            if not sums[s].min() >= 2.0 ** -60:  # exp underflowed past b, or NaN: redo with the row max
-                np.matmul(theta[:ci, s].T, phi[:ci], out=e)
-                e -= e.max(axis=1, keepdims=True)
+            if shifted[i, k]:
+                np.matmul(theta[:, s].T, phi, out=e)  # the logits less b
                 np.exp(e, out=e)
-                np.matmul(e, g.T, out=ys[s])
+                np.matmul(e, g.T, out=ys[s])  # the weighted sums, then the row sums
+                if sums[s].min() >= 2.0 ** -60:
+                    continue
+            # a large shift, or exp underflowed past b, or NaN: the logits less their row max
+            np.matmul(theta[:ci, s].T, phi[:ci], out=e)
+            e -= e.max(axis=1, keepdims=True)
+            np.exp(e, out=e)
+            np.matmul(e, g.T, out=ys[s])
         y /= sums[:, None]
         np.matmul(w_out.T, y.T, out=z)
         np.add(x[i], z.reshape(x.shape[1:]), out=out[i])

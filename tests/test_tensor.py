@@ -317,20 +317,27 @@ class TestNonlocalBlocks:
         # s1b0's [16,4,14,14] output: P = 784 is six blocks and 16 rows
         check_nonlocal(*nonlocal_case(np.random.default_rng(5), 10, 16, (4, 14, 14)))
 
-    # Blocks of rows whose exp underflows past the shift b_r = |theta_r| max_j |phi_j| (or gives NaN) are redone
-    # with the row max. Larger weights widen the gap between b_r and a row's max: at the extractor's scale no
-    # block does, at unit scale most and at 3x all. The logits are larger there, and so is their float32
-    # rounding: these bounds are ones the kernel that always subtracts the row max meets on the same inputs.
+    # A block is exponentiated shifted by b_r = |theta_r| max_j |phi_j| while every b_r <= NL_SHIFT; one with a
+    # larger b_r, or whose shifted exp underflows (or gives NaN), takes the logits less their row max. Larger
+    # weights raise b: at the extractor's scale no block takes the row max, at unit scale most and at 3x all.
+    # Their logits are larger, and so is the float32 rounding: these bounds are ones the kernel that always
+    # subtracts the row max meets on the same inputs.
     LARGE = [(1.0, 2e-5), (3.0, 1e-4)]
 
     @staticmethod
-    def exp_calls(monkeypatch, x, ws):
-        """nonlocal_raw's np.exp calls on x: one per block, two per block redone."""
+    def passes(monkeypatch, x, ws):
+        """Per block pass of nonlocal_raw on x (one np.exp call each): True where it exponentiates the logits
+        less their row max, each row's largest then being 0, and False where the logits less b."""
         calls, exp = [], np.exp
+
+        def spy(a, *args, **kw):
+            calls.append(bool((a.max(axis=1) == 0).all()))
+            return exp(a, *args, **kw)
+
         with monkeypatch.context() as m:
-            m.setattr(np, "exp", lambda *a, **k: calls.append(1) or exp(*a, **k))
+            m.setattr(np, "exp", spy)
             tc.nonlocal_raw(x, *ws)
-        return len(calls)
+        return calls
 
     @pytest.mark.parametrize("scale, bound", LARGE)
     @pytest.mark.parametrize("seed", range(12))
@@ -343,23 +350,36 @@ class TestNonlocalBlocks:
     def test_desk_shape_at_large_weights(self, scale, bound):
         check_nonlocal(*nonlocal_case(np.random.default_rng(6), 3, 16, (4, 14, 14), scale), bound)
 
-    def test_no_block_falls_back_at_the_extractors_scale(self, monkeypatch):
+    def test_every_block_shifted_at_the_extractors_scale(self, monkeypatch):
         x, ws = nonlocal_case(np.random.default_rng(5), 2, 16, (4, 14, 14))
-        assert self.exp_calls(monkeypatch, x, ws) == 2 * 7
+        assert self.passes(monkeypatch, x, ws) == [False] * 14
 
-    def test_every_block_falls_back(self, monkeypatch):
+    def test_every_block_takes_the_row_max(self, monkeypatch):
+        # at 3x every b_r is far above NL_SHIFT: each block takes the row max at once, with no shifted pass
         x, ws = nonlocal_case(np.random.default_rng(8), 2, 16, (4, 14, 14), 3.0)
-        assert self.exp_calls(monkeypatch, x, ws) == 2 * 2 * 7
-        got = check_nonlocal(x, ws, 1e-4)
-        assert np.isfinite(got).all()
+        assert self.passes(monkeypatch, x, ws) == [True] * 14
+        assert np.isfinite(check_nonlocal(x, ws, 1e-4)).all()
 
-    def test_some_blocks_fall_back(self, monkeypatch):
-        # the first block's query rows are small, so its shift is too; the second's are large
+    def test_some_blocks_take_the_row_max(self, monkeypatch):
+        # the first block's query rows are small, and so is their shift; the second's are large
         x, ws = nonlocal_case(np.random.default_rng(9), 1, 8, (2 * tc.NL_ROWS,), 1.0)
         x[..., :tc.NL_ROWS] *= np.float32(0.01)
         x[..., tc.NL_ROWS:] *= np.float32(4.0)
-        assert self.exp_calls(monkeypatch, x, ws) == 3
+        assert self.passes(monkeypatch, x, ws) == [False, True]
         check_nonlocal(x, ws, 2e-5)
+
+    def test_underflowed_block_is_redone_with_the_row_max(self, monkeypatch):
+        # theta = x and phi = (x0, -x1): keys along x0 at 2-2.5, and one query (-4, sqrt(26)) whose logits are
+        # all at most -10 (its own is 16 - 26) while its b = 42 <= NL_SHIFT; its row sum, about P e^-52, is
+        # below 2**-60, so the second block is redone
+        rng = np.random.default_rng(10)
+        x = np.zeros((1, 2, 2 * tc.NL_ROWS), np.float32)
+        x[0, 0] = rng.uniform(2.0, 2.5, size=2 * tc.NL_ROWS)
+        x[0, :, 200] = (-4.0, np.sqrt(26.0))
+        ws = [np.sqrt(2.0) * np.eye(2), np.diag([1.0, -1.0]), np.eye(2), rng.normal(size=(2, 2))]
+        ws = [w.astype(np.float32) for w in ws]
+        assert self.passes(monkeypatch, x, ws) == [False, False, True]
+        assert np.isfinite(check_nonlocal(x, ws)).all()
 
     def test_nan_in_x_reaches_only_its_item(self):
         x, ws = nonlocal_case(np.random.default_rng(7), 3, 4, (5, 6))
