@@ -319,7 +319,7 @@ class TestNonlocalBlocks:
 
     # A block is exponentiated shifted by b_r = |theta_r| max_j |phi_j| while every b_r <= NL_SHIFT; one with a
     # larger b_r, or whose shifted exp underflows (or gives NaN), takes the logits less their row max. Larger
-    # weights raise b: at the extractor's scale no block takes the row max, at unit scale most and at 3x all.
+    # weights raise b: at the extractor's scale no block takes the row max, at unit and 3x scale nearly all do.
     # Their logits are larger, and so is the float32 rounding: these bounds are ones the kernel that always
     # subtracts the row max meets on the same inputs.
     LARGE = [(1.0, 2e-5), (3.0, 1e-4)]
